@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,6 +74,9 @@ type Spec struct {
 	// Metrics, when non-nil, receives campaign.* counters (runs, injected
 	// errors, per-outcome tallies) and the injections-per-run histogram.
 	Metrics *obs.Registry
+	// Golden, when non-nil, is the workload's golden run (NewGolden),
+	// shared by every cell of the workload; nil runs one for this cell.
+	Golden *Golden
 	// Context, when non-nil, cancels the cell: workers stop picking up new
 	// runs once it is done and Run returns the context's error instead of
 	// a partial result. A partially sampled campaign would bias every
@@ -95,22 +99,62 @@ const (
 	MetricOutcomeCrash      = "campaign.outcome.crash"
 	MetricOutcomeTimeout    = "campaign.outcome.timeout"
 	MetricInjectionsPerRun  = "campaign.injections_per_run"
+
+	// Fast-path tallies (see Golden). They describe how the outcomes were
+	// reached, not the outcomes, so they stay out of Result and its
+	// cached artifacts.
+	//
+	// MetricFastRestoredRuns counts runs started from a golden checkpoint
+	// past reset.
+	MetricFastRestoredRuns = "campaign.fast.restored_runs"
+	// MetricFastMaskedExits counts injected runs stopped as Masked at a
+	// checkpoint whose full state equals golden's.
+	MetricFastMaskedExits = "campaign.fast.masked_exits"
+	// MetricFastUninjectedSkips counts runs classified Masked without an
+	// injection and without running to halt: no injector, or the target
+	// passed without firing.
+	MetricFastUninjectedSkips = "campaign.fast.uninjected_skips"
+	// MetricFastInstrSkipped counts golden instructions not simulated:
+	// restored prefixes plus the suffixes after an early exit.
+	MetricFastInstrSkipped = "campaign.fast.instr_skipped"
 )
+
+// maxCheckpoints bounds a golden recording's checkpoints (reset
+// included), which bounds its memory: about 4 KiB of scalar state each,
+// plus one 512-byte page version per page stored to in each interval.
+const maxCheckpoints = 16
 
 // injectionsPerRunBounds buckets the histogram of manifested errors per
 // injected run (0 means the model never fired; the overflow bucket
 // catches error-storm runs at deep undervolting).
 var injectionsPerRunBounds = []float64{0, 1, 2, 4, 8, 16, 64, 256, 1024}
 
+// fastStats tallies a cell's fast-path runs (the campaign.fast.* names).
+type fastStats struct {
+	restored, maskedExits, uninjectedSkips, instrSkipped int64
+}
+
+func (f *fastStats) add(o runOut) {
+	if o.restored {
+		f.restored++
+	}
+	if o.exited && o.injections > 0 {
+		f.maskedExits++
+	}
+	if o.exited && o.injections == 0 {
+		f.uninjectedSkips++
+	}
+	f.instrSkipped += o.skipped
+}
+
 // record publishes the aggregated cell onto m (no-op for nil m). Called
 // after the worker fan-in, from one goroutine, so gauge-free counter
 // arithmetic keeps snapshots order-independent.
-func (r *Result) record(m *obs.Registry, outs []int64) {
+func (r *Result) record(m *obs.Registry, outs []int64, fast fastStats) {
 	if m == nil {
 		return
 	}
 	m.Counter(MetricCells).Inc()
-	m.Counter(MetricGoldenRuns).Inc()
 	m.Counter(MetricRuns).Add(int64(r.Runs))
 	m.Counter(MetricInjectedErrors).Add(r.InjectedErrors)
 	m.Counter(MetricRunsWithInjection).Add(int64(r.RunsWithInjection))
@@ -122,6 +166,10 @@ func (r *Result) record(m *obs.Registry, outs []int64) {
 	for _, n := range outs {
 		h.Observe(float64(n))
 	}
+	m.Counter(MetricFastRestoredRuns).Add(fast.restored)
+	m.Counter(MetricFastMaskedExits).Add(fast.maskedExits)
+	m.Counter(MetricFastUninjectedSkips).Add(fast.uninjectedSkips)
+	m.Counter(MetricFastInstrSkipped).Add(fast.instrSkipped)
 }
 
 // Result aggregates one campaign cell.
@@ -214,31 +262,57 @@ func (r *Result) Wilson(o Outcome) (lo, hi float64) {
 	return p.Wilson(stats.Z95)
 }
 
-// golden captures the reference execution.
-type golden struct {
+// runConfig is the simulator configuration of golden and injected runs
+// alike (the injector aside).
+var runConfig = cpu.Config{TrapFPInvalid: true}
+
+// Golden is a workload's error-free reference execution: the output and
+// console injected runs are classified against, the cycle count the
+// timeout budget scales, the dynamic instruction profile single-injection
+// targets are drawn from, and checkpoints of the run, recorded on first
+// use by a single-injection cell, that injected runs start from. It is
+// safe for concurrent use, so cells of one workload may share it.
+type Golden struct {
+	w       *workloads.Workload
 	out     []byte
 	console []byte
 	cycles  uint64
 	instret int64
 	fpops   [fpu.NumOps]int64
+
+	interval int64
+	recOnce  sync.Once
+	rec      *cpu.Recording
 }
 
-// runGolden executes the workload without injection.
-func runGolden(w *workloads.Workload) (*golden, error) {
-	c := cpu.New(w.Program, cpu.Config{TrapFPInvalid: true})
+// NewGolden executes the workload without injection and counts the
+// execution on m's campaign.golden_runs (nil m: not counted).
+func NewGolden(w *workloads.Workload, m *obs.Registry) (*Golden, error) {
+	c := cpu.New(w.Program, runConfig)
 	res := c.Run(1 << 40)
 	if res.Status != cpu.Halted {
 		return nil, fmt.Errorf("campaign: golden %s did not halt: %v (%s)",
 			w.Name, res.Status, res.Reason)
 	}
-	g := &golden{
-		cycles:  res.Cycles,
-		instret: res.Instret,
-		fpops:   res.FPOps,
-	}
-	g.out = append(g.out, c.Mem()[w.OutStart:w.OutStart+w.OutLen]...)
-	g.console = append(g.console, c.Output()...)
-	return g, nil
+	m.Counter(MetricGoldenRuns).Inc()
+	return &Golden{
+		w:        w,
+		out:      append([]byte(nil), c.Mem()[w.OutStart:w.OutStart+w.OutLen]...),
+		console:  append([]byte(nil), c.Output()...),
+		cycles:   res.Cycles,
+		instret:  res.Instret,
+		fpops:    res.FPOps,
+		interval: (res.Instret + maxCheckpoints - 1) / maxCheckpoints,
+	}, nil
+}
+
+// recording returns the checkpointed golden run, recording it on first
+// use. Stochastic cells never call it: their runs start from reset.
+func (g *Golden) recording() *cpu.Recording {
+	g.recOnce.Do(func() {
+		g.rec, _ = cpu.Record(g.w.Program, runConfig, g.interval, 1<<40)
+	})
+	return g.rec
 }
 
 // ValidateTimeoutFactor rejects timeout factors that would silently turn
@@ -278,9 +352,14 @@ func Run(spec Spec) (*Result, error) {
 	if err := ValidateTimeoutFactor(tf); err != nil {
 		return nil, err
 	}
-	g, err := runGolden(spec.Workload)
-	if err != nil {
-		return nil, err
+	g := spec.Golden
+	if g == nil {
+		var err error
+		if g, err = NewGolden(spec.Workload, spec.Metrics); err != nil {
+			return nil, err
+		}
+	} else if g.w != spec.Workload {
+		return nil, fmt.Errorf("campaign: golden run of %s given for %s", g.w.Name, spec.Workload.Name)
 	}
 	res := &Result{
 		Workload:      spec.Workload.Name,
@@ -291,7 +370,7 @@ func Run(spec Spec) (*Result, error) {
 		GoldenCycles:  g.cycles,
 		GoldenFPOps:   g.fpops,
 	}
-	budget := uint64(float64(g.cycles) * tf)
+	r := newRunner(spec, g, tf)
 
 	workers := spec.Workers
 	if workers <= 0 {
@@ -300,47 +379,7 @@ func Run(spec Spec) (*Result, error) {
 	if workers > spec.Runs {
 		workers = spec.Runs
 	}
-	type runOut struct {
-		outcome    Outcome
-		injections int64
-		crashKind  string
-	}
 	outs := make([]runOut, spec.Runs)
-	oneRun := func(i int) {
-		src := prng.New(spec.Seed + uint64(i)*0x9E3779B97F4A7C15 + 1)
-		var inj cpu.Injector
-		if spec.SingleInjection {
-			inj = errmodel.SingleInjector(spec.Model, errmodel.ExecProfile{
-				FPOps: g.fpops, TotalInstr: g.instret,
-			}, src)
-		} else {
-			inj = spec.Model.NewInjector(src)
-		}
-		c := cpu.New(spec.Workload.Program, cpu.Config{
-			Injector:      inj,
-			TrapFPInvalid: true,
-		})
-		r := c.Run(budget)
-		var o Outcome
-		var kind string
-		switch r.Status {
-		case cpu.Crashed:
-			o = Crash
-			kind = crashKind(r.Reason)
-		case cpu.TimedOut:
-			o = Timeout
-		default:
-			w := spec.Workload
-			same := bytesEqual(c.Mem()[w.OutStart:w.OutStart+w.OutLen], g.out) &&
-				bytesEqual(c.Output(), g.console)
-			if same {
-				o = Masked
-			} else {
-				o = SDC
-			}
-		}
-		outs[i] = runOut{outcome: o, injections: r.Injections, crashKind: kind}
-	}
 	// Workers pull run indices from a shared counter so a canceled cell
 	// stops after the in-flight runs. A panicking run is recovered by the
 	// guard barrier into a labeled error; its worker dies but the others
@@ -353,6 +392,7 @@ func Run(spec Spec) (*Result, error) {
 	var sink guard.Sink
 	for w := 0; w < workers; w++ {
 		guard.Go(&wg, &sink, "campaign cell "+cellID, func() error {
+			var c *cpu.CPU // one simulator per worker, created on first use
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= spec.Runs {
@@ -361,7 +401,7 @@ func Run(spec Spec) (*Result, error) {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				oneRun(i)
+				outs[i] = r.run(&c, i)
 			}
 		})
 	}
@@ -374,6 +414,7 @@ func Run(spec Spec) (*Result, error) {
 	}
 	res.CrashKinds = make(map[string]int)
 	injections := make([]int64, len(outs))
+	var fast fastStats
 	for i, o := range outs {
 		res.Outcomes[o.outcome]++
 		res.InjectedErrors += o.injections
@@ -384,9 +425,121 @@ func Run(spec Spec) (*Result, error) {
 		if o.crashKind != "" {
 			res.CrashKinds[o.crashKind]++
 		}
+		fast.add(o)
 	}
-	res.record(spec.Metrics, injections)
+	res.record(spec.Metrics, injections, fast)
 	return res, nil
+}
+
+// runOut is one run's outcome and how the fast path reached it.
+type runOut struct {
+	outcome    Outcome
+	injections int64
+	crashKind  string
+
+	restored bool  // started from a checkpoint past reset
+	exited   bool  // stopped early as Masked
+	skipped  int64 // golden instructions not simulated
+}
+
+// runner executes a cell's runs.
+type runner struct {
+	spec   Spec
+	g      *Golden
+	budget uint64
+	prof   errmodel.ExecProfile
+	fast   bool
+}
+
+func newRunner(spec Spec, g *Golden, tf float64) *runner {
+	budget := uint64(float64(g.cycles) * tf)
+	return &runner{
+		spec:   spec,
+		g:      g,
+		budget: budget,
+		prof:   errmodel.ExecProfile{FPOps: g.fpops, TotalInstr: g.instret},
+		// A restored prefix and an early exit both stand for golden
+		// execution, which only finishes within a budget of at least the
+		// golden cycle count.
+		fast: spec.SingleInjection && budget >= g.cycles,
+	}
+}
+
+// run executes run i on the worker's simulator *c (created on first use).
+//
+// Every run starts from a checkpoint and runs to the next one, and so on
+// to the end. Stochastic runs, and single-injection runs whose budget is
+// below the golden cycle count, start from reset and have no later
+// checkpoints. A single-injection run otherwise starts from the last
+// checkpoint its target lies beyond. Once its injector can no longer
+// fire, a run whose full state equals golden's at a checkpoint has the
+// golden suffix ahead of it, so it stops there as Masked: the outcome,
+// injection count and crash kind are exactly those of the full run.
+func (r *runner) run(c **cpu.CPU, i int) runOut {
+	src := prng.New(r.spec.Seed + uint64(i)*0x9E3779B97F4A7C15 + 1)
+	var inj cpu.Injector
+	var single errmodel.Single
+	if r.spec.SingleInjection {
+		single = errmodel.SingleInjector(r.spec.Model, r.prof, src)
+		inj = single
+	} else {
+		inj = r.spec.Model.NewInjector(src)
+	}
+	if r.fast && single == nil {
+		return runOut{outcome: Masked, exited: true, skipped: r.g.instret}
+	}
+	if *c == nil {
+		*c = cpu.New(r.spec.Workload.Program, runConfig)
+	}
+	var rec *cpu.Recording
+	k, prefix := 0, int64(0)
+	if r.fast {
+		rec = r.g.recording()
+		k = sort.Search(rec.Len(), func(k int) bool { return !single.Ahead(rec.At(k)) }) - 1
+		start := rec.At(k)
+		single.Skip(start)
+		prefix = start.Instret
+	}
+	sim := *c
+	sim.Restore(rec, k)
+	sim.SetInjector(inj)
+	for j := k + 1; ; j++ {
+		stop := int64(math.MaxInt64)
+		if rec != nil && j < rec.Len() {
+			stop = rec.At(j).Instret
+		}
+		res, paused := sim.RunTo(r.budget, stop)
+		if !paused {
+			o := r.classify(sim, res)
+			o.restored, o.skipped = k > 0, prefix
+			return o
+		}
+		if single.Exhausted(res) && (res.Injections == 0 || sim.Matches(rec, j)) {
+			return runOut{outcome: Masked, injections: res.Injections,
+				restored: k > 0, exited: true, skipped: prefix + r.g.instret - res.Instret}
+		}
+	}
+}
+
+// classify maps a finished run onto the outcome classes.
+func (r *runner) classify(c *cpu.CPU, res cpu.Result) runOut {
+	o := runOut{injections: res.Injections}
+	switch res.Status {
+	case cpu.Crashed:
+		o.outcome = Crash
+		o.crashKind = crashKind(res.Reason)
+	case cpu.TimedOut:
+		o.outcome = Timeout
+	default:
+		w := r.spec.Workload
+		if bytesEqual(c.Mem()[w.OutStart:w.OutStart+w.OutLen], r.g.out) &&
+			bytesEqual(c.Output(), r.g.console) {
+			o.outcome = Masked
+		} else {
+			o.outcome = SDC
+		}
+	}
+	return o
 }
 
 // bytesEqual avoids importing bytes for two call sites.

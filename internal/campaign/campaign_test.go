@@ -20,8 +20,9 @@ func tinyWorkload(t *testing.T, name string) *workloads.Workload {
 	return w
 }
 
-// syntheticWA builds a WA model with the given per-op rate and masks.
-func syntheticWA(level string, op fpu.Op, er float64, masks []uint64) *errmodel.WAModel {
+// syntheticSummary is a DTA summary of the op whose faulty records carry
+// the given masks, padded with error-free records to the rate er.
+func syntheticSummary(op fpu.Op, er float64, masks []uint64) *dta.Summary {
 	recs := make([]dta.Record, 0)
 	for _, m := range masks {
 		recs = append(recs, dta.Record{Mask: m})
@@ -30,8 +31,13 @@ func syntheticWA(level string, op fpu.Op, er float64, masks []uint64) *errmodel.
 	for len(recs) < total {
 		recs = append(recs, dta.Record{})
 	}
+	return dta.Summarize(op, recs)
+}
+
+// syntheticWA builds a WA model with the given per-op rate and masks.
+func syntheticWA(level string, op fpu.Op, er float64, masks []uint64) *errmodel.WAModel {
 	return errmodel.BuildWA(level, "synthetic", map[fpu.Op]*dta.Summary{
-		op: dta.Summarize(op, recs),
+		op: syntheticSummary(op, er, masks),
 	})
 }
 

@@ -94,11 +94,13 @@ type Framework struct {
 	Lib  *cell.Library
 	FPU  *fpu.FPU
 	Volt vscale.Model
-	// per-level random-operand summaries (shared by DA and IA), built
-	// once per level with single-flight so concurrent model builds at
-	// the same level wait instead of duplicating the DTA work.
+	// Per-level random-operand summaries (shared by DA and IA) and
+	// per-workload golden runs, each built once with single-flight so
+	// concurrent callers wait instead of duplicating the work. They live
+	// and die with the framework.
 	mu          sync.Mutex
-	randomCalls map[string]*summaryCall
+	randomCalls map[string]*flight[map[fpu.Op]*dta.Summary]
+	goldens     map[*workloads.Workload]*flight[*campaign.Golden]
 	// saveWarn rate-limits the cache-write-failure warning to once per
 	// framework: write errors are non-fatal (counted on
 	// artifact.write_errors) and a degraded disk would otherwise spam one
@@ -106,11 +108,36 @@ type Framework struct {
 	saveWarn sync.Once
 }
 
-// summaryCall is one single-flight characterization slot.
-type summaryCall struct {
+// flight is one single-flight slot.
+type flight[T any] struct {
 	once sync.Once
-	sums map[fpu.Op]*dta.Summary
+	v    T
 	err  error
+}
+
+// singleFlight returns calls[key]'s value, computing it with fn on first
+// use while concurrent callers wait. A failed computation never poisons
+// the slot: it is discarded, so a later call (e.g. a resumed run after a
+// cancellation) recomputes instead of inheriting the error.
+func singleFlight[K comparable, T any](mu *sync.Mutex, calls map[K]*flight[T], key K, fn func() (T, error)) (T, error) {
+	mu.Lock()
+	call, ok := calls[key]
+	if !ok {
+		call = &flight[T]{}
+		calls[key] = call
+	}
+	mu.Unlock()
+	call.once.Do(func() { call.v, call.err = fn() })
+	if call.err != nil {
+		mu.Lock()
+		if calls[key] == call {
+			delete(calls, key)
+		}
+		mu.Unlock()
+		var zero T
+		return zero, call.err
+	}
+	return call.v, nil
 }
 
 // New builds (and calibrates) the hardware substrate and returns the
@@ -139,7 +166,8 @@ func New(cfg Config) (*Framework, error) {
 		Lib:         lib,
 		FPU:         f,
 		Volt:        vscale.Default45nm(),
-		randomCalls: make(map[string]*summaryCall),
+		randomCalls: make(map[string]*flight[map[fpu.Op]*dta.Summary]),
+		goldens:     make(map[*workloads.Workload]*flight[*campaign.Golden]),
 	}, nil
 }
 
@@ -185,25 +213,9 @@ func (f *Framework) RandomSummaries(level vscale.VRLevel) map[fpu.Op]*dta.Summar
 // the aborted slot is discarded, so a later call (e.g. a resumed run)
 // recomputes instead of inheriting the cancellation error.
 func (f *Framework) RandomSummariesCtx(ctx context.Context, level vscale.VRLevel) (map[fpu.Op]*dta.Summary, error) {
-	f.mu.Lock()
-	call, ok := f.randomCalls[level.Name]
-	if !ok {
-		call = &summaryCall{}
-		f.randomCalls[level.Name] = call
-	}
-	f.mu.Unlock()
-	call.once.Do(func() {
-		call.sums, call.err = f.randomSummaries(ctx, level)
+	return singleFlight(&f.mu, f.randomCalls, level.Name, func() (map[fpu.Op]*dta.Summary, error) {
+		return f.randomSummaries(ctx, level)
 	})
-	if call.err != nil {
-		f.mu.Lock()
-		if f.randomCalls[level.Name] == call {
-			delete(f.randomCalls, level.Name)
-		}
-		f.mu.Unlock()
-		return nil, call.err
-	}
-	return call.sums, nil
 }
 
 func (f *Framework) randomSummaries(ctx context.Context, level vscale.VRLevel) (map[fpu.Op]*dta.Summary, error) {
@@ -457,7 +469,14 @@ func (f *Framework) EvaluateSingleCtx(ctx context.Context, w *workloads.Workload
 }
 
 func (f *Framework) evaluate(ctx context.Context, w *workloads.Workload, m errmodel.Model, runs int, single bool) (*campaign.Result, error) {
+	g, err := singleFlight(&f.mu, f.goldens, w, func() (*campaign.Golden, error) {
+		return campaign.NewGolden(w, f.Cfg.Metrics)
+	})
+	if err != nil {
+		return nil, err
+	}
 	return campaign.Run(campaign.Spec{
+		Golden:          g,
 		Workload:        w,
 		Model:           m,
 		Runs:            runs,

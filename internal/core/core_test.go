@@ -1,11 +1,14 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"teva/internal/campaign"
+	"teva/internal/dta"
 	"teva/internal/errmodel"
 	"teva/internal/fpu"
+	"teva/internal/obs"
 	"teva/internal/trace"
 	"teva/internal/vscale"
 	"teva/internal/workloads"
@@ -192,4 +195,46 @@ func TestEvaluateEndToEnd(t *testing.T) {
 		t.Fatalf("result identity: %+v", res)
 	}
 	_ = campaign.Masked
+}
+
+// TestGoldenRunMemoizedPerWorkload checks that a framework executes each
+// workload's golden run once, however many cells (of either discipline,
+// concurrently) evaluate it: campaign.golden_runs counts executions.
+func TestGoldenRunMemoizedPerWorkload(t *testing.T) {
+	reg := obs.NewRegistry(nil)
+	f := &Framework{
+		Cfg:         Config{Seed: 1, Workers: 1, Metrics: reg},
+		randomCalls: map[string]*flight[map[fpu.Op]*dta.Summary]{},
+		goldens:     map[*workloads.Workload]*flight[*campaign.Golden]{},
+	}
+	var ws []*workloads.Workload
+	for _, name := range []string{"cg", "is"} {
+		w, err := workloads.ByName(name, workloads.Tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	m := errmodel.BuildDA("VR20", 1, 1000)
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if i%2 == 0 {
+				_, err = f.EvaluateSingle(ws[i%len(ws)], m, 2)
+			} else {
+				_, err = f.Evaluate(ws[i/3], m, 2)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	snap := reg.Snapshot()
+	if cells, golden := snap.Counter(campaign.MetricCells), snap.Counter(campaign.MetricGoldenRuns); cells != 6 || golden != 2 {
+		t.Fatalf("%d cells ran %d golden executions, want 6 cells and 2 (one per workload)", cells, golden)
+	}
 }

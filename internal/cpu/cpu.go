@@ -154,13 +154,27 @@ type CPU struct {
 	lat  Latencies
 	prog *isa.Program
 
-	pc        uint32
-	xreg      [32]uint32
-	freg      [32]uint64
+	state
 	mem       []byte
 	output    []byte
 	decoded   []isa.Inst // decoded text, indexed by (pc-TextBase)/4
 	decodeErr []bool
+
+	// dirty is a bitmap of the memory pages stored to since New or the
+	// last Restore; base/baseK name the checkpoint the rest of memory
+	// holds (baseK 0: the reset image). scratch is Matches' page set.
+	dirty   []uint64
+	scratch []uint64
+	base    *Recording
+	baseK   int
+}
+
+// state is the simulator state outside memory and the console: what a
+// checkpoint copies by value and Matches compares.
+type state struct {
+	pc   uint32
+	xreg [32]uint32
+	freg [32]uint64
 
 	// Timing state.
 	cycle     uint64
@@ -170,8 +184,8 @@ type CPU struct {
 	fpDivFree uint64
 
 	// Cache models: direct-mapped, 32-byte lines.
-	tags  []uint32
-	itags []uint32
+	tags  [cacheLines]uint32
+	itags [icacheLines]uint32
 
 	res Result
 }
@@ -195,22 +209,16 @@ func New(prog *isa.Program, cfg Config) *CPU {
 		lat = *cfg.Latencies
 	}
 	c := &CPU{
-		cfg:   cfg,
-		lat:   lat,
-		prog:  prog,
-		pc:    prog.Entry,
-		mem:   make([]byte, cfg.MemSize),
-		tags:  make([]uint32, cacheLines),
-		itags: make([]uint32, icacheLines),
+		cfg:  cfg,
+		lat:  lat,
+		prog: prog,
+		mem:  make([]byte, cfg.MemSize),
 	}
-	for i := range c.tags {
-		c.tags[i] = ^uint32(0)
-	}
-	for i := range c.itags {
-		c.itags[i] = ^uint32(0)
-	}
+	pages := (cfg.MemSize + pageSize - 1) >> pageLog
+	c.dirty = make([]uint64, (pages+63)/64)
+	c.scratch = make([]uint64, len(c.dirty))
+	c.state = resetState(prog)
 	copy(c.mem[isa.DataBase:], prog.Data)
-	c.xreg[2] = isa.StackTop
 	c.decoded = make([]isa.Inst, len(prog.Text))
 	c.decodeErr = make([]bool, len(prog.Text))
 	for i, raw := range prog.Text {
@@ -221,8 +229,29 @@ func New(prog *isa.Program, cfg Config) *CPU {
 	return c
 }
 
-// Mem exposes the data memory for output-region classification.
+// resetState is the state a program starts from: pc at the entry point,
+// the stack pointer set, caches empty and the run's status TimedOut until
+// it halts or crashes.
+func resetState(prog *isa.Program) state {
+	s := state{pc: prog.Entry}
+	s.xreg[2] = isa.StackTop
+	for i := range s.tags {
+		s.tags[i] = ^uint32(0)
+	}
+	for i := range s.itags {
+		s.itags[i] = ^uint32(0)
+	}
+	s.res.Status = TimedOut
+	return s
+}
+
+// Mem exposes the data memory for output-region classification. Writes
+// through it bypass the dirty-page tracking that Reset, Restore and
+// Matches rely on.
 func (c *CPU) Mem() []byte { return c.mem }
+
+// SetInjector replaces the writeback injector for the rest of the run.
+func (c *CPU) SetInjector(inj Injector) { c.cfg.Injector = inj }
 
 // Output returns the console output produced so far.
 func (c *CPU) Output() []byte { return c.output }
@@ -235,16 +264,20 @@ func (c *CPU) crash(format string, args ...any) {
 
 // Run simulates until halt, crash, or the cycle budget is exhausted.
 func (c *CPU) Run(maxCycles uint64) Result {
-	c.res = Result{Status: TimedOut}
+	res, _ := c.RunTo(maxCycles, math.MaxInt64)
+	return res
+}
+
+// RunTo is Run that also pauses once stop instructions have retired. It
+// reports paused when the run stopped there still running; a later Run or
+// RunTo continues it exactly as if it had never paused.
+func (c *CPU) RunTo(maxCycles uint64, stop int64) (res Result, paused bool) {
 	running := true
-	for running && c.cycle < maxCycles {
+	for running && c.cycle < maxCycles && c.res.Instret < stop {
 		running = c.step()
 	}
-	if c.cycle >= maxCycles && c.res.Status == TimedOut {
-		c.res.Status = TimedOut
-	}
 	c.res.Cycles = c.cycle
-	return c.res
+	return c.res, running && c.cycle < maxCycles
 }
 
 // step executes one instruction; returns false when the run ends.
@@ -574,6 +607,7 @@ func (c *CPU) execStore(in isa.Inst) bool {
 	if _, ok := c.memAccess(addr, size); !ok {
 		return false
 	}
+	c.markDirty(addr)
 	switch in.Funct3 {
 	case isa.F3Word:
 		c.mem[addr] = byte(v)
@@ -617,6 +651,7 @@ func (c *CPU) execFStore(in isa.Inst) bool {
 	if _, ok := c.memAccess(addr, size); !ok {
 		return false
 	}
+	c.markDirty(addr)
 	for i := uint32(0); i < size; i++ {
 		c.mem[addr+i] = byte(v >> (8 * i))
 	}
@@ -664,8 +699,9 @@ func (c *CPU) print(b []byte) {
 	}
 }
 
-// fpOpFor maps an FP funct7 to its FPU pipeline.
-var fpOpFor = map[isa.FPFunc]fpu.Op{
+// fpOpFor maps an FPU-datapath funct7 to its pipeline (an array, not a
+// map: it is read on every FP instruction).
+var fpOpFor = [fpu.NumOps]fpu.Op{
 	isa.FPAddD: fpu.DAdd, isa.FPSubD: fpu.DSub, isa.FPMulD: fpu.DMul,
 	isa.FPDivD: fpu.DDiv, isa.FPI2FD: fpu.DI2F, isa.FPF2ID: fpu.DF2I,
 	isa.FPAddS: fpu.SAdd, isa.FPSubS: fpu.SSub, isa.FPMulS: fpu.SMul,

@@ -13,6 +13,26 @@ type ExecProfile struct {
 	TotalInstr int64
 }
 
+// Single is an injector that corrupts at most one writeback, at a target
+// fixed when it is drawn. Because the target is known up front, a
+// campaign can start the run from a checkpoint of the golden execution
+// instead of from reset, and stop it early once the injector can no
+// longer fire. The counters passed in are those of a cpu.Recording
+// checkpoint or of the run itself, taken between instructions.
+type Single interface {
+	cpu.Injector
+	// Ahead reports whether the target lies beyond a golden prefix that
+	// ends at the counters at: the injector stays silent over it.
+	Ahead(at cpu.Result) bool
+	// Skip advances the injector over a golden prefix for which Ahead
+	// holds, as if it had observed every writeback in it.
+	Skip(at cpu.Result)
+	// Exhausted reports whether the injector stays silent for the rest
+	// of a run now at the counters at: it has fired, or the run has
+	// retired its target without firing.
+	Exhausted(at cpu.Result) bool
+}
+
 // SingleInjector returns an injector that corrupts exactly one dynamic
 // instruction of the run — the paper's statistical-fault-injection
 // discipline ("for every program execution, we apply the bitmasks in a
@@ -29,7 +49,7 @@ type ExecProfile struct {
 // It returns nil when the model cannot inject into this profile at all
 // (every rate is zero): the paper's "this voltage level produces no
 // errors for this application" case.
-func SingleInjector(m Model, prof ExecProfile, src *prng.Source) cpu.Injector {
+func SingleInjector(m Model, prof ExecProfile, src *prng.Source) Single {
 	switch model := m.(type) {
 	case *DAModel:
 		if model.ER == 0 || prof.TotalInstr == 0 {
@@ -130,6 +150,14 @@ func (d *singleDA) OnWriteback(ev cpu.Event) uint64 {
 	return 1 << uint(d.src.Intn(ev.Width))
 }
 
+func (d *singleDA) Ahead(at cpu.Result) bool { return at.Instret < d.target }
+
+// Skip has nothing to advance: the target is an absolute instruction
+// index.
+func (d *singleDA) Skip(cpu.Result) {}
+
+func (d *singleDA) Exhausted(at cpu.Result) bool { return d.fired || at.Instret >= d.target }
+
 // singleOp corrupts the target-th dynamic instance of one FPU op.
 type singleOp struct {
 	op     fpu.Op
@@ -151,3 +179,13 @@ func (d *singleOp) OnWriteback(ev cpu.Event) uint64 {
 	d.fired = true
 	return d.sample(d.src)
 }
+
+func (d *singleOp) Ahead(at cpu.Result) bool { return at.FPOps[d.op] < d.target }
+
+// Skip counts the op's instances in the prefix: the op's writebacks are
+// exactly its executed instances.
+func (d *singleOp) Skip(at cpu.Result) { d.seen = at.FPOps[d.op] }
+
+// Exhausted is fired alone: seen tracks FPOps[op], so a run cannot retire
+// the target instance without firing.
+func (d *singleOp) Exhausted(cpu.Result) bool { return d.fired }

@@ -276,3 +276,37 @@ func TestServeDedupeSingleFlight(t *testing.T) {
 		t.Fatalf("jobs_submitted after resubmit = %d, want 1", got)
 	}
 }
+
+// TestFinishedJobReleasesEnv checks that a finished job drops its
+// experiment environment (and with it the framework, models and golden
+// runs) while its progress endpoint still reports the final counters.
+func TestFinishedJobReleasesEnv(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real (quick) campaign")
+	}
+	const body = `{"experiments":["fig9"],"quick":true,"runs":1}`
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	sb := submitSpec(t, ts.URL, body, http.StatusAccepted)
+	streamToEnd(t, ts.URL, sb.ID)
+	j := s.Job(sb.ID)
+	if st := j.State(); st != StateDone {
+		t.Fatalf("job state %s (%s)", st, j.Err())
+	}
+	j.mu.Lock()
+	env := j.env
+	j.mu.Unlock()
+	if env != nil {
+		t.Fatal("finished job still holds its environment")
+	}
+	p, ok := j.Progress()
+	if !ok || p.CellsTotal == 0 || p.CellsDone != p.CellsTotal {
+		t.Fatalf("finished job progress %+v (ok %v), want all cells done", p, ok)
+	}
+	m := getJSON(t, ts.URL+"/v1/jobs/"+sb.ID, http.StatusOK)
+	prog, _ := m["progress"].(map[string]any)
+	if prog == nil || prog["cells_done"] != float64(p.CellsDone) {
+		t.Fatalf("status body progress %v, want cells_done %d", m["progress"], p.CellsDone)
+	}
+}

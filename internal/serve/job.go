@@ -65,8 +65,9 @@ type Job struct {
 	state    State
 	errText  string
 	events   []Event
-	notify   chan struct{} // closed and replaced on every append
-	env      *experiments.Env
+	notify   chan struct{}         // closed and replaced on every append
+	env      *experiments.Env      // while running; finish drops it
+	final    *experiments.Progress // env's counters when the job finished
 	canceled bool
 	result   []byte            // the deterministic report (state Done)
 	csv      map[string][]byte // exported CSVs by file name (state Done)
@@ -136,16 +137,20 @@ func (j *Job) EventCount() int {
 	return len(j.events)
 }
 
-// Progress reports the running matrix counters; ok is false before the
-// job's environment exists (pending, or failed before start).
+// Progress reports the matrix counters, live while running and final
+// once finished; ok is false when the job never got an environment
+// (pending, or failed or canceled before start).
 func (j *Job) Progress() (experiments.Progress, bool) {
 	j.mu.Lock()
-	env := j.env
+	env, final := j.env, j.final
 	j.mu.Unlock()
-	if env == nil {
-		return experiments.Progress{}, false
+	switch {
+	case env != nil:
+		return env.Progress(), true
+	case final != nil:
+		return *final, true
 	}
-	return env.Progress(), true
+	return experiments.Progress{}, false
 }
 
 // post appends an event, assigning its sequence number and waking every
@@ -212,11 +217,13 @@ func (j *Job) Canceled() bool {
 }
 
 // finish moves the job to a terminal state, publishes the matching
-// event, and releases waiters. result/csv are only retained for Done;
-// csvNames must already be sorted. The state flip and the terminal
-// event are appended under one lock so any observer that sees a
-// terminal state also sees the complete event log — event streams rely
-// on this to know when replay is finished.
+// event, and releases waiters. It keeps the environment's final counters
+// and drops the environment itself, with its framework, models and
+// golden runs, so a finished job pins only its report. result/csv are
+// only retained for Done; csvNames must already be sorted. The state
+// flip and the terminal event are appended under one lock so any
+// observer that sees a terminal state also sees the complete event log —
+// event streams rely on this to know when replay is finished.
 func (j *Job) finish(state State, errText string, result []byte, csv map[string][]byte, csvNames []string) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -225,6 +232,10 @@ func (j *Job) finish(state State, errText string, result []byte, csv map[string]
 	}
 	j.state = state
 	j.errText = errText
+	if j.env != nil {
+		p := j.env.Progress()
+		j.final, j.env = &p, nil
+	}
 	if state == StateDone {
 		j.result = result
 		j.csv = csv
