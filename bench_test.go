@@ -8,6 +8,7 @@
 package teva
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -108,7 +109,10 @@ func BenchmarkFig5FlipDistribution(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs := dta.AnalyzeStream(e.F.FPU, fpu.DMul, e.F.Volt, vscale.VR20, false, pairs, 0)
+		recs, err := dta.AnalyzeStream(context.Background(), e.F.FPU, fpu.DMul, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide, pairs, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		dta.Summarize(fpu.DMul, recs)
 	}
 	b.ReportMetric(float64(len(pairs)), "dta-ops/op")
@@ -135,7 +139,9 @@ func BenchmarkFig7IAModel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		f.DevelopIA(vscale.VR20)
+		if _, err := f.DevelopIACtx(context.Background(), vscale.VR20); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -153,7 +159,9 @@ func BenchmarkFig8WAModel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.F.DevelopWA(vscale.VR20, tr)
+		if _, err := e.F.DevelopWACtx(context.Background(), vscale.VR20, tr); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -169,10 +177,14 @@ func BenchmarkFig9Campaign(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wa := e.F.DevelopWA(vscale.VR20, tr)
+	ctx := context.Background()
+	wa, err := e.F.DevelopWACtx(ctx, vscale.VR20, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.F.Evaluate(w, wa, 8); err != nil {
+		if _, err := e.F.EvaluateCtx(ctx, w, wa, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -355,7 +367,9 @@ func BenchmarkDTAStreamFAdd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dta.AnalyzeStream(e.F.FPU, fpu.DAdd, e.F.Volt, vscale.VR20, false, pairs, 1)
+		if _, err := dta.AnalyzeStream(context.Background(), e.F.FPU, fpu.DAdd, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide, pairs, 1, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(pairs)), "dta-ops/op")
 }
@@ -367,7 +381,7 @@ func BenchmarkDTAStreamFAdd(b *testing.B) {
 // dta-ops/op normalizes to instructions.
 func BenchmarkGateLevelDTA(b *testing.B) {
 	e := benchEnv(b)
-	a := dta.New(e.F.FPU, fpu.DMul, e.F.Volt, vscale.VR20, false)
+	a := dta.New(e.F.FPU, fpu.DMul, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide)
 	src := prng.New(9)
 	pairs := make([]dta.Pair, 64)
 	recs := make([]dta.Record, len(pairs))
@@ -387,7 +401,7 @@ func BenchmarkGateLevelDTA(b *testing.B) {
 // the intended usage).
 func BenchmarkGateLevelDTASingle(b *testing.B) {
 	e := benchEnv(b)
-	a := dta.New(e.F.FPU, fpu.DMul, e.F.Volt, vscale.VR20, false)
+	a := dta.New(e.F.FPU, fpu.DMul, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide)
 	src := prng.New(9)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -32,29 +33,23 @@ func main() {
 	out := flag.String("o", "", "output model file (default stdout)")
 	operands := flag.Int("operands", 0, "DTA operands per instruction type (0: default)")
 	seed := flag.Uint64("seed", 0xF00D, "master seed")
-	exact := flag.Bool("exact", false, "use the event-driven timing engine (slow, reference; same as -timing exact)")
-	timing := flag.String("timing", "", "timing engine: wide (default), fast, exact")
+	timing := flag.String("timing", "wide", "timing engine: wide (64-lane, default), fast (scalar reference), exact (event-driven, slow)")
 	staScreen := flag.Bool("sta-screen", false, "skip dense DTA for ops whose worst STA slack clears the guardband")
 	screenGuardband := flag.Float64("screen-guardband", 0, "minimum positive slack in ps an op must clear to be screened (with -sta-screen)")
 	screenValidate := flag.Bool("screen-validate", false, "with -sta-screen: still simulate screened ops and fail on any disagreement")
 	flag.Parse()
 
-	level, err := parseLevel(*levelName)
+	level, err := vscale.ParseLevel(*levelName)
 	if err != nil {
 		fatal(err)
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := workloads.ParseScale(strings.ToLower(*scaleName))
 	if err != nil {
 		fatal(err)
 	}
-	eng := dta.EngineWide
-	if *exact {
-		eng = dta.EngineExact
-	}
-	if *timing != "" {
-		if eng, err = dta.ParseEngine(*timing); err != nil {
-			fatal(err)
-		}
+	eng, err := dta.ParseEngine(*timing)
+	if err != nil {
+		fatal(err)
 	}
 	f, err := core.New(core.Config{
 		Seed:             *seed,
@@ -70,12 +65,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	ctx := context.Background()
 	start := time.Now()
 
 	var model errmodel.Model
 	switch strings.ToLower(*modelName) {
 	case "ia":
-		model = f.DevelopIA(level)
+		if model, err = f.DevelopIACtx(ctx, level); err != nil {
+			fatal(err)
+		}
 	case "wa":
 		if *workloadName == "" {
 			fatal(fmt.Errorf("-model wa requires -workload"))
@@ -88,7 +86,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		model = f.DevelopWA(level, tr)
+		if model, err = f.DevelopWACtx(ctx, level, tr); err != nil {
+			fatal(err)
+		}
 	case "da":
 		ws, err := workloads.All(scale)
 		if err != nil {
@@ -102,11 +102,9 @@ func main() {
 			}
 			trs = append(trs, tr)
 		}
-		da, err := f.DevelopDA(level, trs)
-		if err != nil {
+		if model, err = f.DevelopDACtx(ctx, level, trs); err != nil {
 			fatal(err)
 		}
-		model = da
 	default:
 		fatal(fmt.Errorf("unknown model %q (da, ia, wa)", *modelName))
 	}
@@ -122,27 +120,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "teva-dta: %s (developed in %s)\n",
 		model.Describe(), time.Since(start).Round(time.Millisecond))
-}
-
-func parseLevel(name string) (vscale.VRLevel, error) {
-	for _, lv := range vscale.PaperLevels() {
-		if strings.EqualFold(lv.Name, name) {
-			return lv, nil
-		}
-	}
-	return vscale.VRLevel{}, fmt.Errorf("unknown level %q (VR15, VR20)", name)
-}
-
-func parseScale(name string) (workloads.Scale, error) {
-	switch strings.ToLower(name) {
-	case "tiny":
-		return workloads.Tiny, nil
-	case "small":
-		return workloads.Small, nil
-	case "full":
-		return workloads.Full, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", name)
 }
 
 func fatal(err error) {

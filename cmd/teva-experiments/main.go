@@ -225,7 +225,9 @@ func main() {
 	stopProfiles()
 	snap := reg.Snapshot()
 	if *metricsOut != "" {
-		writeMetrics(*metricsOut, snap)
+		if err := snap.WriteFile(*metricsOut); err != nil {
+			fatal(err)
+		}
 	}
 	// Diagnostic, and cache-dependent (a warm cache skips work): stderr,
 	// like the cache-stats line, so stdout stays run-to-run identical.
@@ -298,18 +300,6 @@ func startProfiles(cpuPath, memPath string) (stop func()) {
 			}
 			f.Close()
 		}
-	}
-}
-
-// writeMetrics renders the snapshot to path: Prometheus text exposition
-// format for .prom/.txt names, the deterministic JSON layout otherwise.
-func writeMetrics(path string, snap obs.Snapshot) {
-	data := snap.JSON()
-	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
-		data = snap.PrometheusText()
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
 	}
 }
 

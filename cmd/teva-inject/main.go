@@ -89,7 +89,7 @@ func main() {
 	if *workloadName == "" {
 		fatal(fmt.Errorf("-workload is required (one of %v)", workloads.Names()))
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := workloads.ParseScale(strings.ToLower(*scaleName))
 	if err != nil {
 		fatal(err)
 	}
@@ -113,7 +113,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		level, err := parseLevel(*levelName)
+		level, err := vscale.ParseLevel(*levelName)
 		if err != nil {
 			fatal(err)
 		}
@@ -180,7 +180,9 @@ func main() {
 	stopProfiles()
 	snap := reg.Snapshot()
 	if *metricsOut != "" {
-		writeMetrics(*metricsOut, snap)
+		if err := snap.WriteFile(*metricsOut); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "%s\n", snap.Summary())
 }
@@ -226,39 +228,6 @@ func startProfiles(cpuPath, memPath string) (stop func()) {
 	}
 }
 
-// writeMetrics renders the snapshot to path: Prometheus text for
-// .prom/.txt names, deterministic JSON otherwise.
-func writeMetrics(path string, snap obs.Snapshot) {
-	data := snap.JSON()
-	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
-		data = snap.PrometheusText()
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
-	}
-}
-
-func parseLevel(name string) (vscale.VRLevel, error) {
-	for _, lv := range vscale.PaperLevels() {
-		if strings.EqualFold(lv.Name, name) {
-			return lv, nil
-		}
-	}
-	return vscale.VRLevel{}, fmt.Errorf("unknown level %q (VR15, VR20)", name)
-}
-
-func parseScale(name string) (workloads.Scale, error) {
-	switch strings.ToLower(name) {
-	case "tiny":
-		return workloads.Tiny, nil
-	case "small":
-		return workloads.Small, nil
-	case "full":
-		return workloads.Full, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", name)
-}
-
 // exitOnErr handles a campaign-phase failure. An orderly stop (canceled
 // by signal or an expired -max-duration budget) still flushes the
 // metrics snapshot and exits with the conventional code — 130 for a
@@ -271,7 +240,9 @@ func exitOnErr(err error, reg *obs.Registry, metricsOut string, maxDuration time
 	}
 	snap := reg.Snapshot()
 	if metricsOut != "" {
-		writeMetrics(metricsOut, snap)
+		if err := snap.WriteFile(metricsOut); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "%s\n", snap.Summary())
 	code := 130

@@ -36,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -105,24 +104,14 @@ func main() {
 	srv.Wait()
 	snap := reg.Snapshot()
 	if *metricsOut != "" {
-		writeMetrics(*metricsOut, snap)
+		if err := snap.WriteFile(*metricsOut); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "%s\n", snap.Summary())
 	if srv.Draining() {
 		fmt.Fprintln(os.Stderr, "teva-serve: drained; completed cells were flushed to the artifact cache")
 		os.Exit(130)
-	}
-}
-
-// writeMetrics renders the snapshot to path: Prometheus text exposition
-// format for .prom/.txt names, the deterministic JSON layout otherwise.
-func writeMetrics(path string, snap obs.Snapshot) {
-	data := snap.JSON()
-	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
-		data = snap.PrometheusText()
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
 	}
 }
 

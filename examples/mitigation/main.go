@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -58,6 +59,7 @@ func (mi *mitigatedInjector) OnWriteback(ev cpu.Event) uint64 {
 }
 
 func main() {
+	ctx := context.Background()
 	name := "cg"
 	if len(os.Args) > 1 {
 		name = os.Args[1]
@@ -79,10 +81,13 @@ func main() {
 		log.Fatal(err)
 	}
 	level := vscale.VR20
-	wa := f.DevelopWA(level, tr)
+	wa, err := f.DevelopWACtx(ctx, level, tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	const runs = 50
-	baseline, err := f.Evaluate(w, wa, runs)
+	baseline, err := f.EvaluateCtx(ctx, w, wa, runs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func main() {
 		}
 	}
 
-	mitigated, err := f.Evaluate(w, mit, runs)
+	mitigated, err := f.EvaluateCtx(ctx, w, mit, runs)
 	if err != nil {
 		log.Fatal(err)
 	}

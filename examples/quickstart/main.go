@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,6 +25,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Build the substrate: a ~32k-gate calibrated FPU plus the analysis
 	// stack. Characterization sizes are kept small for a fast demo.
 	f, err := core.New(core.Config{
@@ -41,7 +43,10 @@ func main() {
 	level := vscale.VR20
 	fmt.Printf("\n-- dynamic timing analysis at %s (supply %.3f V, delays x%.3f)\n",
 		level.Name, f.Volt.SupplyAtReduction(level.Reduction), f.Volt.ScaleFor(level))
-	sums := f.RandomSummaries(level)
+	sums, err := f.RandomSummariesCtx(ctx, level)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, op := range []fpu.Op{fpu.DMul, fpu.DSub, fpu.DAdd, fpu.DI2F, fpu.SMul} {
 		s := sums[op]
 		fmt.Printf("   %-10s error ratio %.2e  multi-bit share %.0f%%\n",
@@ -59,7 +64,10 @@ func main() {
 	}
 	fmt.Printf("\n-- traced %s: %d instructions, %.1f%% on the FPU datapath\n",
 		w.Name, tr.TotalInstr, 100*float64(tr.FPTotal())/float64(tr.TotalInstr))
-	wa := f.DevelopWA(level, tr)
+	wa, err := f.DevelopWACtx(ctx, level, tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("   %s\n", wa.Describe())
 	for _, op := range fpu.Ops() {
 		if st := wa.PerOp[op]; st.ER > 0 {
@@ -71,7 +79,7 @@ func main() {
 	// Phase 2: injection campaign.
 	const runs = 60
 	fmt.Printf("\n-- injecting into %s (%d runs, timeout at 2x golden time)\n", w.Name, runs)
-	res, err := f.Evaluate(w, wa, runs)
+	res, err := f.EvaluateCtx(ctx, w, wa, runs)
 	if err != nil {
 		log.Fatal(err)
 	}

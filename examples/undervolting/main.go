@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	name := "sobel"
 	if len(os.Args) > 1 {
 		name = os.Args[1]
@@ -55,8 +57,11 @@ func main() {
 	for i := 1; i <= steps; i++ {
 		red := 0.25 * float64(i) / float64(steps) // sweep up to 25% reduction
 		level := vscale.VRLevel{Name: fmt.Sprintf("VR%02.0f", red*100), Reduction: red}
-		wa := f.DevelopWA(level, tr)
-		res, err := f.EvaluateSingle(w, wa, runs)
+		wa, err := f.DevelopWACtx(ctx, level, tr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := f.EvaluateSingleCtx(ctx, w, wa, runs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -198,17 +198,11 @@ func randomPairs(op fpu.Op, n int, src *prng.Source) []dta.Pair {
 	return pairs
 }
 
-// RandomSummaries runs (or returns cached) DTA over uniformly random
+// RandomSummariesCtx runs (or returns cached) DTA over uniformly random
 // operands for every instruction type at the level — the IA model's
 // characterization and Figure 7's data. Each op's operand stream is
 // seeded independently of the others, so per-op summaries are stable
 // cache artifacts regardless of which ops were analyzed before them.
-func (f *Framework) RandomSummaries(level vscale.VRLevel) map[fpu.Op]*dta.Summary {
-	sums, _ := f.RandomSummariesCtx(context.Background(), level)
-	return sums
-}
-
-// RandomSummariesCtx is RandomSummaries with cooperative cancellation.
 // Cancellation mid-characterization never poisons the single-flight slot:
 // the aborted slot is discarded, so a later call (e.g. a resumed run)
 // recomputes instead of inheriting the cancellation error.
@@ -254,7 +248,7 @@ func (f *Framework) RandomSummaryOpCtx(ctx context.Context, level vscale.VRLevel
 	s := new(dta.Summary)
 	if !f.Cfg.Artifacts.Load(key, s) {
 		pairs := randomPairs(op, n, prng.New(opSeed))
-		recs, err := dta.AnalyzeStreamCtx(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
+		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -297,16 +291,10 @@ func (f *Framework) validateScreen(screened bool, op fpu.Op, scale float64, s *d
 	return nil
 }
 
-// WorkloadSummaries runs DTA over operands extracted from the workload
-// trace — the WA model's characterization and Figure 8's data. The cache
-// key folds in the trace's content fingerprint, so summaries from a
-// different workload scale or trace seed can never be confused.
-func (f *Framework) WorkloadSummaries(level vscale.VRLevel, tr *trace.Trace) map[fpu.Op]*dta.Summary {
-	sums, _ := f.WorkloadSummariesCtx(context.Background(), level, tr)
-	return sums
-}
-
-// WorkloadSummariesCtx is WorkloadSummaries with cooperative cancellation.
+// WorkloadSummariesCtx runs DTA over operands extracted from the
+// workload trace — the WA model's characterization and Figure 8's data.
+// The cache key folds in the trace's content fingerprint, so summaries
+// from a different workload scale or trace seed can never be confused.
 func (f *Framework) WorkloadSummariesCtx(ctx context.Context, level vscale.VRLevel, tr *trace.Trace) (map[fpu.Op]*dta.Summary, error) {
 	out := make(map[fpu.Op]*dta.Summary, fpu.NumOps)
 	for _, op := range fpu.Ops() {
@@ -358,7 +346,7 @@ func (f *Framework) WorkloadSummaryOpCtx(ctx context.Context, level vscale.VRLev
 		for i := range pairs {
 			pairs[i] = pool[rs.Intn(len(pool))]
 		}
-		recs, err := dta.AnalyzeStreamCtx(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
+		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -377,15 +365,10 @@ func (f *Framework) CaptureTrace(w *workloads.Workload) (*trace.Trace, error) {
 	return trace.Capture(w, maxInt(f.Cfg.WorkloadOperands, 4096), f.Cfg.Seed^0x7ACE)
 }
 
-// DevelopDA estimates the data-agnostic model: DTA over a mixed
+// DevelopDACtx estimates the data-agnostic model: DTA over a mixed
 // Monte-Carlo instruction sample drawn from the benchmarks' dynamic
 // instruction distribution (instructions outside the FPU datapath cannot
 // fail and dilute the ratio, as in the paper's fixed-ER estimate).
-func (f *Framework) DevelopDA(level vscale.VRLevel, traces []*trace.Trace) (*errmodel.DAModel, error) {
-	return f.DevelopDACtx(context.Background(), level, traces)
-}
-
-// DevelopDACtx is DevelopDA with cooperative cancellation.
 func (f *Framework) DevelopDACtx(ctx context.Context, level vscale.VRLevel, traces []*trace.Trace) (*errmodel.DAModel, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("core: DA development needs workload traces")
@@ -414,13 +397,7 @@ func (f *Framework) DevelopDACtx(ctx context.Context, level vscale.VRLevel, trac
 	return errmodel.BuildDA(level.Name, int64(faulty+0.5), int64(f.Cfg.DASample)), nil
 }
 
-// DevelopIA builds the instruction-aware model at the level.
-func (f *Framework) DevelopIA(level vscale.VRLevel) *errmodel.IAModel {
-	m, _ := f.DevelopIACtx(context.Background(), level)
-	return m
-}
-
-// DevelopIACtx is DevelopIA with cooperative cancellation.
+// DevelopIACtx builds the instruction-aware model at the level.
 func (f *Framework) DevelopIACtx(ctx context.Context, level vscale.VRLevel) (*errmodel.IAModel, error) {
 	sums, err := f.RandomSummariesCtx(ctx, level)
 	if err != nil {
@@ -429,13 +406,7 @@ func (f *Framework) DevelopIACtx(ctx context.Context, level vscale.VRLevel) (*er
 	return errmodel.BuildIA(level.Name, sums), nil
 }
 
-// DevelopWA builds the workload-aware model for one benchmark trace.
-func (f *Framework) DevelopWA(level vscale.VRLevel, tr *trace.Trace) *errmodel.WAModel {
-	m, _ := f.DevelopWACtx(context.Background(), level, tr)
-	return m
-}
-
-// DevelopWACtx is DevelopWA with cooperative cancellation.
+// DevelopWACtx builds the workload-aware model for one benchmark trace.
 func (f *Framework) DevelopWACtx(ctx context.Context, level vscale.VRLevel, tr *trace.Trace) (*errmodel.WAModel, error) {
 	sums, err := f.WorkloadSummariesCtx(ctx, level, tr)
 	if err != nil {
@@ -444,26 +415,17 @@ func (f *Framework) DevelopWACtx(ctx context.Context, level vscale.VRLevel, tr *
 	return errmodel.BuildWA(level.Name, tr.Workload, sums), nil
 }
 
-// Evaluate runs the application-evaluation phase for one cell with the
-// model injecting stochastically throughout each run.
-func (f *Framework) Evaluate(w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
-	return f.evaluate(context.Background(), w, m, runs, false)
-}
-
-// EvaluateCtx is Evaluate with cooperative cancellation: workers stop
+// EvaluateCtx runs the application-evaluation phase for one cell with
+// the model injecting stochastically throughout each run. Workers stop
 // picking up injection runs once ctx is done and the cell errors out
 // instead of producing a partially sampled (statistically biased) result.
 func (f *Framework) EvaluateCtx(ctx context.Context, w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
 	return f.evaluate(ctx, w, m, runs, false)
 }
 
-// EvaluateSingle runs the paper's statistical-fault-injection discipline:
-// exactly one injected error per run (Section V's 1068-run methodology).
-func (f *Framework) EvaluateSingle(w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
-	return f.evaluate(context.Background(), w, m, runs, true)
-}
-
-// EvaluateSingleCtx is EvaluateSingle with cooperative cancellation.
+// EvaluateSingleCtx runs the paper's statistical-fault-injection
+// discipline: exactly one injected error per run (Section V's 1068-run
+// methodology), with the same cancellation behaviour as EvaluateCtx.
 func (f *Framework) EvaluateSingleCtx(ctx context.Context, w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
 	return f.evaluate(ctx, w, m, runs, true)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -29,6 +30,16 @@ func mustFramework() *Framework {
 		panic(err)
 	}
 	return f
+}
+
+// randomSums runs RandomSummariesCtx to completion.
+func randomSums(t *testing.T, f *Framework, level vscale.VRLevel) map[fpu.Op]*dta.Summary {
+	t.Helper()
+	sums, err := f.RandomSummariesCtx(context.Background(), level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
 }
 
 func TestFrameworkConstruction(t *testing.T) {
@@ -60,8 +71,8 @@ func TestRandomSummariesCachedAndShaped(t *testing.T) {
 		t.Skip("random characterization")
 	}
 	f := testFramework
-	s1 := f.RandomSummaries(vscale.VR20)
-	s2 := f.RandomSummaries(vscale.VR20)
+	s1 := randomSums(t, f, vscale.VR20)
+	s2 := randomSums(t, f, vscale.VR20)
 	if s1[fpu.DMul] != s2[fpu.DMul] {
 		t.Fatal("summaries not cached")
 	}
@@ -96,7 +107,7 @@ func isTrace(t *testing.T) *trace.Trace {
 func TestDevelopDA(t *testing.T) {
 	f := testFramework
 	tr := isTrace(t)
-	da, err := f.DevelopDA(vscale.VR20, []*trace.Trace{tr})
+	da, err := f.DevelopDACtx(context.Background(), vscale.VR20, []*trace.Trace{tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,17 +116,20 @@ func TestDevelopDA(t *testing.T) {
 	}
 	// is runs plenty of fp-mul.d, which fails at VR20, so the mixed
 	// ratio must be positive but heavily diluted by integer work.
-	mulER := f.RandomSummaries(vscale.VR20)[fpu.DMul].ErrorRatio()
+	mulER := randomSums(t, f, vscale.VR20)[fpu.DMul].ErrorRatio()
 	if da.ER <= 0 || da.ER >= mulER {
 		t.Fatalf("DA ER %v not in (0, %v)", da.ER, mulER)
 	}
-	if _, err := f.DevelopDA(vscale.VR20, nil); err == nil {
+	if _, err := f.DevelopDACtx(context.Background(), vscale.VR20, nil); err == nil {
 		t.Fatal("empty trace list must error")
 	}
 }
 
 func TestDevelopIA(t *testing.T) {
-	ia := testFramework.DevelopIA(vscale.VR20)
+	ia, err := testFramework.DevelopIACtx(context.Background(), vscale.VR20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ia.Level() != "VR20" {
 		t.Fatal("level")
 	}
@@ -142,14 +156,20 @@ func TestDevelopIA(t *testing.T) {
 func TestDevelopWA(t *testing.T) {
 	f := testFramework
 	tr := isTrace(t)
-	wa := f.DevelopWA(vscale.VR20, tr)
+	wa, err := f.DevelopWACtx(context.Background(), vscale.VR20, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if wa.Workload != "is" || wa.Level() != "VR20" {
 		t.Fatal("WA metadata")
 	}
 	// is's randlc multiplications operate on large integral doubles whose
 	// products excite the multiplier; the model must capture a workload-
 	// specific ratio (positive, different from the IA random-operand one).
-	ia := f.DevelopIA(vscale.VR20)
+	ia, err := f.DevelopIACtx(context.Background(), vscale.VR20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	waER := wa.PerOp[fpu.DMul].ER
 	iaER := ia.PerOp[fpu.DMul].ER
 	if waER == 0 {
@@ -173,8 +193,11 @@ func TestEvaluateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := isTrace(t)
-	wa := f.DevelopWA(vscale.VR20, tr)
-	res, err := f.Evaluate(w, wa, 24)
+	wa, err := f.DevelopWACtx(context.Background(), vscale.VR20, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.EvaluateCtx(context.Background(), w, wa, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +246,9 @@ func TestGoldenRunMemoizedPerWorkload(t *testing.T) {
 			defer wg.Done()
 			var err error
 			if i%2 == 0 {
-				_, err = f.EvaluateSingle(ws[i%len(ws)], m, 2)
+				_, err = f.EvaluateSingleCtx(context.Background(), ws[i%len(ws)], m, 2)
 			} else {
-				_, err = f.Evaluate(ws[i/3], m, 2)
+				_, err = f.EvaluateCtx(context.Background(), ws[i/3], m, 2)
 			}
 			if err != nil {
 				t.Error(err)

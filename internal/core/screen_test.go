@@ -35,8 +35,8 @@ func TestScreenedSummariesByteIdentical(t *testing.T) {
 	base, _ := screenFramework(t, dta.ScreenConfig{})
 	scr, reg := screenFramework(t, dta.ScreenConfig{Enabled: true})
 
-	want := base.RandomSummaries(vscale.VR15)
-	got := scr.RandomSummaries(vscale.VR15)
+	want := randomSums(t, base, vscale.VR15)
+	got := randomSums(t, scr, vscale.VR15)
 	for _, op := range fpu.Ops() {
 		wj, err := json.Marshal(want[op])
 		if err != nil {

@@ -13,7 +13,7 @@ func TestProbeShardBoundaryAtStress(t *testing.T) {
 	}
 	for _, scale := range []float64{1.15, 1.25, 1.4} {
 		pairs := randPairs(fpu.DMul, 601, 47)
-		serial := AnalyzeStreamAt(testFPU, fpu.DMul, scale, false, pairs, 1)
+		serial := stream(t, testFPU, fpu.DMul, scale, EngineWide, pairs, 1)
 		errs := 0
 		for _, r := range serial {
 			if r.Erroneous() {
@@ -22,7 +22,7 @@ func TestProbeShardBoundaryAtStress(t *testing.T) {
 		}
 		diverged := 0
 		for _, workers := range []int{2, 3, 5, 8} {
-			par := AnalyzeStreamAt(testFPU, fpu.DMul, scale, false, pairs, workers)
+			par := stream(t, testFPU, fpu.DMul, scale, EngineWide, pairs, workers)
 			for i := range serial {
 				if serial[i] != par[i] {
 					diverged++

@@ -46,7 +46,7 @@ func TestCalibrationProbe(t *testing.T) {
 		pairs := mkPairs(op, n)
 		for _, lv := range []vscale.VRLevel{vscale.VR15, vscale.VR20} {
 			start := time.Now()
-			recs := AnalyzeStream(f, op, m, lv, false, pairs, 0)
+			recs := stream(t, f, op, m.ScaleFor(lv), EngineWide, pairs, 0)
 			sum := Summarize(op, recs)
 			var maxArr, meanArr float64
 			for _, r := range recs {

@@ -13,7 +13,7 @@ func TestAnalyzeStreamCtxCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pairs := randPairs(fpu.DMul, 2*cancelChunk, 7)
-	recs, err := AnalyzeStreamCtx(ctx, testFPU, fpu.DMul,
+	recs, err := AnalyzeStream(ctx, testFPU, fpu.DMul,
 		testModel.ScaleFor(vscale.VR20), EngineWide, pairs, 2, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -31,8 +31,8 @@ func TestAnalyzeStreamCtxCanceledBeforeStart(t *testing.T) {
 func TestAnalyzeStreamCtxMatchesUncanceledPath(t *testing.T) {
 	pairs := randPairs(fpu.DAdd, 700, 3)
 	scale := testModel.ScaleFor(vscale.VR20)
-	want := AnalyzeStreamObs(testFPU, fpu.DAdd, scale, EngineWide, pairs, 1, nil)
-	got, err := AnalyzeStreamCtx(context.Background(), testFPU, fpu.DAdd, scale, EngineWide, pairs, 4, nil)
+	want := stream(t, testFPU, fpu.DAdd, scale, EngineWide, pairs, 1)
+	got, err := AnalyzeStream(context.Background(), testFPU, fpu.DAdd, scale, EngineWide, pairs, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

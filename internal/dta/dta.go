@@ -23,7 +23,6 @@ import (
 	"teva/internal/logicsim"
 	"teva/internal/obs"
 	"teva/internal/timingsim"
-	"teva/internal/vscale"
 )
 
 // Record is the DTA outcome for one executed instruction.
@@ -100,14 +99,6 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineWide, fmt.Errorf("dta: unknown timing engine %q (wide, fast, exact)", s)
 }
 
-// engineFor maps the legacy exact flag onto an engine.
-func engineFor(exact bool) Engine {
-	if exact {
-		return EngineExact
-	}
-	return EngineWide
-}
-
 // Analyzer runs DTA for one instruction type at one voltage corner.
 type Analyzer struct {
 	p     *fpu.Pipeline
@@ -141,28 +132,12 @@ type Analyzer struct {
 	haveHot   bool
 }
 
-// New returns an analyzer for the op's pipeline on the given FPU at the
-// given voltage-reduction level. When exact is true the event-driven
-// timing engine is used instead of the (wide) levelized engine.
-func New(f *fpu.FPU, op fpu.Op, model vscale.Model, level vscale.VRLevel, exact bool) *Analyzer {
-	return NewEngineAt(f, op, model.ScaleFor(level), engineFor(exact))
-}
-
-// NewEngine is New with an explicit engine choice.
-func NewEngine(f *fpu.FPU, op fpu.Op, model vscale.Model, level vscale.VRLevel, eng Engine) *Analyzer {
-	return NewEngineAt(f, op, model.ScaleFor(level), eng)
-}
-
-// NewAt returns an analyzer at an arbitrary delay-scale factor. This is
-// how the other delay-increase sources of the paper's Section VI
-// (overclocking, temperature, aging — see vscale.StressCorner) reuse the
-// same analysis path.
-func NewAt(f *fpu.FPU, op fpu.Op, scale float64, exact bool) *Analyzer {
-	return NewEngineAt(f, op, scale, engineFor(exact))
-}
-
-// NewEngineAt is NewAt with an explicit engine choice.
-func NewEngineAt(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) *Analyzer {
+// New returns an analyzer for the op's pipeline on the given FPU with
+// every gate delay inflated by scale, timed by eng. A voltage-reduction
+// level maps to its scale through vscale.Model.ScaleFor; the other
+// delay-increase sources of the paper's Section VI (overclocking,
+// temperature, aging — see vscale.StressCorner) reuse the same path.
+func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) *Analyzer {
 	p := f.Pipeline(op)
 	a := &Analyzer{p: p, clk: f.CLK, scale: scale, eng: eng}
 	// The golden engines run strictly cycle by cycle and keep no state
@@ -269,7 +244,7 @@ func getAnalyzer(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) (*Analyzer, *
 		a.Reset()
 		return a, pool
 	}
-	return NewEngineAt(f, op, scale, eng), pool
+	return New(f, op, scale, eng), pool
 }
 
 // Op returns the analyzed instruction.
@@ -494,22 +469,7 @@ func (a *Analyzer) packInputs(pair Pair) []bool {
 	return in
 }
 
-// AnalyzeStream runs DTA over a stream of operand pairs, sharding across
-// workers. Pipeline history couples consecutive pairs, so every shard but
-// the first warms up on the previous shard's last pair — the same
-// transition a strictly serial run would see at that position — which
-// makes the returned records identical for any worker count. Results are
-// returned in input order.
-func AnalyzeStream(f *fpu.FPU, op fpu.Op, model vscale.Model, level vscale.VRLevel, exact bool, pairs []Pair, workers int) []Record {
-	return AnalyzeStreamAt(f, op, model.ScaleFor(level), exact, pairs, workers)
-}
-
-// AnalyzeStreamAt is AnalyzeStream at an arbitrary delay-scale factor.
-func AnalyzeStreamAt(f *fpu.FPU, op fpu.Op, scale float64, exact bool, pairs []Pair, workers int) []Record {
-	return AnalyzeStreamObs(f, op, scale, engineFor(exact), pairs, workers, nil)
-}
-
-// Metric names published by AnalyzeStreamObs. A "cycle" here is one
+// Metric names published by AnalyzeStream. A "cycle" here is one
 // expanded pipeline cycle (stage repeats included): instructions ×
 // sum(Repeat) over the op's stages.
 const (
@@ -520,30 +480,30 @@ const (
 	MetricShards      = "dta.shards"
 )
 
-// AnalyzeStreamObs is AnalyzeStreamAt with metrics: pairs/cycles analyzed,
-// endpoint (output-mask) violations, and shard fan-out are accumulated on
-// m. All counts are pure functions of the inputs — worker scheduling
-// cannot change them — so snapshots stay deterministic. A nil registry
-// records nothing.
-func AnalyzeStreamObs(f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int, m *obs.Registry) []Record {
-	records, _ := AnalyzeStreamCtx(context.Background(), f, op, scale, eng, pairs, workers, m)
-	return records
-}
-
 // cancelChunk is how many pairs a shard analyzes between cancellation
 // checks. Small enough that a canceled matrix run stops within
 // milliseconds, large enough that the check is free against the cost of a
 // gate-level walk.
 const cancelChunk = 256
 
-// AnalyzeStreamCtx is AnalyzeStreamObs with cooperative cancellation:
-// every shard checks ctx between cancelChunk-sized batches and abandons
+// AnalyzeStream runs DTA over a stream of operand pairs at delay scale
+// scale, sharding across workers (<= 0 means GOMAXPROCS). Pipeline
+// history couples consecutive pairs, so every shard but the first warms
+// up on the previous shard's last pair — the same transition a strictly
+// serial run would see at that position — which makes the returned
+// records identical for any worker count. Results are returned in input
+// order.
+//
+// Every shard checks ctx between cancelChunk-sized batches and abandons
 // the remainder once ctx is done. On cancellation the partially filled
-// records are returned alongside ctx.Err(); metrics are published only
-// for runs that complete, so interrupted runs cannot skew deterministic
-// snapshots. The success path is byte-identical to AnalyzeStreamObs for
-// any worker count.
-func AnalyzeStreamCtx(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int, m *obs.Registry) ([]Record, error) {
+// records are returned alongside ctx.Err().
+//
+// Pairs/cycles analyzed, endpoint (output-mask) violations and shard
+// fan-out are accumulated on m, only for runs that complete. All counts
+// are pure functions of the inputs — worker scheduling cannot change
+// them — so snapshots stay deterministic. A nil registry records
+// nothing.
+func AnalyzeStream(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int, m *obs.Registry) ([]Record, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

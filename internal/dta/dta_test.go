@@ -1,6 +1,7 @@
 package dta
 
 import (
+	"context"
 	"testing"
 
 	"teva/internal/cell"
@@ -37,9 +38,19 @@ func randPairs(op fpu.Op, n int, seed uint64) []Pair {
 	return pairs
 }
 
+// stream runs AnalyzeStream to completion without metrics.
+func stream(t testing.TB, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int) []Record {
+	t.Helper()
+	recs, err := AnalyzeStream(context.Background(), f, op, scale, eng, pairs, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func TestNominalVoltageIsErrorFree(t *testing.T) {
 	for _, op := range []fpu.Op{fpu.DMul, fpu.DSub, fpu.DAdd, fpu.DI2F, fpu.SF2I} {
-		a := New(testFPU, op, testModel, vscale.Nominal, false)
+		a := New(testFPU, op, testModel.ScaleFor(vscale.Nominal), EngineWide)
 		for _, p := range randPairs(op, 200, 7) {
 			rec := a.Analyze(p)
 			if rec.Erroneous() {
@@ -53,7 +64,7 @@ func TestNominalVoltageIsErrorFree(t *testing.T) {
 }
 
 func TestFaultyMatchesMask(t *testing.T) {
-	a := New(testFPU, fpu.DMul, testModel, vscale.VR20, false)
+	a := New(testFPU, fpu.DMul, testModel.ScaleFor(vscale.VR20), EngineWide)
 	for _, p := range randPairs(fpu.DMul, 500, 11) {
 		rec := a.Analyze(p)
 		if rec.Golden^rec.Faulty != rec.Mask {
@@ -71,7 +82,7 @@ func TestErrorProfileMatchesPaper(t *testing.T) {
 	// fp-add.d and fp-div.d fail only at VR20; conversions and all
 	// single-precision ops never fail at either corner.
 	er := func(op fpu.Op, lv vscale.VRLevel, n int) float64 {
-		recs := AnalyzeStream(testFPU, op, testModel, lv, false, randPairs(op, n, 13), 0)
+		recs := stream(t, testFPU, op, testModel.ScaleFor(lv), EngineWide, randPairs(op, n, 13), 0)
 		return Summarize(op, recs).ErrorRatio()
 	}
 	mul15 := er(fpu.DMul, vscale.VR15, 4000)
@@ -105,7 +116,7 @@ func TestErrorProfileMatchesPaper(t *testing.T) {
 func TestMantissaBitsMoreErrorProne(t *testing.T) {
 	// Figure 8's observation: mantissa bits carry higher BER than
 	// exponent bits.
-	recs := AnalyzeStream(testFPU, fpu.DMul, testModel, vscale.VR20, false,
+	recs := stream(t, testFPU, fpu.DMul, testModel.ScaleFor(vscale.VR20), EngineWide,
 		randPairs(fpu.DMul, 3000, 17), 0)
 	sum := Summarize(fpu.DMul, recs)
 	ber := sum.BER()
@@ -125,8 +136,8 @@ func TestMantissaBitsMoreErrorProne(t *testing.T) {
 
 func TestAnalyzeStreamMatchesSerial(t *testing.T) {
 	pairs := randPairs(fpu.DSub, 300, 19)
-	serial := AnalyzeStream(testFPU, fpu.DSub, testModel, vscale.VR20, false, pairs, 1)
-	a := New(testFPU, fpu.DSub, testModel, vscale.VR20, false)
+	serial := stream(t, testFPU, fpu.DSub, testModel.ScaleFor(vscale.VR20), EngineWide, pairs, 1)
+	a := New(testFPU, fpu.DSub, testModel.ScaleFor(vscale.VR20), EngineWide)
 	for i, p := range pairs {
 		rec := a.Analyze(p)
 		if i == 0 {
@@ -136,7 +147,7 @@ func TestAnalyzeStreamMatchesSerial(t *testing.T) {
 			t.Fatalf("stream/serial divergence at %d", i)
 		}
 	}
-	parallel := AnalyzeStream(testFPU, fpu.DSub, testModel, vscale.VR20, false, pairs, 4)
+	parallel := stream(t, testFPU, fpu.DSub, testModel.ScaleFor(vscale.VR20), EngineWide, pairs, 4)
 	for i := range pairs {
 		if parallel[i].Golden != serial[i].Golden {
 			t.Fatalf("parallel golden mismatch at %d", i)
@@ -181,8 +192,8 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestExactEngineAgreesAtNominal(t *testing.T) {
-	fast := New(testFPU, fpu.DMul, testModel, vscale.Nominal, false)
-	exact := New(testFPU, fpu.DMul, testModel, vscale.Nominal, true)
+	fast := New(testFPU, fpu.DMul, testModel.ScaleFor(vscale.Nominal), EngineWide)
+	exact := New(testFPU, fpu.DMul, testModel.ScaleFor(vscale.Nominal), EngineExact)
 	for _, p := range randPairs(fpu.DMul, 60, 23) {
 		rf := fast.Analyze(p)
 		re := exact.Analyze(p)
@@ -196,7 +207,7 @@ func TestExactEngineSeesErrorsUndervolted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exact engine is slow")
 	}
-	recs := AnalyzeStream(testFPU, fpu.DMul, testModel, vscale.VR20, true,
+	recs := stream(t, testFPU, fpu.DMul, testModel.ScaleFor(vscale.VR20), EngineExact,
 		randPairs(fpu.DMul, 400, 29), 0)
 	if Summarize(fpu.DMul, recs).ErrorRatio() == 0 {
 		t.Fatal("exact engine found no VR20 errors in fp-mul.d")
@@ -206,7 +217,7 @@ func TestExactEngineSeesErrorsUndervolted(t *testing.T) {
 func TestWarmAndDeterminism(t *testing.T) {
 	pairs := randPairs(fpu.DSub, 100, 31)
 	run := func() []Record {
-		a := New(testFPU, fpu.DSub, testModel, vscale.VR20, false)
+		a := New(testFPU, fpu.DSub, testModel.ScaleFor(vscale.VR20), EngineWide)
 		a.Warm(pairs[0])
 		out := make([]Record, len(pairs))
 		for i, p := range pairs {
@@ -234,9 +245,9 @@ func TestFastAndExactAgreeOnERMagnitude(t *testing.T) {
 	// (event-driven) engine's on the most error-prone op.
 	pairs := randPairs(fpu.DMul, 1200, 41)
 	fast := Summarize(fpu.DMul,
-		AnalyzeStream(testFPU, fpu.DMul, testModel, vscale.VR20, false, pairs, 0))
+		stream(t, testFPU, fpu.DMul, testModel.ScaleFor(vscale.VR20), EngineWide, pairs, 0))
 	exact := Summarize(fpu.DMul,
-		AnalyzeStream(testFPU, fpu.DMul, testModel, vscale.VR20, true, pairs, 0))
+		stream(t, testFPU, fpu.DMul, testModel.ScaleFor(vscale.VR20), EngineExact, pairs, 0))
 	if fast.ErrorRatio() == 0 || exact.ErrorRatio() == 0 {
 		t.Fatalf("both engines must observe VR20 errors: fast %v exact %v",
 			fast.ErrorRatio(), exact.ErrorRatio())
@@ -249,7 +260,7 @@ func TestFastAndExactAgreeOnERMagnitude(t *testing.T) {
 }
 
 func TestScaleAccessors(t *testing.T) {
-	a := NewAt(testFPU, fpu.DAdd, 1.2, false)
+	a := New(testFPU, fpu.DAdd, 1.2, EngineWide)
 	if a.Op() != fpu.DAdd || a.Scale() != 1.2 {
 		t.Fatalf("accessors: %v %v", a.Op(), a.Scale())
 	}
@@ -260,7 +271,7 @@ func TestHigherScaleNeverFewerErrors(t *testing.T) {
 	pairs := randPairs(fpu.DMul, 1500, 43)
 	var prev float64
 	for _, scale := range []float64{1.0, 1.15, 1.256, 1.35} {
-		recs := AnalyzeStreamAt(testFPU, fpu.DMul, scale, false, pairs, 0)
+		recs := stream(t, testFPU, fpu.DMul, scale, EngineWide, pairs, 0)
 		er := Summarize(fpu.DMul, recs).ErrorRatio()
 		if er+0.02 < prev { // small statistical slack
 			t.Fatalf("ER dropped from %v to %v at scale %v", prev, er, scale)
@@ -281,9 +292,9 @@ func TestAnalyzeStreamWorkerCountInvariant(t *testing.T) {
 	// shard boundaries land mid-stream.
 	for _, op := range []fpu.Op{fpu.DMul, fpu.DSub} {
 		pairs := randPairs(op, 257, 47)
-		serial := AnalyzeStream(testFPU, op, testModel, vscale.VR20, false, pairs, 1)
+		serial := stream(t, testFPU, op, testModel.ScaleFor(vscale.VR20), EngineWide, pairs, 1)
 		for _, workers := range []int{2, 3, 8} {
-			parallel := AnalyzeStream(testFPU, op, testModel, vscale.VR20, false, pairs, workers)
+			parallel := stream(t, testFPU, op, testModel.ScaleFor(vscale.VR20), EngineWide, pairs, workers)
 			for i := range serial {
 				if serial[i] != parallel[i] {
 					t.Fatalf("%s: workers=%d diverges from serial at record %d:\n  serial   %+v\n  parallel %+v",

@@ -22,12 +22,12 @@ func TestEngineAndLaneCountInvariance(t *testing.T) {
 
 		// Serial scalar reference: one pair at a time.
 		ref := make([]Record, len(pairs))
-		a := NewEngineAt(testFPU, op, scale, EngineFast)
+		a := New(testFPU, op, scale, EngineFast)
 		a.AnalyzeBatch(pairs, ref)
 
 		// Wide engine at varying batch sizes (lane occupancies 1..64).
 		for _, batch := range []int{1, 4, 64} {
-			w := NewEngineAt(testFPU, op, scale, EngineWide)
+			w := New(testFPU, op, scale, EngineWide)
 			got := make([]Record, len(pairs))
 			for lo := 0; lo < len(pairs); lo += batch {
 				hi := min(lo+batch, len(pairs))
@@ -44,7 +44,7 @@ func TestEngineAndLaneCountInvariance(t *testing.T) {
 		// Full stream path at varying worker counts and engines.
 		for _, eng := range []Engine{EngineWide, EngineFast} {
 			for _, workers := range []int{1, 4, 64} {
-				got := AnalyzeStreamObs(testFPU, op, scale, eng, pairs, workers, nil)
+				got := stream(t, testFPU, op, scale, eng, pairs, workers)
 				for i := range ref {
 					if got[i] != ref[i] {
 						t.Fatalf("%s: engine=%s workers=%d diverges at record %d:\n  ref %+v\n  got %+v",
@@ -66,7 +66,7 @@ func TestAnalyzeBatchSteadyStateAllocs(t *testing.T) {
 	recs := make([]Record, len(pairs))
 	scale := testModel.ScaleFor(vscale.VR20)
 	for _, eng := range []Engine{EngineWide, EngineFast} {
-		a := NewEngineAt(testFPU, op, scale, eng)
+		a := New(testFPU, op, scale, eng)
 		a.AnalyzeBatch(pairs, recs) // warm: history primed, buffers touched
 		avg := testing.AllocsPerRun(20, func() {
 			a.AnalyzeBatch(pairs, recs)
@@ -82,7 +82,7 @@ func TestAnalyzeBatchSteadyStateAllocs(t *testing.T) {
 // would poison downstream JSON) and must serialize byte-identically run
 // to run.
 func TestEmptyStreamSummaryDeterministic(t *testing.T) {
-	recs := AnalyzeStream(testFPU, fpu.DAdd, testModel, vscale.VR20, false, nil, 4)
+	recs := stream(t, testFPU, fpu.DAdd, testModel.ScaleFor(vscale.VR20), EngineWide, nil, 4)
 	if len(recs) != 0 {
 		t.Fatalf("empty stream produced %d records", len(recs))
 	}
@@ -102,7 +102,7 @@ func TestEmptyStreamSummaryDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := json.Marshal(Summarize(fpu.DAdd, AnalyzeStream(testFPU, fpu.DAdd, testModel, vscale.VR20, false, nil, 1)))
+	again, err := json.Marshal(Summarize(fpu.DAdd, stream(t, testFPU, fpu.DAdd, testModel.ScaleFor(vscale.VR20), EngineWide, nil, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestScreenedSummaryMatchesSimulation(t *testing.T) {
 			t.Fatalf("%s unexpectedly fails the screen at VR20", op)
 		}
 		const n = 200
-		recs := AnalyzeStreamAt(f, op, vr20, false, randPairs(op, n, 99), 4)
+		recs := stream(t, f, op, vr20, EngineWide, randPairs(op, n, 99), 4)
 		simulated := Summarize(op, recs)
 		synthetic := ScreenedSummary(op, n)
 		sj, err := json.Marshal(simulated)

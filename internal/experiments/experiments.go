@@ -237,14 +237,8 @@ func (e *Env) DAModel(level vscale.VRLevel) (*errmodel.DAModel, error) {
 	})
 }
 
-// IAModel returns (building once) the instruction-aware model at a level.
-func (e *Env) IAModel(level vscale.VRLevel) *errmodel.IAModel {
-	m, _ := e.IAModelErr(level)
-	return m
-}
-
-// IAModelErr is IAModel with the build error (a canceled or panicking
-// characterization) surfaced instead of swallowed.
+// IAModelErr returns (building once) the instruction-aware model at a
+// level, or the build error (a canceled or panicking characterization).
 func (e *Env) IAModelErr(level vscale.VRLevel) (*errmodel.IAModel, error) {
 	return e.iaBy.do(level.Name, func() (*errmodel.IAModel, error) {
 		return e.F.DevelopIACtx(e.ctx, level)
@@ -262,18 +256,13 @@ func (e *Env) WAModel(level vscale.VRLevel, w *workloads.Workload) (*errmodel.WA
 	})
 }
 
-// Cell runs (once) the injection campaign for one (workload, model
-// family, level). A cell found in the artifact store is reloaded without
+// CellCtx runs (once) the injection campaign for one (workload, model
+// family, level) under ctx (RunCampaigns passes its fail-fast inner
+// context so in-flight cells abort promptly once another cell
+// hard-fails). A cell found in the artifact store is reloaded without
 // building its model at all — on a warm cache the whole matrix resolves
-// without a single simulation.
-func (e *Env) Cell(w *workloads.Workload, kind errmodel.Kind, level vscale.VRLevel) (*campaign.Result, error) {
-	return e.CellCtx(e.ctx, w, kind, level)
-}
-
-// CellCtx is Cell under an explicit cancellation context (RunCampaigns
-// passes its fail-fast inner context so in-flight cells abort promptly
-// once another cell hard-fails). A panic anywhere in the cell's model
-// build or campaign is recovered into an error labeled with the cell key.
+// without a single simulation. A panic anywhere in the cell's model build
+// or campaign is recovered into an error labeled with the cell key.
 func (e *Env) CellCtx(ctx context.Context, w *workloads.Workload, kind errmodel.Kind, level vscale.VRLevel) (*campaign.Result, error) {
 	key := fmt.Sprintf("%s/%s/%s", w.Name, kind, level.Name)
 	return e.cells.do(key, func() (*campaign.Result, error) {

@@ -63,10 +63,12 @@ func Sources(e *Env) ([]SourceRow, error) {
 	var rows []SourceRow
 	for _, c := range corners {
 		scale := m.Scale(c.sc)
-		sum := e.cachedSummary("sources/"+c.name, fpu.DMul, scale, len(pairs), func() *dta.Summary {
-			recs := dta.AnalyzeStreamObs(e.F.FPU, fpu.DMul, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
-			return dta.Summarize(fpu.DMul, recs)
+		sum, err := e.cachedSummary("sources/"+c.name, fpu.DMul, scale, len(pairs), func() (*dta.Summary, error) {
+			return e.summarize(e.F.FPU, fpu.DMul, scale, pairs)
 		})
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, SourceRow{
 			Name:  c.name,
 			Scale: scale,
@@ -168,22 +170,30 @@ func HistoryAblation(e *Env, level vscale.VRLevel) ([]HistoryRow, error) {
 			pairs[i] = dta.Pair{A: src.Uint64(), B: src.Uint64()}
 		}
 		scale := e.F.Volt.ScaleFor(level)
-		with := e.cachedSummary("history/with/"+level.Name, op, scale, n, func() *dta.Summary {
-			recs := dta.AnalyzeStreamObs(e.F.FPU, op, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
-			return dta.Summarize(op, recs)
+		with, err := e.cachedSummary("history/with/"+level.Name, op, scale, n, func() (*dta.Summary, error) {
+			return e.summarize(e.F.FPU, op, scale, pairs)
 		})
-		fixed := e.cachedSummary("history/fixed/"+level.Name, op, scale, n, func() *dta.Summary {
+		if err != nil {
+			return nil, err
+		}
+		fixed, err := e.cachedSummary("history/fixed/"+level.Name, op, scale, n, func() (*dta.Summary, error) {
 			// Fixed history: re-warm the analyzer with the same reference
 			// pair before every instruction.
 			recs := make([]dta.Record, len(pairs))
-			a := dta.NewEngineAt(e.F.FPU, op, scale, e.F.Cfg.Timing)
+			a := dta.New(e.F.FPU, op, scale, e.F.Cfg.Timing)
 			ref := dta.Pair{A: 0x3FF0000000000000, B: 0x3FF0000000000000} // 1.0, 1.0
 			for i, p := range pairs {
+				if err := e.ctx.Err(); err != nil {
+					return nil, err
+				}
 				a.Warm(ref)
 				recs[i] = a.Analyze(p)
 			}
-			return dta.Summarize(op, recs)
+			return dta.Summarize(op, recs), nil
 		})
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, HistoryRow{
 			Op:           op,
 			WithHistory:  with.ErrorRatio(),
@@ -230,12 +240,13 @@ func ProcessVariation(e *Env, dies int, sigma float64) (*ProcessResult, error) {
 	res := &ProcessResult{Sigma: sigma}
 	for die := 0; die < dies; die++ {
 		die := die
-		sum := e.cachedSummary(fmt.Sprintf("process/sigma%g/die%d", sigma, die),
-			fpu.DMul, scale, n, func() *dta.Summary {
-				f := e.F.FPU.Vary(sigma, uint64(die)+1)
-				recs := dta.AnalyzeStreamObs(f, fpu.DMul, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
-				return dta.Summarize(fpu.DMul, recs)
+		sum, err := e.cachedSummary(fmt.Sprintf("process/sigma%g/die%d", sigma, die),
+			fpu.DMul, scale, n, func() (*dta.Summary, error) {
+				return e.summarize(e.F.FPU.Vary(sigma, uint64(die)+1), fpu.DMul, scale, pairs)
 			})
+		if err != nil {
+			return nil, err
+		}
 		res.ERs = append(res.ERs, sum.ErrorRatio())
 	}
 	sort.Float64s(res.ERs)
@@ -302,11 +313,13 @@ func Validate(e *Env, level vscale.VRLevel) ([]ValidationRow, float64, error) {
 				pairs[i] = pool[src.Intn(len(pool))]
 			}
 			op := op
-			sum := e.cachedSummary("validate/"+level.Name+"/"+w.Name, op,
-				e.F.Volt.ScaleFor(level), n, func() *dta.Summary {
-					recs := dta.AnalyzeStreamObs(e.F.FPU, op, e.F.Volt.ScaleFor(level), e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
-					return dta.Summarize(op, recs)
-				})
+			scale := e.F.Volt.ScaleFor(level)
+			sum, err := e.cachedSummary("validate/"+level.Name+"/"+w.Name, op, scale, n, func() (*dta.Summary, error) {
+				return e.summarize(e.F.FPU, op, scale, pairs)
+			})
+			if err != nil {
+				return nil, 0, err
+			}
 			obs := sum.ErrorRatio()
 			rows = append(rows, ValidationRow{Workload: w.Name, Op: op, Predicted: pred, Observed: obs})
 			if pred > 0 {

@@ -13,6 +13,7 @@ import (
 	"teva/internal/artifact"
 	"teva/internal/chaos"
 	"teva/internal/core"
+	"teva/internal/dta"
 	"teva/internal/errmodel"
 	"teva/internal/guard"
 	"teva/internal/workloads"
@@ -217,7 +218,7 @@ func TestDeadCacheIsNonFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.Cell(ws[0], errmodel.WA, e.Levels()[0])
+	r, err := e.CellCtx(context.Background(), ws[0], errmodel.WA, e.Levels()[0])
 	if err != nil {
 		t.Fatalf("dead cache must not fail the cell: %v", err)
 	}
@@ -263,5 +264,77 @@ func TestRunCampaignsHonorsCanceledContext(t *testing.T) {
 	}
 	if len(cs.Cells) != 0 {
 		t.Fatalf("canceled run produced %d cells", len(cs.Cells))
+	}
+}
+
+// canceledEnv is chaosEnv's fault-free Env over an already-canceled
+// context.
+func canceledEnv(t *testing.T) (*Env, *artifact.Store) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := chaosEnv(t, chaos.Options{})
+	return NewEnvContext(ctx, e.F, e.Opts), e.F.Cfg.Artifacts
+}
+
+// TestFig7HonorsCanceledContext: Figure 7's characterization runs under
+// the Env's context, so a canceled Env returns the cancellation instead
+// of characterizing every op (or rendering a nil summary).
+func TestFig7HonorsCanceledContext(t *testing.T) {
+	e, _ := canceledEnv(t)
+	profiles, err := Fig7(e)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if profiles != nil {
+		t.Fatalf("canceled Fig7 returned profiles %v", profiles)
+	}
+}
+
+// TestExtensionExperimentsHonorCanceledContext: the ad-hoc DTA streams
+// behind the extension experiments stop with the Env's context, and a
+// stream cut short is never written to the artifact store.
+func TestExtensionExperimentsHonorCanceledContext(t *testing.T) {
+	for name, run := range map[string]func(*Env) error{
+		"fig6":    func(e *Env) error { _, err := Fig6(e); return err },
+		"sources": func(e *Env) error { _, err := Sources(e); return err },
+		"history": func(e *Env) error { _, err := HistoryAblation(e, e.Levels()[0]); return err },
+		"process": func(e *Env) error { _, err := ProcessVariation(e, 1, 0.05); return err },
+		"validate": func(e *Env) error {
+			_, _, err := Validate(e, e.Levels()[0])
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, store := canceledEnv(t)
+			if err := run(e); !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if st := store.Stats(); st.Writes != 0 {
+				t.Fatalf("canceled run cached %d artifacts", st.Writes)
+			}
+		})
+	}
+}
+
+// TestFig7SurfacesScreenValidationFailure: a guardband that screens ops
+// with negative slack makes -screen-validate find faults in a screened
+// op. Fig7 must return that error, not render a nil summary.
+func TestFig7SurfacesScreenValidationFailure(t *testing.T) {
+	f, err := core.New(core.Config{
+		Seed:           0xF00D,
+		RandomOperands: 600,
+		Screen:         dta.ScreenConfig{Enabled: true, Validate: true, Guardband: -1e9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEnv(f, Options{Scale: workloads.Tiny, Runs: 8})
+	profiles, err := Fig7(e)
+	if err == nil || !strings.Contains(err.Error(), "STA screen predicted") {
+		t.Fatalf("want a screen-validation error, got %v", err)
+	}
+	if profiles != nil {
+		t.Fatalf("failed Fig7 returned profiles %v", profiles)
 	}
 }

@@ -275,19 +275,23 @@ func Fig6(e *Env) (*Fig6Result, error) {
 	// see identical operand streams. The tag names the draw (full trace,
 	// or sub-sample K and repetition), keeping every stream's cache entry
 	// distinct.
-	ber := func(tag string, n int) []float64 {
+	ber := func(tag string, n int) ([]float64, error) {
 		pairs := make([]dta.Pair, n)
 		for i := range pairs {
 			pairs[i] = pool[src.Intn(len(pool))]
 		}
-		sum := e.cachedSummary("fig6/"+tag, fpu.DMul, scale, n, func() *dta.Summary {
-			recs := dta.AnalyzeStreamObs(e.F.FPU, fpu.DMul, scale,
-				e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
-			return dta.Summarize(fpu.DMul, recs)
+		sum, err := e.cachedSummary("fig6/"+tag, fpu.DMul, scale, n, func() (*dta.Summary, error) {
+			return e.summarize(e.F.FPU, fpu.DMul, scale, pairs)
 		})
-		return sum.BER()
+		if err != nil {
+			return nil, err
+		}
+		return sum.BER(), nil
 	}
-	full := ber("full", e.Opts.Fig6Full)
+	full, err := ber("full", e.Opts.Fig6Full)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig6Result{FullN: e.Opts.Fig6Full, AE: make(map[int]float64), FullBER: full}
 	reps := e.Opts.Fig6Reps
 	if reps < 1 {
@@ -296,7 +300,11 @@ func Fig6(e *Env) (*Fig6Result, error) {
 	for _, k := range e.Opts.Fig6Ks {
 		var aes []float64
 		for r := 0; r < reps; r++ {
-			aes = append(aes, stats.MeanAbsError(full, ber(fmt.Sprintf("K%d/r%d", k, r), k)))
+			sub, err := ber(fmt.Sprintf("K%d/r%d", k, r), k)
+			if err != nil {
+				return nil, err
+			}
+			aes = append(aes, stats.MeanAbsError(full, sub))
 		}
 		res.AE[k] = stats.Mean(aes)
 	}
@@ -371,7 +379,10 @@ func berGroupsFor(op fpu.Op, ber []float64) (sign, exponent, mantissa float64) {
 func Fig7(e *Env) (map[string][]BERProfile, error) {
 	out := make(map[string][]BERProfile)
 	for _, level := range e.Levels() {
-		sums := e.F.RandomSummaries(level)
+		sums, err := e.F.RandomSummariesCtx(e.ctx, level)
+		if err != nil {
+			return nil, err
+		}
 		var profiles []BERProfile
 		for _, op := range fpu.Ops() {
 			profiles = append(profiles, profile(op, sums[op]))

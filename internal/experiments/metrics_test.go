@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"teva/internal/core"
@@ -36,7 +37,7 @@ func runOneCell(t *testing.T) obs.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Cell(ws[0], errmodel.WA, e.Levels()[0]); err != nil {
+	if _, err := e.CellCtx(context.Background(), ws[0], errmodel.WA, e.Levels()[0]); err != nil {
 		t.Fatal(err)
 	}
 	return reg.Snapshot()

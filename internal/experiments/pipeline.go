@@ -229,10 +229,11 @@ func (e *Env) cfgTag() string {
 // all flow through here, so a re-run with the same seed reloads them
 // instead of re-simulating. The tag must uniquely name the stream's
 // provenance (which rng draw, which die, ...); compute performs the
-// actual analysis on a miss.
-func (e *Env) cachedSummary(tag string, op fpu.Op, scale float64, samples int, compute func() *dta.Summary) *dta.Summary {
+// actual analysis on a miss. A compute error (a canceled Env) is returned
+// and nothing is cached, so a truncated stream never reaches the store.
+func (e *Env) cachedSummary(tag string, op fpu.Op, scale float64, samples int, compute func() (*dta.Summary, error)) (*dta.Summary, error) {
 	key := fmt.Sprintf("%s|%s|%v|%d", tag, op, scale, samples)
-	s, _ := e.streams.do(key, func() (*dta.Summary, error) {
+	return e.streams.do(key, func() (*dta.Summary, error) {
 		store := e.F.Cfg.Artifacts
 		ak := artifact.SummaryKey(tag+","+e.cfgTag(), op.String(), scale,
 			e.F.Cfg.Seed, samples, e.F.Cfg.Timing.Exact())
@@ -240,12 +241,25 @@ func (e *Env) cachedSummary(tag string, op fpu.Op, scale float64, samples int, c
 		if store.Load(ak, sum) {
 			return sum, nil
 		}
-		sum = compute()
+		sum, err := compute()
+		if err != nil {
+			return nil, err
+		}
 		// Cache write failures are non-fatal (the summary is recomputed
 		// next run): counted by the store on artifact.write_errors, warned
 		// about once per Env.
 		e.noteSaveError(store.Save(ak, sum))
 		return sum, nil
 	})
-	return s
+}
+
+// summarize is cachedSummary's usual compute: one DTA stream under the
+// Env's context with the framework's engine and worker count. Metrics stay
+// off, so these ad-hoc streams do not count as characterization work.
+func (e *Env) summarize(f *fpu.FPU, op fpu.Op, scale float64, pairs []dta.Pair) (*dta.Summary, error) {
+	recs, err := dta.AnalyzeStream(e.ctx, f, op, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
+	if err != nil {
+		return nil, err
+	}
+	return dta.Summarize(op, recs), nil
 }

@@ -23,7 +23,7 @@ import (
 //     assigned from it, and context.With* over a derived context —
 //     including the ctx, cancel := context.WithCancel(ctx) form).
 //  3. Calling a module function that transitively defaults to
-//     context.Background() — core.EvaluateSingle-style ctx-less wrappers
+//     context.Background() — ctx-less wrappers around a ctx-taking form
 //     — without handing it the context through any argument (spec
 //     structs like campaign.Spec{Context: ctx} count) is flagged with
 //     the defaulting chain as witness.

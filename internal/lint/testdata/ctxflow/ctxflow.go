@@ -19,7 +19,7 @@ type holder struct {
 // work is a ctx-accepting callee.
 func work(ctx context.Context) error { return ctx.Err() }
 
-// legacy is the ctx-less wrapper shape (core.EvaluateSingle): it defaults
+// legacy is the ctx-less wrapper shape (a Foo beside FooCtx): it defaults
 // to Background. Not flagged itself — it has no ctx to forward — but
 // calling it from a ctx-receiving function is a severed chain.
 func legacy() error { return work(context.Background()) }

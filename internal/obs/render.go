@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -230,6 +231,16 @@ func (s Snapshot) PrometheusText() []byte {
 		}
 	}
 	return b.Bytes()
+}
+
+// WriteFile writes the snapshot to path: Prometheus text for names
+// ending in .prom or .txt, the deterministic JSON layout otherwise.
+func (s Snapshot) WriteFile(path string) error {
+	data := s.JSON()
+	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
+		data = s.PrometheusText()
+	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 // Summary renders the one-line end-of-run digest the CLIs print: metric

@@ -14,6 +14,7 @@ package vscale
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Corner describes one operating point of the cell library.
@@ -109,6 +110,17 @@ var (
 
 // PaperLevels returns the VR levels of the paper's evaluation, in order.
 func PaperLevels() []VRLevel { return []VRLevel{VR15, VR20} }
+
+// ParseLevel maps a level name to one of the paper's levels, ignoring
+// case ("vr20" is VR20).
+func ParseLevel(name string) (VRLevel, error) {
+	for _, lv := range PaperLevels() {
+		if strings.EqualFold(lv.Name, name) {
+			return lv, nil
+		}
+	}
+	return VRLevel{}, fmt.Errorf("vscale: unknown level %q (VR15, VR20)", name)
+}
 
 // Corner materializes a VR level against a model.
 func (m Model) Corner(level VRLevel) Corner {
