@@ -20,7 +20,7 @@ import (
 	"teva/internal/core"
 	"teva/internal/dta"
 	"teva/internal/errmodel"
-	"teva/internal/trace"
+	"teva/internal/experiments"
 	"teva/internal/vscale"
 	"teva/internal/workloads"
 )
@@ -65,48 +65,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ctx := context.Background()
-	start := time.Now()
-
-	var model errmodel.Model
-	switch strings.ToLower(*modelName) {
-	case "ia":
-		if model, err = f.DevelopIACtx(ctx, level); err != nil {
-			fatal(err)
-		}
-	case "wa":
+	kind := errmodel.Kind(strings.ToUpper(*modelName))
+	var w *workloads.Workload
+	if kind == errmodel.WA {
 		if *workloadName == "" {
 			fatal(fmt.Errorf("-model wa requires -workload"))
 		}
-		w, err := workloads.ByName(*workloadName, scale)
-		if err != nil {
+		if w, err = workloads.ByName(*workloadName, scale); err != nil {
 			fatal(err)
 		}
-		tr, err := f.CaptureTrace(w)
-		if err != nil {
-			fatal(err)
-		}
-		if model, err = f.DevelopWACtx(ctx, level, tr); err != nil {
-			fatal(err)
-		}
-	case "da":
-		ws, err := workloads.All(scale)
-		if err != nil {
-			fatal(err)
-		}
-		var trs []*trace.Trace
-		for _, w := range ws {
-			tr, err := f.CaptureTrace(w)
-			if err != nil {
-				fatal(err)
-			}
-			trs = append(trs, tr)
-		}
-		if model, err = f.DevelopDACtx(ctx, level, trs); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown model %q (da, ia, wa)", *modelName))
+	}
+	opts := experiments.DefaultOptions()
+	opts.Scale = scale
+	env := experiments.NewEnvContext(context.Background(), f, opts)
+	start := time.Now()
+	model, err := env.Model(kind, level, w)
+	if err != nil {
+		fatal(err)
 	}
 
 	data, err := errmodel.Marshal(model)

@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	teva-experiments [-exp all|table1|table2|fig4..fig10|avm|sources|power|history]
-//	                 [-quick] [-full] [-scale tiny|small|full]
+//	teva-experiments [-exp NAME[,NAME...]] [-quick] [-full] [-scale tiny|small|full]
 //	                 [-runs N] [-seed N] [-workers N]
 //	                 [-cache-dir DIR] [-progress] [-max-duration D]
 //	                 [-shards N] [-worker-bin FILE]
@@ -24,6 +23,15 @@
 // suite runs; crashed workers are restarted, poison units quarantined by
 // name, and stdout stays byte-identical to an unsharded run (see
 // DESIGN.md "Process supervision").
+//
+// -exp takes a comma-separated list of experiment names, in any order;
+// they always run in the canonical report order:
+//
+//	all (default), design, corners, table1, table2, fig4, fig5, fig6,
+//	fig7, fig8, sources, power, process, validate, adders, history,
+//	fig10, fig9, avm
+//
+// An unknown name exits 2 and lists the valid ones.
 //
 // The run shuts down in an orderly way: the first SIGINT/SIGTERM drains
 // (in-flight cells finish and are cached, no new work is dispatched, the
@@ -53,16 +61,13 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"teva/internal/artifact"
+	"teva/internal/cli"
 	"teva/internal/core"
 	"teva/internal/dta"
 	"teva/internal/experiments"
@@ -71,7 +76,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments (all, table1, table2, fig4..fig10, avm, sources, power, history, process, validate, design, adders, corners)")
+	valid := "all, " + strings.Join(experiments.Names(), ", ")
+	exp := flag.String("exp", "all", "comma-separated experiments: "+valid)
 	quick := flag.Bool("quick", false, "tiny inputs and counts for a fast smoke run")
 	full := flag.Bool("full", false, "paper-scale statistics (1068 injections per cell; slow)")
 	scaleName := flag.String("scale", "", "workload scale override: tiny, small, full")
@@ -95,6 +101,13 @@ func main() {
 	shardKillAfter := flag.String("shard-kill-after", "", "chaos drill: SIGKILL one live worker after N prewarm units complete (testing only)")
 	flag.Parse()
 
+	selected := strings.Split(*exp, ",")
+	for _, name := range selected {
+		if name = strings.TrimSpace(name); name != "" && !experiments.KnownExperiment(name) {
+			fmt.Fprintf(os.Stderr, "teva-experiments: unknown experiment %q (valid: %s)\n", name, valid)
+			os.Exit(2)
+		}
+	}
 	eng, err := dta.ParseEngine(*timing)
 	if err != nil {
 		fatal(err)
@@ -102,7 +115,7 @@ func main() {
 	progStart := time.Now()
 	clock := func() int64 { return int64(time.Since(progStart)) }
 	reg := obs.NewRegistry(clock)
-	stopProfiles := startProfiles(*pprofCPU, *pprofMem)
+	stopProfiles := cli.StartProfiles("teva-experiments", *pprofCPU, *pprofMem)
 
 	opts := experiments.DefaultOptions()
 	cfg := core.Config{
@@ -154,17 +167,7 @@ func main() {
 	// cells finish and land in the artifact cache, remaining dispatch
 	// stops, and the tail of main still flushes metrics and cache stats.
 	// A second signal hard-exits without waiting.
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		fmt.Fprintf(os.Stderr,
-			"teva-experiments: %s received: draining in-flight cells, then flushing (repeat to abort immediately)\n", sig)
-		env.Drain()
-		sig = <-sigCh
-		fmt.Fprintf(os.Stderr, "teva-experiments: second %s: aborting now\n", sig)
-		os.Exit(130)
-	}()
+	cli.OnInterrupt("teva-experiments", "draining in-flight cells, then flushing", env.Drain)
 
 	if *progress {
 		stop := make(chan struct{})
@@ -188,7 +191,7 @@ func main() {
 	}
 
 	suiteCfg := experiments.SuiteConfig{
-		Experiments: strings.Split(*exp, ","),
+		Experiments: selected,
 		CornerSpec:  *cornerSpec,
 		CSVDir:      *csvDir,
 		OmitBanner:  true, // printed above, before the slow substrate build
@@ -268,39 +271,6 @@ func resolveWorkerBin(explicit string) string {
 		return p
 	}
 	return ""
-}
-
-// startProfiles starts the requested runtime/pprof profiles and returns
-// the function that flushes them at end of run.
-func startProfiles(cpuPath, memPath string) (stop func()) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // settle the heap so the profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
-		}
-	}
 }
 
 func fatal(err error) {

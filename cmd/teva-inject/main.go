@@ -28,19 +28,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"teva/internal/campaign"
+	"teva/internal/cli"
 	"teva/internal/core"
 	"teva/internal/errmodel"
+	"teva/internal/experiments"
 	"teva/internal/obs"
 	"teva/internal/stats"
-	"teva/internal/trace"
 	"teva/internal/vscale"
 	"teva/internal/workloads"
 )
@@ -61,7 +58,7 @@ func main() {
 	flag.Parse()
 
 	reg := newMetrics()
-	stopProfiles := startProfiles(*pprofCPU, *pprofMem)
+	stopProfiles := cli.StartProfiles("teva-inject", *pprofCPU, *pprofMem)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -74,17 +71,7 @@ func main() {
 	// context (model development and injection runs abort promptly, then
 	// main's tail flushes the metrics snapshot); a second signal
 	// hard-exits without waiting.
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		fmt.Fprintf(os.Stderr,
-			"teva-inject: %s received: canceling the campaign (repeat to abort immediately)\n", sig)
-		cancel()
-		sig = <-sigCh
-		fmt.Fprintf(os.Stderr, "teva-inject: second %s: aborting now\n", sig)
-		os.Exit(130)
-	}()
+	cli.OnInterrupt("teva-inject", "canceling the campaign", cancel)
 
 	if *workloadName == "" {
 		fatal(fmt.Errorf("-workload is required (one of %v)", workloads.Names()))
@@ -117,42 +104,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		switch strings.ToLower(*modelName) {
-		case "ia":
-			m, err := f.DevelopIACtx(ctx, level)
-			if err != nil {
-				exitOnErr(err, reg, *metricsOut, *maxDuration)
-			}
-			model = m
-		case "wa":
-			tr, err := f.CaptureTrace(w)
-			if err != nil {
-				fatal(err)
-			}
-			m, err := f.DevelopWACtx(ctx, level, tr)
-			if err != nil {
-				exitOnErr(err, reg, *metricsOut, *maxDuration)
-			}
-			model = m
-		case "da":
-			ws, err := workloads.All(scale)
-			if err != nil {
-				fatal(err)
-			}
-			var trs []*trace.Trace
-			for _, wl := range ws {
-				tr, err := f.CaptureTrace(wl)
-				if err != nil {
-					fatal(err)
-				}
-				trs = append(trs, tr)
-			}
-			model, err = f.DevelopDACtx(ctx, level, trs)
-			if err != nil {
-				exitOnErr(err, reg, *metricsOut, *maxDuration)
-			}
-		default:
-			fatal(fmt.Errorf("unknown model %q", *modelName))
+		opts := experiments.DefaultOptions()
+		opts.Scale = scale
+		env := experiments.NewEnvContext(ctx, f, opts)
+		model, err = env.Model(errmodel.Kind(strings.ToUpper(*modelName)), level, w)
+		if err != nil {
+			exitOnErr(err, reg, *metricsOut, *maxDuration)
 		}
 	}
 
@@ -193,39 +150,6 @@ func main() {
 func newMetrics() *obs.Registry {
 	start := time.Now()
 	return obs.NewRegistry(func() int64 { return int64(time.Since(start)) })
-}
-
-// startProfiles starts the requested runtime/pprof profiles and returns
-// the function that flushes them at end of run.
-func startProfiles(cpuPath, memPath string) (stop func()) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // settle the heap so the profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
-		}
-	}
 }
 
 // exitOnErr handles a campaign-phase failure. An orderly stop (canceled

@@ -35,11 +35,10 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"teva/internal/artifact"
+	"teva/internal/cli"
 	"teva/internal/obs"
 	"teva/internal/serve"
 )
@@ -78,12 +77,7 @@ func main() {
 	// drains (no new jobs, in-flight cells finish and are cached, the
 	// listener closes once idle, metrics still flush, exit 130); a
 	// second signal hard-exits.
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		fmt.Fprintf(os.Stderr,
-			"teva-serve: %s received: draining jobs, then shutting down (repeat to abort immediately)\n", sig)
+	cli.OnInterrupt("teva-serve", "draining jobs, then shutting down", func() {
 		srv.Drain()
 		go func() {
 			srv.Wait()
@@ -91,10 +85,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "teva-serve: shutdown: %v\n", err)
 			}
 		}()
-		sig = <-sigCh
-		fmt.Fprintf(os.Stderr, "teva-serve: second %s: aborting now\n", sig)
-		os.Exit(130)
-	}()
+	})
 
 	fmt.Fprintf(os.Stderr, "teva-serve: listening on %s\n", *addr)
 	err := hs.ListenAndServe()

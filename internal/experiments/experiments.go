@@ -256,6 +256,21 @@ func (e *Env) WAModel(level vscale.VRLevel, w *workloads.Workload) (*errmodel.WA
 	})
 }
 
+// Model returns (building once) the error model of one family at a
+// level: DA characterizes against every workload's trace, IA is shared
+// by all workloads, and WA is specific to w.
+func (e *Env) Model(kind errmodel.Kind, level vscale.VRLevel, w *workloads.Workload) (errmodel.Model, error) {
+	switch kind {
+	case errmodel.DA:
+		return e.DAModel(level)
+	case errmodel.IA:
+		return e.IAModelErr(level)
+	case errmodel.WA:
+		return e.WAModel(level, w)
+	}
+	return nil, fmt.Errorf("experiments: unknown model kind %q", kind)
+}
+
 // CellCtx runs (once) the injection campaign for one (workload, model
 // family, level) under ctx (RunCampaigns passes its fail-fast inner
 // context so in-flight cells abort promptly once another cell
@@ -275,18 +290,7 @@ func (e *Env) CellCtx(ctx context.Context, w *workloads.Workload, kind errmodel.
 			e.cellsDone.Add(1)
 			return cached, nil
 		}
-		var m errmodel.Model
-		var err error
-		switch kind {
-		case errmodel.DA:
-			m, err = e.DAModel(level)
-		case errmodel.IA:
-			m, err = e.IAModelErr(level)
-		case errmodel.WA:
-			m, err = e.WAModel(level, w)
-		default:
-			err = fmt.Errorf("experiments: unknown model kind %q", kind)
-		}
+		m, err := e.Model(kind, level, w)
 		if err != nil {
 			return nil, err
 		}

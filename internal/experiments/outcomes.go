@@ -31,6 +31,32 @@ func (cs *CampaignSet) Get(workload string, kind errmodel.Kind, level string) *c
 	return cs.Cells[cellKey(workload, kind, level)]
 }
 
+// cellSpec names one campaign cell of the matrix.
+type cellSpec struct {
+	w     *workloads.Workload
+	kind  errmodel.Kind
+	level vscale.VRLevel
+}
+
+// cellMatrix enumerates the workload × level × model-kind campaign
+// matrix in canonical order (workloads in Table II order). RunCampaigns
+// runs it and ShardUnits plans it.
+func (e *Env) cellMatrix() ([]cellSpec, error) {
+	ws, err := e.Workloads()
+	if err != nil {
+		return nil, err
+	}
+	var cells []cellSpec
+	for _, w := range ws {
+		for _, level := range e.Levels() {
+			for _, kind := range ModelKinds() {
+				cells = append(cells, cellSpec{w, kind, level})
+			}
+		}
+	}
+	return cells, nil
+}
+
 // RunCampaigns executes (or reuses) every campaign cell. The full
 // workload × model × level matrix is fanned out over a bounded worker
 // pool; per-cell single-flight inside Env deduplicates the shared model
@@ -46,24 +72,14 @@ func (cs *CampaignSet) Get(workload string, kind errmodel.Kind, level string) *c
 // holds all cells that did complete (so partial results can be rendered
 // or inspected) alongside the errors.Join of what went wrong.
 func RunCampaigns(e *Env) (*CampaignSet, error) {
-	ws, err := e.Workloads()
+	jobs, err := e.cellMatrix()
 	if err != nil {
 		return nil, err
 	}
-	type job struct {
-		w     *workloads.Workload
-		kind  errmodel.Kind
-		level vscale.VRLevel
-	}
-	var jobs []job
+	ws, _ := e.Workloads() // memoized; cellMatrix checked the error
 	cs := &CampaignSet{Cells: make(map[string]*campaign.Result)}
 	for _, w := range ws {
 		cs.Order = append(cs.Order, w.Name)
-		for _, level := range e.Levels() {
-			for _, kind := range ModelKinds() {
-				jobs = append(jobs, job{w, kind, level})
-			}
-		}
 	}
 	e.cellsTotal.Store(int64(len(jobs)))
 	aborted := e.F.Cfg.Metrics.Counter(MetricCellsAborted)
@@ -315,55 +331,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// All runs every experiment and renders the full report.
-func All(e *Env, w io.Writer) error {
-	Table1(w)
-	rows, err := Table2(e)
-	if err != nil {
-		return err
-	}
-	RenderTable2(w, rows)
-	f4, err := Fig4(e)
-	if err != nil {
-		return err
-	}
-	RenderFig4(w, f4)
-	f5, err := Fig5(e)
-	if err != nil {
-		return err
-	}
-	RenderFig5(w, f5)
-	f6, err := Fig6(e)
-	if err != nil {
-		return err
-	}
-	RenderFig6(w, f6)
-	f7, err := Fig7(e)
-	if err != nil {
-		return err
-	}
-	RenderFig7(w, f7)
-	f8, err := Fig8(e)
-	if err != nil {
-		return err
-	}
-	RenderFig8(w, f8)
-	cs, err := RunCampaigns(e)
-	if err != nil {
-		return err
-	}
-	RenderFig9(w, cs)
-	f10, err := Fig10(e)
-	if err != nil {
-		return err
-	}
-	RenderFig10(w, cs.Order, f10)
-	avm, err := AVMAnalysis(e, cs)
-	if err != nil {
-		return err
-	}
-	RenderAVM(w, e, cs, avm)
-	return nil
 }

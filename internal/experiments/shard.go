@@ -105,38 +105,22 @@ func NewEnvFromPlan(ctx context.Context, plan shard.Plan) (*Env, error) {
 
 // ShardUnits plans the work-unit set for an experiment selection: the
 // random-operand characterizations, workload characterizations, and
-// campaign cells the selected experiments will consume. Units the
-// selection does not need are simply not planned — the prewarm is an
-// accelerator, so under-planning costs time, never correctness.
+// campaign cells the selected experiments will consume, as declared by
+// the needs column of the suite table. Names are resolved exactly as
+// RunSuite resolves them. Units the selection does not need are simply
+// not planned — the prewarm is an accelerator, so under-planning costs
+// time, never correctness.
 //
 // Stages order the schedule: summaries (stage 0) complete before
 // campaign cells (stage 1) lease, so every cell's model build on every
 // worker is a cache read instead of a duplicated characterization.
 func ShardUnits(e *Env, names []string) ([]shard.Unit, error) {
-	if len(names) == 0 {
-		names = []string{"all"}
+	var needs need
+	for _, x := range selection(names) {
+		needs |= x.needs
 	}
-	selected := map[string]bool{}
-	for _, name := range names {
-		selected[name] = true
-	}
-	want := func(ns ...string) bool {
-		if selected["all"] {
-			return true
-		}
-		for _, n := range ns {
-			if selected[n] {
-				return true
-			}
-		}
-		return false
-	}
-	needRandom := want("fig7", "fig9", "fig10", "avm")
-	needWA := want("fig5", "fig8", "fig9", "fig10", "avm", "validate")
-	needCells := want("fig9", "avm")
-
 	var units []shard.Unit
-	if needRandom {
+	if needs&needRandom != 0 {
 		for _, level := range e.Levels() {
 			for _, op := range fpu.Ops() {
 				units = append(units, shard.Unit{
@@ -146,32 +130,30 @@ func ShardUnits(e *Env, names []string) ([]shard.Unit, error) {
 			}
 		}
 	}
-	if needWA || needCells {
+	if needs&needWA != 0 {
 		ws, err := e.Workloads()
 		if err != nil {
 			return nil, err
 		}
-		if needWA {
-			for _, level := range e.Levels() {
-				for _, w := range ws {
-					units = append(units, shard.Unit{
-						Kind: shard.UnitWA, Level: level.Name,
-						Workload: w.Name, Stage: 0,
-					})
-				}
+		for _, level := range e.Levels() {
+			for _, w := range ws {
+				units = append(units, shard.Unit{
+					Kind: shard.UnitWA, Level: level.Name,
+					Workload: w.Name, Stage: 0,
+				})
 			}
 		}
-		if needCells {
-			for _, w := range ws {
-				for _, level := range e.Levels() {
-					for _, kind := range ModelKinds() {
-						units = append(units, shard.Unit{
-							Kind: shard.UnitCell, Level: level.Name,
-							Workload: w.Name, Model: string(kind), Stage: 1,
-						})
-					}
-				}
-			}
+	}
+	if needs&needCells != 0 {
+		cells, err := e.cellMatrix()
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range cells {
+			units = append(units, shard.Unit{
+				Kind: shard.UnitCell, Level: c.level.Name,
+				Workload: c.w.Name, Model: string(c.kind), Stage: 1,
+			})
 		}
 	}
 	return units, nil
@@ -345,9 +327,10 @@ func killSelf() {
 // shardPrewarm runs the sharded cache prewarm for a RunSuite call. It
 // never fails the run: every fault — no cache dir, no worker binary,
 // workers all dead, poison units — degrades to the in-process run
-// computing whatever is missing, and is reported on diag only (stdout
+// computing whatever is missing, and is reported on cfg.Diag only (stdout
 // must stay byte-identical to the unsharded run).
-func shardPrewarm(e *Env, cfg SuiteConfig, diag io.Writer) {
+func shardPrewarm(e *Env, cfg SuiteConfig) {
+	diag := cfg.Diag
 	if e.F.Cfg.Artifacts == nil {
 		fmt.Fprintf(diag, "shard: -shards %d ignored: sharding needs a shared -cache-dir; running in-process\n", cfg.Shards)
 		return

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -29,29 +30,202 @@ import (
 //   - Diag: cache- and budget-dependent notes (corner reload counts,
 //     fig4 truncation, interrupt reasons). stderr in the CLI.
 
+// need is a bit set of the shard unit families an experiment reads from
+// the cache: ShardUnits plans exactly the families its selection needs.
+type need uint8
+
+const (
+	needRandom need = 1 << iota // per-op random-operand summaries
+	needWA                      // per-workload WA summaries
+	needCells                   // campaign cells (built once, as CampaignSet)
+)
+
+// suiteRun is what one experiment body sees: the environment, the report
+// writer, the suite configuration (Diag never nil), and — for rows that
+// need cells — the campaign matrix RunSuite built before them.
+type suiteRun struct {
+	env *Env
+	out io.Writer
+	cfg *SuiteConfig
+	cs  *CampaignSet
+}
+
+// experiment is one row of the suite table.
+type experiment struct {
+	name  string
+	needs need
+	run   func(s *suiteRun) error
+}
+
+// section builds the body of an experiment that is compute → render →
+// optional CSV export.
+func section[R any](compute func(*Env) (R, error), render func(io.Writer, R), csv func(dir string, r R) error) func(*suiteRun) error {
+	return func(s *suiteRun) error {
+		r, err := compute(s.env)
+		if err != nil {
+			return err
+		}
+		render(s.out, r)
+		if s.cfg.CSVDir != "" {
+			return csv(s.cfg.CSVDir, r)
+		}
+		return nil
+	}
+}
+
+// suite is the one list of experiments: which exist, the order RunSuite
+// runs them in, and which cached work each consumes. Names, KnownExperiment,
+// RunSuite and ShardUnits all read it.
+var suite = []experiment{
+	{"design", 0, func(s *suiteRun) error {
+		rows, err := Design(s.env)
+		if err != nil {
+			return err
+		}
+		RenderDesign(s.out, s.env, rows)
+		if s.cfg.CSVDir != "" {
+			return CSVDesign(s.cfg.CSVDir, rows)
+		}
+		return nil
+	}},
+	{"corners", 0, func(s *suiteRun) error {
+		corners, err := ParseCorners(s.cfg.CornerSpec)
+		if err != nil {
+			return err
+		}
+		rows, err := CornerSweep(s.env, corners)
+		if err != nil {
+			return err
+		}
+		cached := 0
+		for _, r := range rows {
+			if r.Cached {
+				cached++
+			}
+		}
+		// Cache-dependent, so Diag: the report must stay identical
+		// between cold and warm runs.
+		fmt.Fprintf(s.cfg.Diag, "corner reports reloaded %d/%d\n", cached, len(rows))
+		RenderCorners(s.out, s.env, rows)
+		if s.cfg.CSVDir != "" {
+			return CSVCorners(s.cfg.CSVDir, rows)
+		}
+		return nil
+	}},
+	{"table1", 0, func(s *suiteRun) error { Table1(s.out); return nil }},
+	{"table2", 0, section(Table2, RenderTable2, CSVTable2)},
+	{"fig4", 0, func(s *suiteRun) error {
+		r, err := Fig4(s.env)
+		if err != nil {
+			return err
+		}
+		if r.Truncated {
+			fmt.Fprintf(s.cfg.Diag,
+				"fig4 path enumeration hit its expansion budget before yielding %d paths per stage; tail counts may undercount some units\n",
+				s.env.Opts.Fig4Paths)
+		}
+		RenderFig4(s.out, r)
+		if s.cfg.CSVDir != "" {
+			return CSVFig4(s.cfg.CSVDir, r)
+		}
+		return nil
+	}},
+	{"fig5", needWA, section(Fig5, RenderFig5, CSVFig5)},
+	{"fig6", 0, section(Fig6, RenderFig6, CSVFig6)},
+	{"fig7", needRandom, section(Fig7, RenderFig7, CSVFig7)},
+	{"fig8", needWA, section(Fig8, RenderFig8, CSVFig8)},
+	{"sources", 0, section(Sources, RenderSources, CSVSources)},
+	{"power", 0, section(Power, RenderPower, CSVPower)},
+	{"process", 0, section(func(e *Env) (*ProcessResult, error) {
+		return ProcessVariation(e, 8, 0.04)
+	}, RenderProcess, CSVProcess)},
+	{"validate", needWA, func(s *suiteRun) error {
+		rows, meanErr, err := Validate(s.env, vscale.VR20)
+		if err != nil {
+			return err
+		}
+		RenderValidate(s.out, "VR20", rows, meanErr)
+		if s.cfg.CSVDir != "" {
+			return CSVValidate(s.cfg.CSVDir, rows)
+		}
+		return nil
+	}},
+	{"adders", 0, section(AdderAblation, RenderAdders, CSVAdders)},
+	{"history", 0, func(s *suiteRun) error {
+		rows, err := HistoryAblation(s.env, vscale.VR20)
+		if err != nil {
+			return err
+		}
+		RenderHistory(s.out, "VR20", rows)
+		return nil
+	}},
+	{"fig10", needRandom | needWA, func(s *suiteRun) error {
+		r, err := Fig10(s.env)
+		if err != nil {
+			return err
+		}
+		RenderFig10(s.out, workloads.Names(), r)
+		if s.cfg.CSVDir != "" {
+			return CSVFig10(s.cfg.CSVDir, workloads.Names(), r)
+		}
+		return nil
+	}},
+	{"fig9", needRandom | needWA | needCells, func(s *suiteRun) error {
+		RenderFig9(s.out, s.cs)
+		if s.cfg.CSVDir != "" {
+			return CSVFig9(s.cfg.CSVDir, s.cs)
+		}
+		return nil
+	}},
+	{"avm", needRandom | needWA | needCells, func(s *suiteRun) error {
+		r, err := AVMAnalysis(s.env, s.cs)
+		if err != nil {
+			return err
+		}
+		RenderAVM(s.out, s.env, s.cs, r)
+		if s.cfg.CSVDir != "" {
+			return CSVAVM(s.cfg.CSVDir, s.cs, r)
+		}
+		return nil
+	}},
+}
+
 // Names returns every experiment name RunSuite understands, in
 // execution order. "all" additionally selects every one of them.
 func Names() []string {
-	return []string{
-		"design", "corners", "table1", "table2",
-		"fig4", "fig5", "fig6", "fig7", "fig8",
-		"sources", "power", "process", "validate",
-		"adders", "history", "fig10", "fig9", "avm",
+	names := make([]string, len(suite))
+	for i, x := range suite {
+		names[i] = x.name
 	}
+	return names
 }
 
 // KnownExperiment reports whether name is a selectable experiment
 // ("all" included).
 func KnownExperiment(name string) bool {
-	if name == "all" {
-		return true
-	}
-	for _, n := range Names() {
-		if n == name {
-			return true
+	return name == "all" || slices.ContainsFunc(suite, func(x experiment) bool { return x.name == name })
+}
+
+// selection resolves a list of experiment names to suite rows in table
+// order. Names are trimmed and blank entries skipped; "all", or a list
+// with no names left, selects every row. Unknown names select nothing.
+func selection(names []string) []experiment {
+	selected := map[string]bool{}
+	for _, n := range names {
+		if n = strings.TrimSpace(n); n != "" {
+			selected[n] = true
 		}
 	}
-	return false
+	if len(selected) == 0 || selected["all"] {
+		return suite
+	}
+	var rows []experiment
+	for _, x := range suite {
+		if selected[x.name] {
+			rows = append(rows, x)
+		}
+	}
+	return rows
 }
 
 // IsInterrupt reports whether err is (or wraps) one of the orderly-stop
@@ -93,8 +267,9 @@ func ApplyPreset(quick, full bool, opts *Options, cfg *core.Config) {
 
 // SuiteConfig selects and instruments a RunSuite call.
 type SuiteConfig struct {
-	// Experiments is the selection (names from Names, or "all"). Empty
-	// means "all".
+	// Experiments is the selection (names from Names, or "all"),
+	// resolved by selection: names are trimmed, blanks skipped, and a
+	// list with no names left means "all".
 	Experiments []string
 	// CornerSpec is the -corners argument for the corner sweep ("" uses
 	// the default set).
@@ -145,299 +320,75 @@ type SuiteConfig struct {
 // drain/cancel stopped the run early (completed cells are cached), or
 // the first hard failure wrapped with its experiment name.
 func RunSuite(env *Env, cfg SuiteConfig, out io.Writer) error {
-	diag := cfg.Diag
-	if diag == nil {
-		diag = io.Discard
+	if cfg.Diag == nil {
+		cfg.Diag = io.Discard
 	}
 	if !cfg.OmitBanner {
 		PrintBanner(out, env.Opts, env.F.Cfg.Seed)
 	}
 	if cfg.Shards > 1 {
-		shardPrewarm(env, cfg, diag)
+		shardPrewarm(env, cfg)
 	}
-	names := cfg.Experiments
-	if len(names) == 0 {
-		names = []string{"all"}
-	}
-	selected := map[string]bool{}
-	for _, name := range names {
-		selected[strings.TrimSpace(name)] = true
-	}
-	want := func(name string) bool { return selected["all"] || selected[name] }
 	reg := env.F.Cfg.Metrics
-
-	var failed error
-	var interruptErr error
-	interrupted := false
-	run := func(name string, fn func() error) {
-		if !want(name) || interrupted || failed != nil {
-			return
+	s := &suiteRun{env: env, out: out, cfg: &cfg}
+	stopped := func() error {
+		if err := env.ctx.Err(); err != nil {
+			return err
 		}
+		return ErrDrained
+	}
+
+	// step runs one named stage, the campaign matrix build or a table
+	// row, and returns the error that ends the suite, if any.
+	step := func(name string, fn func() error) error {
 		if env.Draining() {
-			interrupted = true
-			return
+			return stopped()
 		}
 		if cfg.OnStart != nil {
 			cfg.OnStart(name)
-		}
-		var t0 int64
-		if cfg.Clock != nil {
-			t0 = cfg.Clock()
 		}
 		sp := reg.Phase("exp/" + name)
 		err := fn()
 		if cfg.OnExperiment != nil {
 			cfg.OnExperiment(name, err)
 		}
-		if err != nil {
-			if IsInterrupt(err) {
-				interrupted = true
-				interruptErr = err
-				fmt.Fprintf(diag, "%s interrupted: %v\n", name, err)
-				return
-			}
-			failed = fmt.Errorf("%s: %w", name, err)
-			return
-		}
-		sp.End()
-		if cfg.Trace != nil && cfg.Clock != nil {
-			fmt.Fprintf(cfg.Trace, "[%s completed in %s]\n",
-				name, time.Duration(cfg.Clock()-t0).Round(time.Millisecond))
-		}
-	}
-
-	run("design", func() error {
-		rows, err := Design(env)
-		if err != nil {
-			return err
-		}
-		RenderDesign(out, env, rows)
-		if cfg.CSVDir != "" {
-			return CSVDesign(cfg.CSVDir, rows)
-		}
-		return nil
-	})
-	run("corners", func() error {
-		corners, err := ParseCorners(cfg.CornerSpec)
-		if err != nil {
-			return err
-		}
-		rows, err := CornerSweep(env, corners)
-		if err != nil {
-			return err
-		}
-		cached := 0
-		for _, r := range rows {
-			if r.Cached {
-				cached++
-			}
-		}
-		// Cache-dependent, so Diag: the report must stay identical
-		// between cold and warm runs.
-		fmt.Fprintf(diag, "corner reports reloaded %d/%d\n", cached, len(rows))
-		RenderCorners(out, env, rows)
-		if cfg.CSVDir != "" {
-			return CSVCorners(cfg.CSVDir, rows)
-		}
-		return nil
-	})
-	run("table1", func() error { Table1(out); return nil })
-	run("table2", func() error {
-		rows, err := Table2(env)
-		if err != nil {
-			return err
-		}
-		RenderTable2(out, rows)
-		if cfg.CSVDir != "" {
-			return CSVTable2(cfg.CSVDir, rows)
-		}
-		return nil
-	})
-	run("fig4", func() error {
-		r, err := Fig4(env)
-		if err != nil {
-			return err
-		}
-		if r.Truncated {
-			fmt.Fprintf(diag,
-				"fig4 path enumeration hit its expansion budget before yielding %d paths per stage; tail counts may undercount some units\n",
-				env.Opts.Fig4Paths)
-		}
-		RenderFig4(out, r)
-		if cfg.CSVDir != "" {
-			return CSVFig4(cfg.CSVDir, r)
-		}
-		return nil
-	})
-	run("fig5", func() error {
-		r, err := Fig5(env)
-		if err != nil {
-			return err
-		}
-		RenderFig5(out, r)
-		if cfg.CSVDir != "" {
-			return CSVFig5(cfg.CSVDir, r)
-		}
-		return nil
-	})
-	run("fig6", func() error {
-		r, err := Fig6(env)
-		if err != nil {
-			return err
-		}
-		RenderFig6(out, r)
-		if cfg.CSVDir != "" {
-			return CSVFig6(cfg.CSVDir, r)
-		}
-		return nil
-	})
-	run("fig7", func() error {
-		r, err := Fig7(env)
-		if err != nil {
-			return err
-		}
-		RenderFig7(out, r)
-		if cfg.CSVDir != "" {
-			return CSVFig7(cfg.CSVDir, r)
-		}
-		return nil
-	})
-	run("fig8", func() error {
-		r, err := Fig8(env)
-		if err != nil {
-			return err
-		}
-		RenderFig8(out, r)
-		if cfg.CSVDir != "" {
-			return CSVFig8(cfg.CSVDir, r)
-		}
-		return nil
-	})
-	run("sources", func() error {
-		rows, err := Sources(env)
-		if err != nil {
-			return err
-		}
-		RenderSources(out, rows)
-		if cfg.CSVDir != "" {
-			return CSVSources(cfg.CSVDir, rows)
-		}
-		return nil
-	})
-	run("power", func() error {
-		r, err := Power(env)
-		if err != nil {
-			return err
-		}
-		RenderPower(out, r)
-		if cfg.CSVDir != "" {
-			return CSVPower(cfg.CSVDir, r)
-		}
-		return nil
-	})
-	run("process", func() error {
-		r, err := ProcessVariation(env, 8, 0.04)
-		if err != nil {
-			return err
-		}
-		RenderProcess(out, r)
-		if cfg.CSVDir != "" {
-			return CSVProcess(cfg.CSVDir, r)
-		}
-		return nil
-	})
-	run("validate", func() error {
-		rows, meanErr, err := Validate(env, vscale.VR20)
-		if err != nil {
-			return err
-		}
-		RenderValidate(out, "VR20", rows, meanErr)
-		if cfg.CSVDir != "" {
-			return CSVValidate(cfg.CSVDir, rows)
-		}
-		return nil
-	})
-	run("adders", func() error {
-		rows, err := AdderAblation(env)
-		if err != nil {
-			return err
-		}
-		RenderAdders(out, rows)
-		if cfg.CSVDir != "" {
-			return CSVAdders(cfg.CSVDir, rows)
-		}
-		return nil
-	})
-	run("history", func() error {
-		rows, err := HistoryAblation(env, vscale.VR20)
-		if err != nil {
-			return err
-		}
-		RenderHistory(out, "VR20", rows)
-		return nil
-	})
-	run("fig10", func() error {
-		r, err := Fig10(env)
-		if err != nil {
-			return err
-		}
-		RenderFig10(out, workloads.Names(), r)
-		if cfg.CSVDir != "" {
-			return CSVFig10(cfg.CSVDir, workloads.Names(), r)
-		}
-		return nil
-	})
-	if (want("fig9") || want("avm")) && !interrupted && failed == nil && !env.Draining() {
-		if cfg.OnStart != nil {
-			cfg.OnStart("campaigns")
-		}
-		sp := reg.Phase("exp/campaigns")
-		cs, err := RunCampaigns(env)
-		if cfg.OnExperiment != nil {
-			cfg.OnExperiment("campaigns", err)
-		}
 		switch {
 		case err == nil:
 			sp.End()
-		case IsInterrupt(err):
-			// Completed cells are already in the cache; rendering a
-			// partial matrix would make the report depend on the abort
-			// point, so skip the figures and note it on Diag.
-			interrupted = true
-			interruptErr = err
-			fmt.Fprintf(diag, "campaigns interrupted: %v\n", err)
-		default:
-			failed = fmt.Errorf("campaigns: %w", err)
-		}
-		run("fig9", func() error {
-			RenderFig9(out, cs)
-			if cfg.CSVDir != "" {
-				return CSVFig9(cfg.CSVDir, cs)
-			}
 			return nil
-		})
-		run("avm", func() error {
-			r, err := AVMAnalysis(env, cs)
-			if err != nil {
+		case IsInterrupt(err):
+			fmt.Fprintf(cfg.Diag, "%s interrupted: %v\n", name, err)
+			return err
+		default:
+			return fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	for _, x := range selection(cfg.Experiments) {
+		if x.needs&needCells != 0 && s.cs == nil {
+			// A partial matrix would make the report depend on the
+			// abort point, so an interrupted build skips the figures;
+			// its completed cells are already in the cache.
+			if err := step("campaigns", func() (err error) {
+				s.cs, err = RunCampaigns(env)
+				return err
+			}); err != nil {
 				return err
 			}
-			RenderAVM(out, env, cs, r)
-			if cfg.CSVDir != "" {
-				return CSVAVM(cfg.CSVDir, cs, r)
-			}
-			return nil
-		})
-	}
-	switch {
-	case failed != nil:
-		return failed
-	case interruptErr != nil:
-		return interruptErr
-	case interrupted || env.Draining():
-		if err := env.ctx.Err(); err != nil {
+		}
+		var t0 int64
+		if cfg.Clock != nil {
+			t0 = cfg.Clock()
+		}
+		if err := step(x.name, func() error { return x.run(s) }); err != nil {
 			return err
 		}
-		return ErrDrained
+		if cfg.Trace != nil && cfg.Clock != nil {
+			fmt.Fprintf(cfg.Trace, "[%s completed in %s]\n",
+				x.name, time.Duration(cfg.Clock()-t0).Round(time.Millisecond))
+		}
+	}
+	if env.Draining() {
+		return stopped()
 	}
 	return nil
 }

@@ -5,9 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
+	"teva/internal/artifact"
+	"teva/internal/campaign"
 	"teva/internal/core"
+	"teva/internal/dta"
+	"teva/internal/obs"
 	"teva/internal/workloads"
 )
 
@@ -128,5 +133,102 @@ func TestRunSuiteUnknownSelectionRunsNothing(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("unknown selection produced output:\n%s", buf.Bytes())
+	}
+}
+
+// quickEnv builds a -quick preset environment over store (nil: no
+// cache) with its own metrics registry.
+func quickEnv(t *testing.T, store *artifact.Store, runs int) (*Env, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry(nil)
+	opts := DefaultOptions()
+	cfg := core.Config{Metrics: reg, Artifacts: store}
+	ApplyPreset(true, false, &opts, &cfg)
+	if runs > 0 {
+		opts.Runs = runs
+	}
+	f, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewEnv(f, opts), reg
+}
+
+// TestShardUnitsTrimsNames pins that shard planning resolves names
+// exactly as RunSuite does: a space after the comma in -exp "fig7, fig9"
+// must not drop fig9's summaries and cells from the prewarm.
+func TestShardUnitsTrimsNames(t *testing.T) {
+	env, _ := quickEnv(t, nil, 0)
+	for _, names := range [][]string{{"fig7", "fig9"}, {"fig7", " fig9"}} {
+		units, err := ShardUnits(env, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(units) != 80 {
+			t.Fatalf("ShardUnits(%q) planned %d units, want 80 (24 random, 14 WA, 42 cells)", names, len(units))
+		}
+	}
+}
+
+// TestSelectionOrderAndTrim checks that a selection comes back in table
+// order whatever order it was given in, and that blank entries are
+// skipped rather than selecting nothing.
+func TestSelectionOrderAndTrim(t *testing.T) {
+	var got []string
+	for _, x := range selection([]string{" avm", "table1", "", "fig77", "design "}) {
+		got = append(got, x.name)
+	}
+	if want := []string{"design", "table1", "avm"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("selection = %v, want %v", got, want)
+	}
+	for _, names := range [][]string{nil, {""}, {" all"}} {
+		if n := len(selection(names)); n != len(Names()) {
+			t.Fatalf("selection(%q) has %d rows, want all %d", names, n, len(Names()))
+		}
+	}
+}
+
+// TestPrewarmCompleteness makes the table's needs column checkable: for
+// every experiment that declares needs, executing exactly the units
+// ShardUnits plans for it must leave the experiment itself no DTA pair
+// to analyze and no injection run to execute.
+func TestPrewarmCompleteness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the characterizations and cells of every shardable experiment")
+	}
+	for _, x := range suite {
+		if x.needs == 0 {
+			continue
+		}
+		t.Run(x.name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *artifact.Store {
+				store, err := artifact.OpenIn(dir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return store
+			}
+			warm, _ := quickEnv(t, open(), 4)
+			units, err := ShardUnits(warm, []string{x.name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range units {
+				if _, err := ExecuteUnit(context.Background(), warm, u); err != nil {
+					t.Fatalf("unit %s: %v", u.ID(), err)
+				}
+			}
+			env, reg := quickEnv(t, open(), 4)
+			if err := RunSuite(env, SuiteConfig{Experiments: []string{x.name}}, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			for _, m := range []string{dta.MetricPairs, campaign.MetricRuns} {
+				if n := snap.Counter(m); n != 0 {
+					t.Errorf("%s after prewarming %d units: %s = %d, want 0", x.name, len(units), m, n)
+				}
+			}
+		})
 	}
 }
