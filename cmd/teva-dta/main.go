@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"teva/internal/core"
-	"teva/internal/dta"
 	"teva/internal/errmodel"
 	"teva/internal/experiments"
 	"teva/internal/vscale"
@@ -43,25 +42,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	scale, err := workloads.ParseScale(strings.ToLower(*scaleName))
+	// The flags fill the same Spec teva-experiments and teva-serve
+	// validate and resolve; -operands then sizes both DTA samples.
+	sp := experiments.Spec{
+		Scale: strings.ToLower(*scaleName), Seed: *seed, Timing: *timing,
+		STAScreen: *staScreen, ScreenGuardband: *screenGuardband, ScreenValidate: *screenValidate,
+	}
+	if err := sp.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "teva-dta:", err)
+		os.Exit(2)
+	}
+	opts, cfg, err := sp.Effective()
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := dta.ParseEngine(*timing)
-	if err != nil {
-		fatal(err)
-	}
-	f, err := core.New(core.Config{
-		Seed:             *seed,
-		RandomOperands:   *operands,
-		WorkloadOperands: *operands,
-		Timing:           eng,
-		Screen: dta.ScreenConfig{
-			Enabled:   *staScreen,
-			Guardband: *screenGuardband,
-			Validate:  *screenValidate,
-		},
-	})
+	cfg.RandomOperands, cfg.WorkloadOperands = *operands, *operands
+	f, err := core.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -71,12 +67,10 @@ func main() {
 		if *workloadName == "" {
 			fatal(fmt.Errorf("-model wa requires -workload"))
 		}
-		if w, err = workloads.ByName(*workloadName, scale); err != nil {
+		if w, err = workloads.ByName(*workloadName, opts.Scale); err != nil {
 			fatal(err)
 		}
 	}
-	opts := experiments.DefaultOptions()
-	opts.Scale = scale
 	env := experiments.NewEnvContext(context.Background(), f, opts)
 	start := time.Now()
 	model, err := env.Model(kind, level, w)

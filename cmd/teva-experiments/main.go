@@ -31,7 +31,11 @@
 //	fig7, fig8, sources, power, process, validate, adders, history,
 //	fig10, fig9, avm
 //
-// An unknown name exits 2 and lists the valid ones.
+// An unknown name exits 2 and lists the valid ones. The flags fill an
+// experiments.Spec — the request form teva-serve decodes from JSON — so
+// any value a served job would reject (an unknown name, a negative
+// -runs, -workers or -screen-guardband, a bad -scale, -timing or
+// -corners) also exits 2 here, before any work starts.
 //
 // The run shuts down in an orderly way: the first SIGINT/SIGTERM drains
 // (in-flight cells finish and are cached, no new work is dispatched, the
@@ -69,10 +73,8 @@ import (
 	"teva/internal/artifact"
 	"teva/internal/cli"
 	"teva/internal/core"
-	"teva/internal/dta"
 	"teva/internal/experiments"
 	"teva/internal/obs"
-	"teva/internal/workloads"
 )
 
 func main() {
@@ -101,43 +103,29 @@ func main() {
 	shardKillAfter := flag.String("shard-kill-after", "", "chaos drill: SIGKILL one live worker after N prewarm units complete (testing only)")
 	flag.Parse()
 
-	selected := strings.Split(*exp, ",")
-	for _, name := range selected {
-		if name = strings.TrimSpace(name); name != "" && !experiments.KnownExperiment(name) {
-			fmt.Fprintf(os.Stderr, "teva-experiments: unknown experiment %q (valid: %s)\n", name, valid)
-			os.Exit(2)
-		}
+	sp := experiments.Spec{
+		Experiments: strings.Split(*exp, ","),
+		Quick:       *quick, Full: *full, Scale: *scaleName, Runs: *runs,
+		Seed: *seed, Workers: *workers, Timing: *timing, Corners: *cornerSpec,
+		STAScreen: *staScreen, ScreenGuardband: *screenGuardband, ScreenValidate: *screenValidate,
 	}
-	eng, err := dta.ParseEngine(*timing)
+	if *maxDuration != 0 {
+		sp.MaxDuration = maxDuration.String()
+	}
+	if err := sp.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "teva-experiments:", err)
+		os.Exit(2)
+	}
+	opts, cfg, err := sp.Effective()
 	if err != nil {
 		fatal(err)
 	}
 	progStart := time.Now()
 	clock := func() int64 { return int64(time.Since(progStart)) }
 	reg := obs.NewRegistry(clock)
+	cfg.Metrics = reg
 	stopProfiles := cli.StartProfiles("teva-experiments", *pprofCPU, *pprofMem)
 
-	opts := experiments.DefaultOptions()
-	cfg := core.Config{
-		Seed: *seed, Workers: *workers, Metrics: reg, Timing: eng,
-		Screen: dta.ScreenConfig{
-			Enabled:   *staScreen,
-			Guardband: *screenGuardband,
-			Validate:  *screenValidate,
-		},
-	}
-	experiments.ApplyPreset(*quick, *full, &opts, &cfg)
-	if *scaleName != "" {
-		sc, err := workloads.ParseScale(*scaleName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
-			os.Exit(2)
-		}
-		opts.Scale = sc
-	}
-	if *runs > 0 {
-		opts.Runs = *runs
-	}
 	if *cacheDir != "" {
 		store, err := artifact.OpenIn(*cacheDir, reg)
 		if err != nil {
@@ -154,7 +142,7 @@ func main() {
 	}
 
 	start := time.Now()
-	experiments.PrintBanner(os.Stdout, opts, *seed)
+	experiments.PrintBanner(os.Stdout, opts, cfg.Seed)
 	f, err := core.New(cfg)
 	if err != nil {
 		fatal(err)
@@ -191,8 +179,8 @@ func main() {
 	}
 
 	suiteCfg := experiments.SuiteConfig{
-		Experiments: selected,
-		CornerSpec:  *cornerSpec,
+		Experiments: sp.Experiments,
+		CornerSpec:  sp.Corners,
 		CSVDir:      *csvDir,
 		OmitBanner:  true, // printed above, before the slow substrate build
 		Trace:       os.Stdout,

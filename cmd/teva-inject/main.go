@@ -76,15 +76,23 @@ func main() {
 	if *workloadName == "" {
 		fatal(fmt.Errorf("-workload is required (one of %v)", workloads.Names()))
 	}
-	scale, err := workloads.ParseScale(strings.ToLower(*scaleName))
+	// The flags fill the same Spec teva-experiments and teva-serve
+	// validate and resolve.
+	sp := experiments.Spec{Scale: strings.ToLower(*scaleName), Seed: *seed}
+	if err := sp.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "teva-inject:", err)
+		os.Exit(2)
+	}
+	opts, cfg, err := sp.Effective()
 	if err != nil {
 		fatal(err)
 	}
-	w, err := workloads.ByName(*workloadName, scale)
+	cfg.Metrics = reg
+	w, err := workloads.ByName(*workloadName, opts.Scale)
 	if err != nil {
 		fatal(err)
 	}
-	f, err := core.New(core.Config{Seed: *seed, Metrics: reg})
+	f, err := core.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,8 +112,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opts := experiments.DefaultOptions()
-		opts.Scale = scale
 		env := experiments.NewEnvContext(ctx, f, opts)
 		model, err = env.Model(errmodel.Kind(strings.ToUpper(*modelName)), level, w)
 		if err != nil {
@@ -118,7 +124,7 @@ func main() {
 		n = stats.SampleSize(stats.Z95, 0.03)
 	}
 	fmt.Printf("injecting: %s into %s (%s scale), %d runs\n",
-		model.Describe(), w.Name, scale, n)
+		model.Describe(), w.Name, opts.Scale, n)
 	start := time.Now()
 	res, err := f.EvaluateCtx(ctx, w, model, n)
 	if err != nil {

@@ -32,7 +32,10 @@ import (
 	"teva/internal/workloads"
 )
 
-// Config parameterizes the framework.
+// Config parameterizes the framework. Every field except the two runtime
+// handles (Artifacts, Metrics) marshals to JSON: together with
+// experiments.Options, a resolved Config is the serializable description
+// of a run that shard workers rebuild and serve job IDs hash.
 type Config struct {
 	// Seed drives design generation and every stochastic step.
 	Seed uint64
@@ -62,11 +65,11 @@ type Config struct {
 	// across runs: a second run with the same seed and sample sizes
 	// reloads every summary instead of re-simulating. A nil store
 	// disables on-disk caching.
-	Artifacts *artifact.Store
+	Artifacts *artifact.Store `json:"-"`
 	// Metrics, when non-nil, receives dta.*, campaign.* and
 	// experiments.* counters plus phase timers from every framework
 	// operation. A nil registry disables instrumentation at zero cost.
-	Metrics *obs.Registry
+	Metrics *obs.Registry `json:"-"`
 	// Screen configures slack-driven DTA screening: ops whose worst STA
 	// slack at the analyzed corner clears the guardband are predicted
 	// error-free and skip dense DTA (see dta.ScreenConfig). Screened ops

@@ -41,7 +41,6 @@ import (
 	"teva/internal/errmodel"
 	"teva/internal/fpu"
 	"teva/internal/prng"
-	"teva/internal/stats"
 	"teva/internal/trace"
 	"teva/internal/vscale"
 	"teva/internal/workloads"
@@ -74,13 +73,6 @@ func DefaultOptions() Options {
 		Fig6Ks:    []int{1000, 4000, 12000},
 		Fig6Reps:  3,
 	}
-}
-
-// PaperOptions restores the paper's statistical settings (much slower).
-func PaperOptions() Options {
-	o := DefaultOptions()
-	o.Runs = stats.SampleSize(stats.Z95, 0.03) // 1068
-	return o
 }
 
 // Env materializes the shared artifacts (workloads, traces, models,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -31,76 +32,55 @@ import (
 // degradation ladder (N workers -> fewer -> zero) needs no special
 // casing anywhere in the experiment code.
 
-// PlanOf captures env's resolved pipeline configuration as a shard.Plan
-// — everything a worker process needs to rebuild a framework whose
-// artifact provenance keys match the supervisor's bit for bit.
-func PlanOf(e *Env) shard.Plan {
-	cfg := e.F.Cfg
-	p := shard.Plan{
-		Seed:             cfg.Seed,
-		Scale:            e.Opts.Scale.String(),
-		Runs:             e.Opts.Runs,
-		RandomOperands:   cfg.RandomOperands,
-		WorkloadOperands: cfg.WorkloadOperands,
-		DASample:         cfg.DASample,
-		Workers:          cfg.Workers,
-		TimeoutFactor:    cfg.TimeoutFactor,
-		Timing:           cfg.Timing.String(),
-		ScreenEnabled:    cfg.Screen.Enabled,
-		ScreenGuardband:  cfg.Screen.Guardband,
-		ScreenValidate:   cfg.Screen.Validate,
+// runPlan is the run description shipped to shard workers: the resolved
+// option/config pair itself (core.Config marshals every field but its
+// runtime handles) plus the shared cache directory. A field added to
+// either type therefore reaches the workers without touching this file
+// or internal/shard.
+type runPlan struct {
+	Options  Options
+	Config   core.Config
+	CacheDir string
+}
+
+// PlanOf serializes env's resolved run description for a shard
+// supervisor, with env's worker budget split across shards processes so
+// N workers don't oversubscribe the machine N-fold (worker counts never
+// change results, only speed).
+func PlanOf(e *Env, shards int) (json.RawMessage, error) {
+	p := runPlan{Options: e.Opts, Config: e.F.Cfg}
+	p.Config.Workers = max(1, e.workers()/max(1, shards))
+	if e.F.Cfg.Artifacts != nil {
+		p.CacheDir = e.F.Cfg.Artifacts.Dir()
 	}
-	if cfg.Artifacts != nil {
-		p.CacheDir = cfg.Artifacts.Dir()
-	}
-	return p
+	return json.Marshal(p)
 }
 
 // NewEnvFromPlan rebuilds a worker-side environment from a supervisor's
-// Plan: same seed, scales, sample sizes, engine, and screen settings,
-// sharing the supervisor's cache directory. The worker's summaries and
-// cells land under exactly the keys the supervisor's in-process run will
-// load.
-func NewEnvFromPlan(ctx context.Context, plan shard.Plan) (*Env, error) {
-	eng, err := dta.ParseEngine(plan.Timing)
-	if err != nil {
-		return nil, fmt.Errorf("plan timing: %w", err)
+// PlanOf bytes, sharing its cache directory: the worker's summaries and
+// cells land under exactly the keys the supervisor's in-process run
+// loads. Unknown fields are an error, so a worker built from a
+// different tree than its supervisor fails loudly instead of dropping a
+// setting.
+func NewEnvFromPlan(ctx context.Context, plan []byte) (*Env, error) {
+	var p runPlan
+	dec := json.NewDecoder(bytes.NewReader(plan))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
+		return nil, fmt.Errorf("plan: %w", err)
 	}
-	sc, err := workloads.ParseScale(plan.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("plan scale: %w", err)
-	}
-	cfg := core.Config{
-		Seed:             plan.Seed,
-		RandomOperands:   plan.RandomOperands,
-		WorkloadOperands: plan.WorkloadOperands,
-		DASample:         plan.DASample,
-		Workers:          plan.Workers,
-		TimeoutFactor:    plan.TimeoutFactor,
-		Timing:           eng,
-		Screen: dta.ScreenConfig{
-			Enabled:   plan.ScreenEnabled,
-			Guardband: plan.ScreenGuardband,
-			Validate:  plan.ScreenValidate,
-		},
-	}
-	if plan.CacheDir != "" {
-		store, err := artifact.OpenIn(plan.CacheDir, nil)
+	if p.CacheDir != "" {
+		store, err := artifact.OpenIn(p.CacheDir, nil)
 		if err != nil {
 			return nil, fmt.Errorf("plan cache dir: %w", err)
 		}
-		cfg.Artifacts = store
+		p.Config.Artifacts = store
 	}
-	f, err := core.New(cfg)
+	f, err := core.New(p.Config)
 	if err != nil {
 		return nil, err
 	}
-	opts := DefaultOptions()
-	opts.Scale = sc
-	if plan.Runs > 0 {
-		opts.Runs = plan.Runs
-	}
-	return NewEnvContext(ctx, f, opts), nil
+	return NewEnvContext(ctx, f, p.Options), nil
 }
 
 // ShardUnits plans the work-unit set for an experiment selection: the
@@ -173,7 +153,7 @@ func unitSum(v any) (string, error) {
 	return hex.EncodeToString(h[:]), nil
 }
 
-// levelByName resolves a Plan-carried level name against the evaluated
+// levelByName resolves a unit-carried level name against the evaluated
 // set.
 func (e *Env) levelByName(name string) (vscale.VRLevel, error) {
 	for _, level := range e.Levels() {
@@ -292,7 +272,7 @@ func WorkerMain(ctx context.Context, o WorkerOptions) error {
 		return fmt.Errorf("worker %s: build env: %w", o.ID, err)
 	}
 	fmt.Fprintf(diag, "worker %s: substrate ready (seed=%#x scale=%s workers=%d)\n",
-		o.ID, plan.Seed, plan.Scale, plan.Workers)
+		o.ID, env.F.Cfg.Seed, env.Opts.Scale, env.F.Cfg.Workers)
 	completed := 0
 	return shard.ClientLoop(ctx, c, o.ID, func(ctx context.Context, u shard.Unit) (string, error) {
 		if o.KillUnitSub != "" && strings.Contains(u.ID(), o.KillUnitSub) {
@@ -351,12 +331,10 @@ func shardPrewarm(e *Env, cfg SuiteConfig) {
 		fmt.Fprintf(diag, "shard: selection has no shardable units; running in-process\n")
 		return
 	}
-	plan := PlanOf(e)
-	// Split the core budget across workers so N shards don't oversubscribe
-	// the machine N-fold. Worker counts never change results, only speed.
-	plan.Workers = e.workers() / cfg.Shards
-	if plan.Workers < 1 {
-		plan.Workers = 1
+	plan, err := PlanOf(e, cfg.Shards)
+	if err != nil {
+		fmt.Fprintf(diag, "shard: plan encoding failed (%v); running in-process\n", err)
+		return
 	}
 	sup, err := shard.NewSupervisor(units, plan, shard.SupervisorConfig{
 		Shards:         cfg.Shards,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func shardTestWorkerMain() int {
 }
 
 // shardTestEnv builds a scaled-down quick-style environment; the sample
-// sizes propagate to worker processes through the Plan, so the sharded
+// sizes propagate to worker processes through the plan, so the sharded
 // and unsharded runs compare like for like.
 func shardTestEnv(t *testing.T, cacheDir string) *Env {
 	t.Helper()
@@ -169,27 +170,90 @@ func TestShardedRunWithoutCacheDegradesInProcess(t *testing.T) {
 	}
 }
 
+// TestPlanRoundTrip requires a worker to rebuild exactly the
+// supervisor's run description. Every exported field of Options and
+// core.Config except the runtime handles is set to a distinct non-zero
+// value by reflection, so a field added later is covered without
+// touching this test.
 func TestPlanRoundTrip(t *testing.T) {
-	env := shardTestEnv(t, t.TempDir())
-	plan := PlanOf(env)
-	if plan.CacheDir == "" {
-		t.Fatal("PlanOf lost the cache dir")
+	var opts Options
+	var cfg core.Config
+	n := 0
+	fillNonZero(t, reflect.ValueOf(&opts).Elem(), &n)
+	fillNonZero(t, reflect.ValueOf(&cfg).Elem(), &n)
+	store, err := artifact.OpenIn(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Artifacts = store
+	env := &Env{F: &core.Framework{Cfg: cfg}, Opts: opts}
+
+	plan, err := PlanOf(env, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	env2, err := NewEnvFromPlan(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The config tag is what artifact provenance keys fold in: if the
-	// round trip preserves it, worker cache writes land under exactly
-	// the keys the supervisor's run loads.
+	if !reflect.DeepEqual(env2.Opts, opts) {
+		t.Fatalf("options after round trip = %+v, want %+v", env2.Opts, opts)
+	}
+	got := env2.F.Cfg
+	if got.Artifacts == nil || got.Artifacts.Dir() != store.Dir() {
+		t.Fatalf("round trip lost the cache dir %s", store.Dir())
+	}
+	got.Artifacts, cfg.Artifacts = nil, nil
+	if !reflect.DeepEqual(got, cfg) {
+		t.Fatalf("config after round trip = %+v, want %+v", got, cfg)
+	}
+	// The config tag is what artifact provenance keys fold in: worker
+	// cache writes land under exactly the keys the supervisor loads.
 	if got, want := env2.cfgTag(), env.cfgTag(); got != want {
 		t.Fatalf("cfgTag after round trip = %q, want %q", got, want)
 	}
-	if env2.F.Cfg.Seed != env.F.Cfg.Seed {
-		t.Fatalf("seed after round trip = %#x, want %#x", env2.F.Cfg.Seed, env.F.Cfg.Seed)
+	if _, err := NewEnvFromPlan(context.Background(), []byte(`{"Options":{"Runs":1},"Extra":1}`)); err == nil {
+		t.Fatal("a plan with a field this build does not know was accepted")
 	}
-	if got := PlanOf(env2); got != plan {
-		t.Fatalf("PlanOf after round trip = %+v, want %+v", got, plan)
+}
+
+// fillNonZero sets every exported field of the struct v, except the
+// runtime handles Artifacts and Metrics, to a value distinct from the
+// zero value and from every default; *n numbers the values.
+func fillNonZero(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		sf := v.Type().Field(i)
+		if !sf.IsExported() || sf.Name == "Artifacts" || sf.Name == "Metrics" {
+			continue
+		}
+		setNonZero(t, sf.Name, v.Field(i), n)
+	}
+}
+
+func setNonZero(t *testing.T, name string, f reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(int64(*n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		f.SetUint(uint64(*n))
+	case reflect.Float32, reflect.Float64:
+		f.SetFloat(float64(*n) + 0.25)
+	case reflect.String:
+		f.SetString(fmt.Sprintf("v%d", *n))
+	case reflect.Slice:
+		f.Set(reflect.MakeSlice(f.Type(), 2, 2))
+		for i := 0; i < 2; i++ {
+			setNonZero(t, name, f.Index(i), n)
+		}
+	case reflect.Struct:
+		fillNonZero(t, f, n)
+	default:
+		t.Fatalf("field %s: no test value for kind %s; extend setNonZero", name, f.Kind())
 	}
 }
 

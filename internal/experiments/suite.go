@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"teva/internal/core"
 	"teva/internal/obs"
 	"teva/internal/vscale"
 	"teva/internal/workloads"
@@ -242,27 +241,6 @@ func IsInterrupt(err error) bool {
 func PrintBanner(w io.Writer, opts Options, seed uint64) {
 	fmt.Fprintf(w, "teva-experiments: scale=%s runs/cell=%d seed=%#x\n",
 		opts.Scale, opts.Runs, seed)
-}
-
-// ApplyPreset applies the -quick/-full preset to an option/config pair,
-// exactly as the CLI flags do. quick shrinks every knob for a smoke
-// run; full restores the paper's statistical settings. quick wins when
-// both are set (matching the CLI's switch order).
-func ApplyPreset(quick, full bool, opts *Options, cfg *core.Config) {
-	switch {
-	case quick:
-		opts.Scale = workloads.Tiny
-		opts.Runs = 24
-		opts.Fig4Paths = 300
-		opts.Fig6Full = 4000
-		opts.Fig6Ks = []int{500, 2000}
-		cfg.RandomOperands = 4000
-		cfg.WorkloadOperands = 2000
-	case full:
-		*opts = PaperOptions()
-		cfg.RandomOperands = 100000
-		cfg.WorkloadOperands = 40000
-	}
 }
 
 // SuiteConfig selects and instruments a RunSuite call.

@@ -37,10 +37,11 @@ func TestNamesKnownAndUnique(t *testing.T) {
 	}
 }
 
+// TestApplyPresetQuickWinsOverFull pins the presets Spec.Effective
+// applies: -quick shrinks every knob and wins over -full, which restores
+// the paper's sample sizes.
 func TestApplyPresetQuickWinsOverFull(t *testing.T) {
-	opts := DefaultOptions()
-	var cfg core.Config
-	ApplyPreset(true, true, &opts, &cfg)
+	opts, cfg := effective(t, Spec{Quick: true, Full: true})
 	if opts.Scale != workloads.Tiny || opts.Runs != 24 {
 		t.Fatalf("quick preset: scale=%v runs=%d", opts.Scale, opts.Runs)
 	}
@@ -48,12 +49,20 @@ func TestApplyPresetQuickWinsOverFull(t *testing.T) {
 		t.Fatalf("quick preset operands: %d/%d", cfg.RandomOperands, cfg.WorkloadOperands)
 	}
 
-	opts = DefaultOptions()
-	cfg = core.Config{}
-	ApplyPreset(false, true, &opts, &cfg)
-	if cfg.RandomOperands != 100000 {
-		t.Fatalf("full preset operands: %d", cfg.RandomOperands)
+	opts, cfg = effective(t, Spec{Full: true})
+	if cfg.RandomOperands != 100000 || opts.Runs != 1068 {
+		t.Fatalf("full preset: operands %d, runs %d", cfg.RandomOperands, opts.Runs)
 	}
+}
+
+// effective resolves sp, failing the test on an invalid spec.
+func effective(t *testing.T, sp Spec) (Options, core.Config) {
+	t.Helper()
+	opts, cfg, err := sp.Effective()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opts, cfg
 }
 
 func TestIsInterrupt(t *testing.T) {
@@ -92,9 +101,7 @@ func TestPrintBanner(t *testing.T) {
 // whole contract rests on.
 func TestRunSuiteSelectionDeterministic(t *testing.T) {
 	run := func() []byte {
-		opts := DefaultOptions()
-		var cfg core.Config
-		ApplyPreset(true, false, &opts, &cfg)
+		opts, cfg := effective(t, Spec{Quick: true})
 		f, err := core.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -119,9 +126,7 @@ func TestRunSuiteSelectionDeterministic(t *testing.T) {
 // suite driver trusts its caller's validation: selecting only unknown
 // names runs zero experiments and reports success with a bare banner.
 func TestRunSuiteUnknownSelectionRunsNothing(t *testing.T) {
-	opts := DefaultOptions()
-	var cfg core.Config
-	ApplyPreset(true, false, &opts, &cfg)
+	opts, cfg := effective(t, Spec{Quick: true})
 	f, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,9 +146,8 @@ func TestRunSuiteUnknownSelectionRunsNothing(t *testing.T) {
 func quickEnv(t *testing.T, store *artifact.Store, runs int) (*Env, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry(nil)
-	opts := DefaultOptions()
-	cfg := core.Config{Metrics: reg, Artifacts: store}
-	ApplyPreset(true, false, &opts, &cfg)
+	opts, cfg := effective(t, Spec{Quick: true})
+	cfg.Metrics, cfg.Artifacts = reg, store
 	if runs > 0 {
 		opts.Runs = runs
 	}

@@ -115,7 +115,7 @@ func clientID(r *http.Request) string {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	sp, err := DecodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	sp, err := DecodeSpec(r.Body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return

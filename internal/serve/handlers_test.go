@@ -17,7 +17,7 @@ import (
 // single simulation.
 func testServer(t *testing.T, sp Spec) (*Server, *Job, *httptest.Server) {
 	t.Helper()
-	sp.normalize()
+	sp = canon(t, sp)
 	s := New(Config{})
 	j := newJob(sp, obs.NewRegistry(nil))
 	s.mu.Lock()

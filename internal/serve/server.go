@@ -244,7 +244,7 @@ func (s *Server) execute(j *Job) error {
 	}
 	cfg.Artifacts = s.cfg.Artifacts
 	cfg.Metrics = j.reg
-	maxDur, err := j.Spec.maxDuration()
+	maxDur, err := j.Spec.Budget()
 	if err != nil {
 		return err
 	}

@@ -1,15 +1,30 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
+// canon returns sp in the canonical form a submission of its JSON
+// encoding decodes to.
+func canon(t *testing.T, sp Spec) Spec {
+	t.Helper()
+	b, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeSpec(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("DecodeSpec(%s): %v", b, err)
+	}
+	return out
+}
+
 func TestSpecNormalizeCanonicalizes(t *testing.T) {
-	a := Spec{Experiments: []string{"fig9", " fig7", "fig9", ""}, Seed: 0}
-	a.normalize()
-	b := Spec{Experiments: []string{"fig7", "fig9"}, Seed: 0xF00D, Timing: "wide"}
-	b.normalize()
+	a := canon(t, Spec{Experiments: []string{"fig9", " fig7", "fig9", ""}, Seed: 0})
+	b := canon(t, Spec{Experiments: []string{"fig7", "fig9"}, Seed: 0xF00D, Timing: "wide"})
 	if a.Key() != b.Key() {
 		t.Fatalf("equivalent specs disagree:\n  %s\n  %s", a.Key(), b.Key())
 	}
@@ -22,34 +37,28 @@ func TestSpecNormalizeCanonicalizes(t *testing.T) {
 }
 
 func TestSpecAllCollapses(t *testing.T) {
-	a := Spec{}
-	a.normalize()
-	b := Spec{Experiments: []string{"all", "fig9"}}
-	b.normalize()
+	a := canon(t, Spec{})
+	b := canon(t, Spec{Experiments: []string{"all", "fig9"}})
 	if a.Key() != b.Key() {
 		t.Fatalf("empty selection and explicit all disagree:\n  %s\n  %s", a.Key(), b.Key())
 	}
 }
 
 func TestSpecWorkersExcludedFromKey(t *testing.T) {
-	a := Spec{Workers: 1}
-	a.normalize()
-	b := Spec{Workers: 16}
-	b.normalize()
+	a := canon(t, Spec{Workers: 1})
+	b := canon(t, Spec{Workers: 16})
 	if a.Key() != b.Key() {
 		t.Fatalf("worker count leaked into the dedupe key (results are worker-invariant):\n  %s\n  %s",
 			a.Key(), b.Key())
 	}
-	c := Spec{MaxDuration: "1h"}
-	c.normalize()
+	c := canon(t, Spec{MaxDuration: "1h"})
 	if a.Key() != c.Key() {
 		t.Fatalf("max_duration leaked into the dedupe key:\n  %s\n  %s", a.Key(), c.Key())
 	}
 }
 
 func TestSpecKeySeparatesResultShapingFields(t *testing.T) {
-	base := Spec{}
-	base.normalize()
+	base := canon(t, Spec{})
 	variants := []Spec{
 		{Quick: true},
 		{Seed: 99},
@@ -65,7 +74,7 @@ func TestSpecKeySeparatesResultShapingFields(t *testing.T) {
 	}
 	seen := map[string]bool{base.Key(): true}
 	for _, v := range variants {
-		v.normalize()
+		v = canon(t, v)
 		if seen[v.Key()] {
 			t.Fatalf("spec variant %+v aliases another spec's key %s", v, v.Key())
 		}
@@ -126,8 +135,28 @@ func TestDecodeSpecAccepts(t *testing.T) {
 	if cfg.RandomOperands != 4000 {
 		t.Fatalf("quick preset not applied: RandomOperands=%d", cfg.RandomOperands)
 	}
-	d, err := sp.maxDuration()
+	d, err := sp.Budget()
 	if err != nil || d.Seconds() != 90 {
 		t.Fatalf("max duration: %v %v", d, err)
+	}
+}
+
+// TestSpecIDIsResolvedRun pins job IDs as content addresses of the run a
+// spec resolves to, not of its spelling: an override that restates the
+// preset's value is the same job, and so is a -full that -quick wins
+// over.
+func TestSpecIDIsResolvedRun(t *testing.T) {
+	quick := canon(t, Spec{Quick: true})
+	for _, same := range []Spec{
+		{Quick: true, Scale: "tiny", Runs: 24},
+		{Quick: true, Full: true},
+		{Quick: true, Experiments: []string{"all"}, Timing: "wide", Seed: 0xF00D},
+	} {
+		if got := canon(t, same).JobID(); got != quick.JobID() {
+			t.Errorf("%+v: job ID %s, want %s (same run as {quick:true})", same, got, quick.JobID())
+		}
+	}
+	if canon(t, Spec{Quick: true, Runs: 25}).JobID() == quick.JobID() {
+		t.Error("a different runs override shares the quick job ID")
 	}
 }

@@ -18,13 +18,16 @@ import (
 // The supervisor<->worker protocol is four JSON endpoints on a loopback
 // listener:
 //
-//	GET  /v1/plan       -> Plan (the resolved pipeline configuration)
+//	GET  /v1/plan       -> the supervisor's plan bytes, served verbatim
 //	POST /v1/lease      {"worker":W}                          -> leaseResp
 //	POST /v1/heartbeat  {"lease":L}                           -> ackResp
 //	POST /v1/complete   {"lease":L,"unit":U,"sum":S,"err":E}  -> ackResp
 //
-// Workers are stateless against it: everything a worker holds is its
-// current lease, so a restarted worker just starts leasing again.
+// The plan is opaque here: the supervisor's caller serializes its run
+// description and the worker's caller decodes it, so this package names
+// no pipeline setting. Workers are stateless against the protocol:
+// everything a worker holds is its current lease, so a restarted worker
+// just starts leasing again.
 
 type leaseReq struct {
 	Worker string `json:"worker"`
@@ -58,7 +61,7 @@ type ackResp struct {
 // listener. Close stops the listener; in-flight handlers finish.
 type Coordinator struct {
 	tracker *Tracker
-	plan    Plan
+	plan    json.RawMessage
 	ln      net.Listener
 	srv     *http.Server
 	wg      sync.WaitGroup
@@ -66,8 +69,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator binds a loopback listener and starts serving the lease
-// protocol over tracker.
-func NewCoordinator(tracker *Tracker, plan Plan) (*Coordinator, error) {
+// protocol over tracker, with plan as the /v1/plan body.
+func NewCoordinator(tracker *Tracker, plan json.RawMessage) (*Coordinator, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("shard: listen: %w", err)
@@ -108,7 +111,8 @@ func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, c.plan)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(c.plan)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -180,22 +184,21 @@ func NewClient(addr string) *Client {
 	}
 }
 
-// FetchPlan retrieves the supervisor's resolved pipeline configuration.
-func (c *Client) FetchPlan(ctx context.Context) (Plan, error) {
-	var p Plan
+// FetchPlan retrieves the supervisor's plan bytes.
+func (c *Client) FetchPlan(ctx context.Context) (json.RawMessage, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/plan", nil)
 	if err != nil {
-		return p, err
+		return nil, err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return p, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return p, fmt.Errorf("shard: plan: %s", resp.Status)
+		return nil, fmt.Errorf("shard: plan: %s", resp.Status)
 	}
-	return p, json.NewDecoder(resp.Body).Decode(&p)
+	return io.ReadAll(resp.Body)
 }
 
 func (c *Client) post(ctx context.Context, path string, in, out any) error {

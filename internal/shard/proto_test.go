@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -15,7 +17,9 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 		RetryBackoff: 10 * time.Millisecond,
 		Metrics:      reg,
 	})
-	plan := Plan{Seed: 42, Scale: "Tiny", Runs: 24, CacheDir: "/tmp/x"}
+	// The plan is opaque to this package: whatever bytes the supervisor
+	// hands in are what every worker fetches.
+	plan := json.RawMessage(`{"Options":{"Runs":24},"CacheDir":"cache"}`)
 	coord, err := NewCoordinator(tr, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -29,8 +33,8 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != plan {
-		t.Fatalf("plan round trip = %+v, want %+v", got, plan)
+	if !bytes.Equal(got, plan) {
+		t.Fatalf("plan round trip = %s, want %s", got, plan)
 	}
 
 	g, err := c.Lease(ctx, "w0")
@@ -58,7 +62,7 @@ func TestClientLoopDrainsTracker(t *testing.T) {
 		RetryBackoff: 10 * time.Millisecond,
 		Metrics:      reg,
 	})
-	coord, err := NewCoordinator(tr, Plan{})
+	coord, err := NewCoordinator(tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func TestClientLoopIsolatesExecutorPanic(t *testing.T) {
 		RetryBackoff: time.Millisecond,
 		Metrics:      reg,
 	})
-	coord, err := NewCoordinator(tr, Plan{})
+	coord, err := NewCoordinator(tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ const (
 // Unit is one shard work unit. Units are content-addressed: the ID is a
 // pure function of the unit's coordinates, and the unit's result is the
 // artifact-store entries those coordinates key — two runs of the same
-// unit under the same Plan produce byte-identical artifacts.
+// unit under the same plan produce byte-identical artifacts.
 type Unit struct {
 	// Kind selects the unit family.
 	Kind UnitKind `json:"kind"`
@@ -104,27 +104,4 @@ func (u Unit) ID() string {
 	default:
 		return fmt.Sprintf("%s/%s", u.Kind, u.Level)
 	}
-}
-
-// Plan is everything a worker process needs to reproduce the
-// supervisor's pipeline configuration bit for bit: the resolved (post
-// -quick/-full preset) option and config values that shape artifact
-// provenance keys. A worker builds its own substrate from the Plan, so
-// the only shared state between processes is the cache directory.
-type Plan struct {
-	Seed             uint64  `json:"seed"`
-	Scale            string  `json:"scale"`
-	Runs             int     `json:"runs"`
-	RandomOperands   int     `json:"random_operands"`
-	WorkloadOperands int     `json:"workload_operands"`
-	DASample         int     `json:"da_sample"`
-	Workers          int     `json:"workers"`
-	TimeoutFactor    float64 `json:"timeout_factor"`
-	Timing           string  `json:"timing"`
-	ScreenEnabled    bool    `json:"screen_enabled"`
-	ScreenGuardband  float64 `json:"screen_guardband"`
-	ScreenValidate   bool    `json:"screen_validate"`
-	// CacheDir is the shared artifact store directory — the rendezvous
-	// point for every unit result.
-	CacheDir string `json:"cache_dir"`
 }

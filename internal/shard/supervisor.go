@@ -3,6 +3,7 @@ package shard
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os/exec"
@@ -98,9 +99,10 @@ type Supervisor struct {
 	mSpawns, mRestarts *obs.Counter
 }
 
-// NewSupervisor builds the tracker and coordinator for units under cfg.
-// Run starts the workers.
-func NewSupervisor(units []Unit, plan Plan, cfg SupervisorConfig) (*Supervisor, error) {
+// NewSupervisor builds the tracker and coordinator for units under cfg;
+// plan is the opaque run description every worker fetches. Run starts
+// the workers.
+func NewSupervisor(units []Unit, plan json.RawMessage, cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}

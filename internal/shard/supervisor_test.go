@@ -85,7 +85,7 @@ func newTestSupervisor(t *testing.T, units []Unit, mutate func(*SupervisorConfig
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	s, err := NewSupervisor(units, Plan{}, cfg)
+	s, err := NewSupervisor(units, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
