@@ -122,7 +122,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := power.Characterize(f.FPU, intU, 120, f.Cfg.Seed^0x90AE)
+	prof, err := power.Characterize(ctx, f.FPU, intU, 120, f.Cfg.Seed^0x90AE, f.Cfg.Workers)
+	if err != nil {
+		log.Fatal(err)
+	}
 	base := prof.WorkloadBreakdown(tr)
 	var dupFJ float64
 	for _, op := range fpu.Ops() {

@@ -187,20 +187,6 @@ func (f *Framework) noteSaveErr(err error) {
 	})
 }
 
-// randomPairs draws uniformly distributed operand encodings for an op.
-func randomPairs(op fpu.Op, n int, src *prng.Source) []dta.Pair {
-	w := op.OperandWidth()
-	mask := ^uint64(0)
-	if w < 64 {
-		mask = 1<<uint(w) - 1
-	}
-	pairs := make([]dta.Pair, n)
-	for i := range pairs {
-		pairs[i] = dta.Pair{A: src.Uint64() & mask, B: src.Uint64() & mask}
-	}
-	return pairs
-}
-
 // RandomSummariesCtx runs (or returns cached) DTA over uniformly random
 // operands for every instruction type at the level — the IA model's
 // characterization and Figure 7's data. Each op's operand stream is
@@ -237,61 +223,67 @@ func (f *Framework) randomSummaries(ctx context.Context, level vscale.VRLevel) (
 // the full loop writes, so a prewarmed store makes the in-process loop a
 // pure cache read.
 func (f *Framework) RandomSummaryOpCtx(ctx context.Context, level vscale.VRLevel, op fpu.Op) (*dta.Summary, error) {
-	scale := f.Volt.ScaleFor(level)
-	n := f.Cfg.RandomOperands
+	seed := f.Cfg.Seed ^ 0x1A5EED ^ hashString("random/"+op.String())
+	// DTA reads only the low OperandWidth bits of each operand.
+	return f.characterize(ctx, level, op, "random", opOperands(op, f.Cfg.RandomOperands), seed, func(rs *prng.Source) dta.Pair {
+		return dta.Pair{A: rs.Uint64(), B: rs.Uint64()}
+	})
+}
+
+// opOperands is op's share of a per-op operand budget n: the iterative
+// divider is ~50x slower to analyze, so it gets an eighth.
+func opOperands(op fpu.Op, n int) int {
 	if op == fpu.DDiv || op == fpu.SDiv {
-		n /= 8 // the iterative divider is ~50x slower to analyze
+		return n / 8
 	}
-	screened := f.screens(op, scale)
-	if screened && !f.Cfg.Screen.Validate {
-		return dta.ScreenedSummary(op, n), nil
+	return n
+}
+
+// characterize computes (or reloads from the artifact store) op's DTA
+// summary at a level over n operand pairs, each drawn by draw from one
+// source seeded with seed; source names the operands' origin in the
+// artifact key. An op the slack screen clears is reported error-free
+// without simulation, unless screen validation asks for the simulation
+// too.
+func (f *Framework) characterize(ctx context.Context, level vscale.VRLevel, op fpu.Op, source string, n int, seed uint64, draw func(rs *prng.Source) dta.Pair) (*dta.Summary, error) {
+	scale := f.Volt.ScaleFor(level)
+	m := f.Cfg.Metrics
+	screened := false
+	if f.Cfg.Screen.Enabled {
+		m.Counter(dta.MetricScreenChecked).Inc()
+		if screened = f.Cfg.Screen.Screens(f.FPU, op, scale); screened {
+			m.Counter(dta.MetricScreenedOps).Inc()
+			if !f.Cfg.Screen.Validate {
+				return dta.ScreenedSummary(op, n), nil
+			}
+		}
 	}
-	opSeed := f.Cfg.Seed ^ 0x1A5EED ^ hashString("random/"+op.String())
-	key := artifact.SummaryKey("random", op.String(), scale, opSeed, n, f.Cfg.Timing.Exact())
+	key := artifact.SummaryKey(source, op.String(), scale, seed, n, f.Cfg.Timing.Exact())
 	s := new(dta.Summary)
 	if !f.Cfg.Artifacts.Load(key, s) {
-		pairs := randomPairs(op, n, prng.New(opSeed))
-		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
+		pairs := make([]dta.Pair, n)
+		rs := prng.New(seed)
+		for i := range pairs {
+			pairs[i] = draw(rs)
+		}
+		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, m)
 		if err != nil {
 			return nil, err
 		}
 		s = dta.Summarize(op, recs)
 		f.noteSaveErr(f.Cfg.Artifacts.Save(key, s))
 	}
-	if err := f.validateScreen(screened, op, scale, s); err != nil {
-		return nil, err
+	// Validation mode: the STA bound guarantees zero faulty instructions,
+	// so any fault the simulation found is a soundness bug worth failing
+	// the run over.
+	if screened {
+		m.Counter(dta.MetricScreenValidated).Inc()
+		if s.Faulty != 0 {
+			return nil, fmt.Errorf("core: STA screen predicted %s error-free at delay scale %.6g (slack %.1f ps >= guardband %.1f ps), but simulation found %d/%d faulty instructions",
+				op, scale, dta.OpSlack(f.FPU, op, scale), f.Cfg.Screen.Guardband, s.Faulty, s.Total)
+		}
 	}
 	return s, nil
-}
-
-// screens evaluates (and counts) the slack screen for one op at a corner.
-func (f *Framework) screens(op fpu.Op, scale float64) bool {
-	if !f.Cfg.Screen.Enabled {
-		return false
-	}
-	m := f.Cfg.Metrics
-	m.Counter(dta.MetricScreenChecked).Inc()
-	if !f.Cfg.Screen.Screens(f.FPU, op, scale) {
-		return false
-	}
-	m.Counter(dta.MetricScreenedOps).Inc()
-	return true
-}
-
-// validateScreen cross-checks a screened op's simulated summary in
-// validation mode: the STA bound guarantees zero faulty instructions, so
-// any fault the simulation found is a soundness bug worth failing the run
-// over.
-func (f *Framework) validateScreen(screened bool, op fpu.Op, scale float64, s *dta.Summary) error {
-	if !screened || !f.Cfg.Screen.Validate {
-		return nil
-	}
-	f.Cfg.Metrics.Counter(dta.MetricScreenValidated).Inc()
-	if s.Faulty != 0 {
-		return fmt.Errorf("core: STA screen predicted %s error-free at delay scale %.6g (slack %.1f ps >= guardband %.1f ps), but simulation found %d/%d faulty instructions",
-			op, scale, dta.OpSlack(f.FPU, op, scale), f.Cfg.Screen.Guardband, s.Faulty, s.Total)
-	}
-	return nil
 }
 
 // WorkloadSummariesCtx runs DTA over operands extracted from the
@@ -327,39 +319,12 @@ func (f *Framework) WorkloadSummaryOpCtx(ctx context.Context, level vscale.VRLev
 	if len(pool) == 0 {
 		return nil, nil
 	}
-	scale := f.Volt.ScaleFor(level)
 	source := fmt.Sprintf("wl:%s:%#x", tr.Workload, tr.Fingerprint())
-	n := f.Cfg.WorkloadOperands
-	if op == fpu.DDiv || op == fpu.SDiv {
-		n /= 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	screened := f.screens(op, scale)
-	if screened && !f.Cfg.Screen.Validate {
-		return dta.ScreenedSummary(op, n), nil
-	}
-	opSeed := f.Cfg.Seed ^ 0x3A5EED ^ hashString(tr.Workload+"/"+op.String())
-	key := artifact.SummaryKey(source, op.String(), scale, opSeed, n, f.Cfg.Timing.Exact())
-	s := new(dta.Summary)
-	if !f.Cfg.Artifacts.Load(key, s) {
-		pairs := make([]dta.Pair, n)
-		rs := prng.New(opSeed)
-		for i := range pairs {
-			pairs[i] = pool[rs.Intn(len(pool))]
-		}
-		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
-		if err != nil {
-			return nil, err
-		}
-		s = dta.Summarize(op, recs)
-		f.noteSaveErr(f.Cfg.Artifacts.Save(key, s))
-	}
-	if err := f.validateScreen(screened, op, scale, s); err != nil {
-		return nil, err
-	}
-	return s, nil
+	seed := f.Cfg.Seed ^ 0x3A5EED ^ hashString(tr.Workload+"/"+op.String())
+	n := max(opOperands(op, f.Cfg.WorkloadOperands), 1)
+	return f.characterize(ctx, level, op, source, n, seed, func(rs *prng.Source) dta.Pair {
+		return pool[rs.Intn(len(pool))]
+	})
 }
 
 // CaptureTrace extracts the workload's operand trace (the model

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"teva/internal/fpu"
+	"teva/internal/guard"
 	"teva/internal/vscale"
 )
 
@@ -40,5 +41,17 @@ func TestAnalyzeStreamCtxMatchesUncanceledPath(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("record %d diverges under ctx path: %+v vs %+v", i, want[i], got[i])
 		}
+	}
+}
+
+// TestAnalyzeStreamShardPanicIsAnError: a panicking shard (here, an op
+// with no pipeline) is recovered at the shard boundary and returned as a
+// *guard.PanicError instead of killing the process.
+func TestAnalyzeStreamShardPanicIsAnError(t *testing.T) {
+	pairs := randPairs(fpu.DMul, 8, 5)
+	_, err := AnalyzeStream(context.Background(), testFPU, fpu.Op(fpu.NumOps),
+		1.0, EngineWide, pairs, 2, nil)
+	if !guard.IsPanic(err) {
+		t.Fatalf("want a *guard.PanicError, got %v", err)
 	}
 }

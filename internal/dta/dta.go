@@ -17,9 +17,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"teva/internal/fpu"
+	"teva/internal/guard"
 	"teva/internal/logicsim"
 	"teva/internal/obs"
 	"teva/internal/timingsim"
@@ -40,6 +42,8 @@ type Record struct {
 	// stage while executing this instruction, a dynamic-timing-slack
 	// diagnostic.
 	MaxArrivalPS float64
+	// EnergyFJ is the undervolted instance's switching energy, fJ.
+	EnergyFJ float64
 }
 
 // Erroneous reports whether the instruction suffered a timing error.
@@ -320,7 +324,7 @@ func (a *Analyzer) AnalyzeBatch(pairs []Pair, recs []Record) {
 		for i := lo; i < hi; i++ {
 			rec := &recs[i]
 			rec.A, rec.B = pairs[i].A, pairs[i].B
-			rec.Faulty, rec.MaxArrivalPS = a.faultyStep(pairs[i])
+			rec.Faulty, rec.MaxArrivalPS, rec.EnergyFJ = a.faultyStep(pairs[i])
 			rec.Mask = rec.Golden ^ rec.Faulty
 		}
 	}
@@ -380,11 +384,11 @@ func (a *Analyzer) goldenBatch(pairs []Pair, recs []Record) {
 
 // faultyBatch executes up to 64 consecutive instructions in the
 // undervolted domain with one wide walk per pipeline cycle, filling
-// recs[i].Faulty and recs[i].MaxArrivalPS. The transition history is the
-// exact serial one: lane L's previous stage input is lane L-1's current
-// one (the preceding instruction), realized by shifting each cycle's
-// input words up one lane with a.carry supplying lane 0 across batch
-// boundaries. Lanes past len(pairs) are forced transition-free so a
+// recs[i]'s Faulty, MaxArrivalPS and EnergyFJ. The transition history is
+// the exact serial one: lane L's previous stage input is lane L-1's
+// current one (the preceding instruction), realized by shifting each
+// cycle's input words up one lane with a.carry supplying lane 0 across
+// batch boundaries. Lanes past len(pairs) are forced transition-free so a
 // short batch costs (and records) nothing extra.
 func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 	a.haveHot = true
@@ -395,6 +399,7 @@ func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 	active := ^uint64(0) >> uint(64-n)
 	for i := range recs[:n] {
 		recs[i].MaxArrivalPS = 0
+		recs[i].EnergyFJ = 0
 	}
 	for ci := range a.stages {
 		cur := a.wordBuf[ci]
@@ -414,6 +419,7 @@ func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 			if wa := sm.WorstArrival[lane]; wa > recs[lane].MaxArrivalPS {
 				recs[lane].MaxArrivalPS = wa
 			}
+			recs[lane].EnergyFJ += sm.EnergyFJ[lane]
 		}
 		// Erroneously captured values feed the next stage, lane by lane.
 		copy(a.wordBuf[ci+1], sm.Captured)
@@ -429,9 +435,9 @@ func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 }
 
 // faultyStep executes one instruction in the undervolted domain on a
-// scalar engine, returning the captured result encoding and the worst
-// arrival observed.
-func (a *Analyzer) faultyStep(pair Pair) (faulty uint64, maxArrivalPS float64) {
+// scalar engine, returning the captured result encoding, the worst
+// arrival observed and the switching energy spent.
+func (a *Analyzer) faultyStep(pair Pair) (faulty uint64, maxArrivalPS, energyFJ float64) {
 	a.haveHot = true
 	lib := a.stages[0].N.Lib
 	inputArrival := lib.ClockToQ * a.scale
@@ -446,6 +452,7 @@ func (a *Analyzer) faultyStep(pair Pair) (faulty uint64, maxArrivalPS float64) {
 		if sample.WorstArrival > maxArrivalPS {
 			maxArrivalPS = sample.WorstArrival
 		}
+		energyFJ += sample.EnergyFJ
 		// The sample is only valid until the engine's next Run; copy the
 		// captured outputs into this cycle's reusable buffer before the
 		// next stage overwrites them.
@@ -453,7 +460,7 @@ func (a *Analyzer) faultyStep(pair Pair) (faulty uint64, maxArrivalPS float64) {
 		copy(a.prevIn[ci], faultyIn)
 		faultyIn = a.curOut[ci]
 	}
-	return logicsim.UnpackOutputs(faultyIn, 0, a.p.Op.ResultWidth()), maxArrivalPS
+	return logicsim.UnpackOutputs(faultyIn, 0, a.p.Op.ResultWidth()), maxArrivalPS, energyFJ
 }
 
 // packInputs builds the rank-0 input vector into the reusable a.inBuf.
@@ -487,12 +494,20 @@ const (
 const cancelChunk = 256
 
 // AnalyzeStream runs DTA over a stream of operand pairs at delay scale
-// scale, sharding across workers (<= 0 means GOMAXPROCS). Pipeline
-// history couples consecutive pairs, so every shard but the first warms
-// up on the previous shard's last pair — the same transition a strictly
-// serial run would see at that position — which makes the returned
-// records identical for any worker count. Results are returned in input
-// order.
+// scale, sharding across workers (<= 0 means GOMAXPROCS). Results are
+// returned in input order and are identical for any worker count.
+//
+// Pipeline history couples consecutive pairs, so each shard but the
+// first speculatively warms up on the previous shard's last pair. That
+// reproduces the serial stage-0 transition but not always the deeper
+// stages' history: a warm-up from a cold pipeline can capture different
+// (late) values than the serial run did at that point. Each shard
+// therefore records the faulty-domain history it started from and the
+// one it ended with; after the join, any shard whose start differs from
+// its predecessor's end is re-run from that end, in stream order.
+//
+// Shards run behind guard's panic barrier: a panicking shard surfaces as
+// a *guard.PanicError instead of killing the process.
 //
 // Every shard checks ctx between cancelChunk-sized batches and abandons
 // the remainder once ctx is done. On cancellation the partially filled
@@ -516,42 +531,39 @@ func AnalyzeStream(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, en
 	}
 	sp := m.Phase("dta")
 	chunk := (len(pairs) + workers - 1) / workers
-	shards := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		if lo >= hi {
-			break
-		}
-		shards++
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
+	var shards []shard
+	for lo := 0; lo < len(pairs); lo += chunk {
+		shards = append(shards, shard{lo: lo, hi: min(lo+chunk, len(pairs))})
+	}
+	var (
+		wg   sync.WaitGroup
+		sink guard.Sink
+	)
+	for i := range shards {
+		sh := &shards[i]
+		guard.Go(&wg, &sink, fmt.Sprintf("dta %s shard %d", op, i), func() error {
 			a, pool := getAnalyzer(f, op, scale, eng)
 			defer pool.Put(a)
-			if lo > 0 {
-				// Reproduce the serial history at the shard boundary: the
-				// transition into pairs[lo] starts from the previous pair,
-				// not from a pairs[lo]→pairs[lo] self-transition.
-				a.Warm(pairs[lo-1])
+			if sh.lo > 0 {
+				a.Warm(pairs[sh.lo-1])
+				sh.start = a.history(nil)
 			}
-			for s := lo; s < hi; s += cancelChunk {
-				if ctx.Err() != nil {
-					return
-				}
-				e := s + cancelChunk
-				if e > hi {
-					e = hi
-				}
-				a.AnalyzeBatch(pairs[s:e], records[s:e])
-			}
-		}(lo, hi)
+			sh.run(ctx, a, pairs, records)
+			return nil
+		})
 	}
 	wg.Wait()
+	if err := sink.Join(); err != nil {
+		return records, err
+	}
+	for i := 1; i < len(shards) && ctx.Err() == nil; i++ {
+		if prev := shards[i-1].end; !slices.Equal(shards[i].start, prev) {
+			a, pool := getAnalyzer(f, op, scale, eng)
+			a.setHistory(prev)
+			shards[i].run(ctx, a, pairs, records)
+			pool.Put(a)
+		}
+	}
 	sp.End()
 	if err := ctx.Err(); err != nil {
 		return records, err
@@ -571,9 +583,65 @@ func AnalyzeStream(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, en
 		m.Counter(MetricPairs).Add(int64(len(pairs)))
 		m.Counter(MetricCycles).Add(int64(len(pairs) * cyclesPerPair))
 		m.Counter(MetricViolations).Add(violations)
-		m.Counter(MetricShards).Add(int64(shards))
+		m.Counter(MetricShards).Add(int64(len(shards)))
 	}
 	return records, nil
+}
+
+// shard is one contiguous slice [lo, hi) of an AnalyzeStream, with the
+// faulty-domain history it started from (nil for the stream's head) and
+// the one it ended with.
+type shard struct {
+	lo, hi     int
+	start, end []uint64
+}
+
+// run analyzes the shard's pairs on a into records, checking ctx between
+// cancelChunk-sized batches, and records the history it ends with.
+func (sh *shard) run(ctx context.Context, a *Analyzer, pairs []Pair, records []Record) {
+	for s := sh.lo; s < sh.hi; s += cancelChunk {
+		if ctx.Err() != nil {
+			return
+		}
+		e := min(s+cancelChunk, sh.hi)
+		a.AnalyzeBatch(pairs[s:e], records[s:e])
+	}
+	sh.end = a.history(sh.end[:0])
+}
+
+// history appends the analyzer's faulty-domain pipeline history — every
+// expanded cycle's previous stage input, which the next instruction's
+// transitions start from — to dst: the wide engine's lane-0 carries, or
+// the scalar engines' previous-input bits.
+func (a *Analyzer) history(dst []uint64) []uint64 {
+	for _, c := range a.carry {
+		dst = append(dst, c...)
+	}
+	for _, p := range a.prevIn {
+		for _, b := range p {
+			v := uint64(0)
+			if b {
+				v = 1
+			}
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// setHistory loads a history captured by history into a and marks it
+// warm, so its next instruction transitions from that exact state.
+func (a *Analyzer) setHistory(h []uint64) {
+	for _, c := range a.carry {
+		h = h[copy(c, h):]
+	}
+	for _, p := range a.prevIn {
+		for i := range p {
+			p[i] = h[i] == 1
+		}
+		h = h[len(p):]
+	}
+	a.haveHot = true
 }
 
 // Summary aggregates a record set into the statistics the error models are

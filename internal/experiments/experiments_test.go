@@ -10,7 +10,10 @@ import (
 
 	"teva/internal/campaign"
 	"teva/internal/core"
+	"teva/internal/dta"
 	"teva/internal/errmodel"
+	"teva/internal/fpu"
+	"teva/internal/prng"
 	"teva/internal/vscale"
 	"teva/internal/workloads"
 )
@@ -576,5 +579,42 @@ func TestAdderAblation(t *testing.T) {
 	RenderAdders(&buf, rows)
 	if !strings.Contains(buf.String(), "hybrid") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// TestFixedHistoryMatchesSerialLoop: the fixed-history half of the
+// ablation runs as one interleaved DTA stream, sharded over workers, and
+// must reproduce record for record an analyzer that re-warms with the
+// reference pair before every instruction.
+func TestFixedHistoryMatchesSerialLoop(t *testing.T) {
+	scale := testEnv.F.Volt.ScaleFor(vscale.VR20)
+	ref := dta.Pair{A: 0x3FF0000000000000, B: 0x3FF0000000000000}
+	for _, eng := range []dta.Engine{dta.EngineWide, dta.EngineExact} {
+		n := 300
+		if eng == dta.EngineExact {
+			if testing.Short() {
+				continue
+			}
+			n = 40
+		}
+		e := NewEnv(&core.Framework{Cfg: core.Config{Timing: eng, Workers: 3}, FPU: testEnv.F.FPU}, testEnv.Opts)
+		for _, op := range []fpu.Op{fpu.DMul, fpu.DSub, fpu.DAdd} {
+			src := prng.New(uint64(op) + 1)
+			pairs := make([]dta.Pair, n)
+			for i := range pairs {
+				pairs[i] = dta.Pair{A: src.Uint64(), B: src.Uint64()}
+			}
+			got, err := fixedHistoryRecords(e, op, scale, pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := dta.New(testEnv.F.FPU, op, scale, eng)
+			for i, p := range pairs {
+				a.Warm(ref)
+				if want := a.Analyze(p); got[i] != want {
+					t.Fatalf("%s %s: record %d:\n  stream %+v\n  serial %+v", eng, op, i, got[i], want)
+				}
+			}
+		}
 	}
 }

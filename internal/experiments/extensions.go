@@ -105,7 +105,10 @@ func Power(e *Env) (*PowerResult, error) {
 	if samples < 40 {
 		samples = 40
 	}
-	prof := power.Characterize(e.F.FPU, intU, samples, e.F.Cfg.Seed^0x90AE)
+	prof, err := power.Characterize(e.ctx, e.F.FPU, intU, samples, e.F.Cfg.Seed^0x90AE, e.F.Cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
 	res := &PowerResult{Profile: prof, PerWorkload: make(map[string]power.Breakdown)}
 	ws, err := e.Workloads()
 	if err != nil {
@@ -163,7 +166,6 @@ func HistoryAblation(e *Env, level vscale.VRLevel) ([]HistoryRow, error) {
 	}
 	var rows []HistoryRow
 	for _, op := range []fpu.Op{fpu.DMul, fpu.DSub, fpu.DAdd} {
-		op := op
 		src := e.rng("history/" + op.String())
 		pairs := make([]dta.Pair, n)
 		for i := range pairs {
@@ -177,17 +179,9 @@ func HistoryAblation(e *Env, level vscale.VRLevel) ([]HistoryRow, error) {
 			return nil, err
 		}
 		fixed, err := e.cachedSummary("history/fixed/"+level.Name, op, scale, n, func() (*dta.Summary, error) {
-			// Fixed history: re-warm the analyzer with the same reference
-			// pair before every instruction.
-			recs := make([]dta.Record, len(pairs))
-			a := dta.New(e.F.FPU, op, scale, e.F.Cfg.Timing)
-			ref := dta.Pair{A: 0x3FF0000000000000, B: 0x3FF0000000000000} // 1.0, 1.0
-			for i, p := range pairs {
-				if err := e.ctx.Err(); err != nil {
-					return nil, err
-				}
-				a.Warm(ref)
-				recs[i] = a.Analyze(p)
+			recs, err := fixedHistoryRecords(e, op, scale, pairs)
+			if err != nil {
+				return nil, err
 			}
 			return dta.Summarize(op, recs), nil
 		})
@@ -201,6 +195,21 @@ func HistoryAblation(e *Env, level vscale.VRLevel) ([]HistoryRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// fixedHistoryRecords analyzes every pair right after a fixed reference
+// instruction, as one interleaved stream [ref, p0, ref, p1, ...].
+func fixedHistoryRecords(e *Env, op fpu.Op, scale float64, pairs []dta.Pair) ([]dta.Record, error) {
+	ref := dta.Pair{A: 0x3FF0000000000000, B: 0x3FF0000000000000} // 1.0, 1.0
+	stream := make([]dta.Pair, 0, 2*len(pairs))
+	for _, p := range pairs {
+		stream = append(stream, ref, p)
+	}
+	recs, err := dta.AnalyzeStream(e.ctx, e.F.FPU, op, scale, e.F.Cfg.Timing, stream, e.F.Cfg.Workers, nil)
+	for i := range pairs {
+		recs[i] = recs[2*i+1]
+	}
+	return recs[:len(pairs)], err
 }
 
 // RenderHistory prints the ablation.

@@ -20,18 +20,33 @@ import (
 )
 
 func TestForEachLimitFailsFast(t *testing.T) {
+	const workers = 4
+	// Tasks after the failing one block until the fail-fast cancel
+	// reaches them, so the bound below holds however the goroutines are
+	// scheduled: tasks 0-3 plus at most one blocked task per other worker.
+	// The deadline turns a fail-fast that never cancels into a failure
+	// instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	var executed atomic.Int64
-	err := forEachLimit(context.Background(), nil, 4, 1000, func(ctx context.Context, i int) error {
+	err := forEachLimit(ctx, nil, workers, 1000, func(ctx context.Context, i int) error {
 		executed.Add(1)
-		if i == 3 {
+		switch {
+		case i == 3:
 			return errors.New("hard failure in task 3")
+		case i > 3:
+			<-ctx.Done()
+			return ctx.Err()
 		}
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "task 3") {
 		t.Fatalf("missing root cause: %v", err)
 	}
-	if n := executed.Load(); n >= 1000 || n > 100 {
+	if errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("fail-fast never canceled the in-flight tasks: %v", err)
+	}
+	if n := executed.Load(); n > 4+workers-1 {
 		t.Fatalf("fail-fast still executed %d of 1000 tasks", n)
 	}
 }
@@ -298,6 +313,7 @@ func TestExtensionExperimentsHonorCanceledContext(t *testing.T) {
 	for name, run := range map[string]func(*Env) error{
 		"fig6":    func(e *Env) error { _, err := Fig6(e); return err },
 		"sources": func(e *Env) error { _, err := Sources(e); return err },
+		"power":   func(e *Env) error { _, err := Power(e); return err },
 		"history": func(e *Env) error { _, err := HistoryAblation(e, e.Levels()[0]); return err },
 		"process": func(e *Env) error { _, err := ProcessVariation(e, 1, 0.05); return err },
 		"validate": func(e *Env) error {

@@ -243,11 +243,12 @@ func TestSimPurityAllowlist(t *testing.T) {
 // TestPanicBarrierPathGate loads the panicbarrier fixture under paths
 // outside the guarded worker-pool packages: the same raw go statements
 // that fire under internal/experiments must stay silent everywhere else
-// (and under internal/campaign they must fire again).
+// (and under internal/campaign or internal/dta they must fire again).
 func TestPanicBarrierPathGate(t *testing.T) {
 	l := newTestLoader(t)
 	for asPath, wantFindings := range map[string]int{
-		"teva/internal/dta/lintfixture":      0,
+		"teva/internal/power/lintfixture":    0,
+		"teva/internal/dta/lintfixture":      2,
 		"teva/internal/campaign/lintfixture": 2,
 		"teva/internal/sta/lintfixture":      2,
 		"teva/internal/shard/lintfixture":    2,

@@ -14,7 +14,8 @@ import (
 // failure mode the fault-tolerant pipeline exists to prevent. The STA
 // level workers are under the same rule: a panic in a level chunk must
 // surface as the analysis's own panic after the join, not as a process
-// abort from an anonymous goroutine.
+// abort from an anonymous goroutine. So are the DTA stream shards: a
+// panicking shard must reach AnalyzeStream's caller as an error.
 func PanicBarrier() *Analyzer {
 	return &Analyzer{
 		Name: "panicbarrier",
@@ -32,6 +33,7 @@ var panicBarrierPaths = []string{
 	"internal/sta",
 	"internal/serve",
 	"internal/shard",
+	"internal/dta",
 }
 
 func runPanicBarrier(p *Package) []Finding {

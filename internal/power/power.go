@@ -1,9 +1,9 @@
 // Package power performs gate-level dynamic power analysis of the
 // generated units, substituting for the Cadence Voltus step of the
 // paper's flow (Section IV-B.1). Energy comes from switching activity:
-// operand streams are driven through the netlists with the timing engine
-// counting every gate-output transition weighted by the cell's
-// per-transition energy.
+// every gate-output transition costs the cell's per-transition energy.
+// FPU ops are DTA streams at the nominal corner, whose records carry the
+// energy; the integer ALU and AGU are driven through the fast engine.
 //
 // The analysis backs two of the paper's observations: floating-point
 // operations "emerge as a major contributor to the energy consumption
@@ -12,9 +12,11 @@
 package power
 
 import (
+	"context"
+
 	"teva/internal/alu"
+	"teva/internal/dta"
 	"teva/internal/fpu"
-	"teva/internal/logicsim"
 	"teva/internal/prng"
 	"teva/internal/timingsim"
 	"teva/internal/trace"
@@ -35,9 +37,9 @@ type Profile struct {
 	FPUGates, IntGates int
 }
 
-// Characterize measures per-op energies by driving `samples` random
-// operand pairs per instruction through the gate-level units.
-func Characterize(f *fpu.FPU, intU *alu.Unit, samples int, seed uint64) *Profile {
+// Characterize measures per-op energies over `samples` random operand
+// pairs per instruction, an FPU op's as one nominal-corner DTA stream.
+func Characterize(ctx context.Context, f *fpu.FPU, intU *alu.Unit, samples int, seed uint64, workers int) (*Profile, error) {
 	if samples < 2 {
 		samples = 2
 	}
@@ -48,63 +50,24 @@ func Characterize(f *fpu.FPU, intU *alu.Unit, samples int, seed uint64) *Profile
 		if op == fpu.DDiv || op == fpu.SDiv {
 			n = samples/8 + 2
 		}
-		p.PerOp[op] = opEnergy(f, op, n, src.Split())
+		// DTA reads only the low OperandWidth bits of each operand.
+		opSrc := src.Split()
+		pairs := make([]dta.Pair, n)
+		for i := range pairs {
+			pairs[i] = dta.Pair{A: opSrc.Uint64(), B: opSrc.Uint64()}
+		}
+		recs, err := dta.AnalyzeStream(ctx, f, op, 1.0, dta.EngineWide, pairs, workers, nil)
+		if err != nil {
+			return nil, err
+		}
+		var total float64 // record 0 only warms the pipeline from zero
+		for _, r := range recs[1:] {
+			total += r.EnergyFJ
+		}
+		p.PerOp[op] = total / float64(n-1)
 	}
 	p.IntOp = intEnergy(intU, samples, src.Split())
-	return p
-}
-
-// opEnergy runs back-to-back operations through every pipeline stage,
-// accumulating switching energy.
-func opEnergy(f *fpu.FPU, op fpu.Op, samples int, src *prng.Source) float64 {
-	pipe := f.Pipeline(op)
-	mask := ^uint64(0)
-	if w := op.OperandWidth(); w < 64 {
-		mask = 1<<uint(w) - 1
-	}
-	// Per expanded cycle: a fast timing engine and the previous input.
-	var sims []*timingsim.FastSim
-	var prevs [][]bool
-	for _, s := range pipe.Stages {
-		for r := 0; r < s.Repeat; r++ {
-			sims = append(sims, timingsim.NewFast(s.N.Compiled(), 1.0))
-			prevs = append(prevs, make([]bool, len(s.N.Inputs())))
-		}
-	}
-	var total float64
-	var counted int
-	for i := 0; i < samples; i++ {
-		a, b := src.Uint64()&mask, src.Uint64()&mask
-		in := packOperands(pipe, a, b)
-		ci := 0
-		var opEnergy float64
-		for _, s := range pipe.Stages {
-			for r := 0; r < s.Repeat; r++ {
-				sample := sims[ci].Run(prevs[ci], in, 0, timingsim.MaxDeadline)
-				opEnergy += sample.EnergyFJ
-				copy(prevs[ci], in)
-				in = append([]bool(nil), sample.Settled...)
-				ci++
-			}
-		}
-		if i > 0 { // the first op warms the pipeline from the zero state
-			total += opEnergy
-			counted++
-		}
-	}
-	return total / float64(counted)
-}
-
-// packOperands builds the rank-0 input vector for a pipeline.
-func packOperands(p *fpu.Pipeline, a, b uint64) []bool {
-	op := p.Op
-	in := make([]bool, len(p.Stages[0].N.Inputs()))
-	w := op.OperandWidth()
-	logicsim.PackInputs(in, 0, w, a)
-	if op.NumOperands() == 2 {
-		logicsim.PackInputs(in, w, w, b)
-	}
-	return in
+	return p, nil
 }
 
 // intEnergy measures the integer side: an ALU add plus an AGU add per

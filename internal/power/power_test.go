@@ -1,11 +1,15 @@
 package power
 
 import (
+	"context"
 	"testing"
 
 	"teva/internal/alu"
 	"teva/internal/cell"
 	"teva/internal/fpu"
+	"teva/internal/logicsim"
+	"teva/internal/prng"
+	"teva/internal/timingsim"
 	"teva/internal/trace"
 	"teva/internal/vscale"
 	"teva/internal/workloads"
@@ -32,7 +36,10 @@ func setup(t testing.TB) *Profile {
 		t.Fatal(err)
 	}
 	testFPU, testALU = f, u
-	testPro = Characterize(f, u, 40, 5)
+	testPro, err = Characterize(context.Background(), f, u, 40, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return testPro
 }
 
@@ -102,10 +109,78 @@ func TestAtVoltageQuadratic(t *testing.T) {
 
 func TestCharacterizeDeterministic(t *testing.T) {
 	p := setup(t)
-	p2 := Characterize(testFPU, testALU, 40, 5)
+	p2, err := Characterize(context.Background(), testFPU, testALU, 40, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for op := range p.PerOp {
 		if p.PerOp[op] != p2.PerOp[op] {
 			t.Fatal("characterization not reproducible")
 		}
 	}
+}
+
+// TestCharacterizeMatchesStageWalk: the DTA stream's per-record energy
+// must reproduce, bit for bit, a direct walk of back-to-back operations
+// through every expanded pipeline cycle on the scalar fast engine, each
+// stage fed the previous stage's settled outputs, the first operation
+// warming the pipeline from its zero state.
+func TestCharacterizeMatchesStageWalk(t *testing.T) {
+	setup(t)
+	for _, samples := range []int{17, 40} {
+		p, err := Characterize(context.Background(), testFPU, testALU, samples, 9, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := prng.New(9)
+		for _, op := range fpu.Ops() {
+			n := samples
+			if op == fpu.DDiv || op == fpu.SDiv {
+				n = samples/8 + 2
+			}
+			if want := stageWalkEnergy(testFPU, op, n, src.Split()); p.PerOp[op] != want {
+				t.Errorf("samples=%d %s: Characterize %v, stage walk %v", samples, op, p.PerOp[op], want)
+			}
+		}
+	}
+}
+
+// stageWalkEnergy is the reference per-op energy: samples back-to-back
+// operations driven cycle by cycle through the op's pipeline on one
+// FastSim per expanded cycle, averaged over all but the first.
+func stageWalkEnergy(f *fpu.FPU, op fpu.Op, samples int, src *prng.Source) float64 {
+	pipe := f.Pipeline(op)
+	mask := ^uint64(0)
+	if w := op.OperandWidth(); w < 64 {
+		mask = 1<<uint(w) - 1
+	}
+	var sims []*timingsim.FastSim
+	var prevs [][]bool
+	for _, s := range pipe.Stages {
+		for r := 0; r < s.Repeat; r++ {
+			sims = append(sims, timingsim.NewFast(s.N.Compiled(), 1.0))
+			prevs = append(prevs, make([]bool, len(s.N.Inputs())))
+		}
+	}
+	var total float64
+	for i := 0; i < samples; i++ {
+		a, b := src.Uint64()&mask, src.Uint64()&mask
+		in := make([]bool, len(pipe.Stages[0].N.Inputs()))
+		w := op.OperandWidth()
+		logicsim.PackInputs(in, 0, w, a)
+		if op.NumOperands() == 2 {
+			logicsim.PackInputs(in, w, w, b)
+		}
+		var opEnergy float64
+		for ci, sim := range sims {
+			sample := sim.Run(prevs[ci], in, 0, timingsim.MaxDeadline)
+			opEnergy += sample.EnergyFJ
+			copy(prevs[ci], in)
+			in = append([]bool(nil), sample.Settled...)
+		}
+		if i > 0 {
+			total += opEnergy
+		}
+	}
+	return total / float64(samples-1)
 }
