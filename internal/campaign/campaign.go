@@ -8,6 +8,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -475,6 +476,10 @@ func newRunner(spec Spec, g *Golden, tf float64) *runner {
 // fire, a run whose full state equals golden's at a checkpoint has the
 // golden suffix ahead of it, so it stops there as Masked: the outcome,
 // injection count and crash kind are exactly those of the full run.
+// Otherwise the run goes on without its injector: an exhausted one
+// answers 0 to every later writeback, so detaching it changes nothing but
+// the cost of building and offering each writeback event. The next run's
+// SetInjector re-arms the reused CPU.
 func (r *runner) run(c **cpu.CPU, i int) runOut {
 	src := prng.New(r.spec.Seed + uint64(i)*0x9E3779B97F4A7C15 + 1)
 	var inj cpu.Injector
@@ -514,9 +519,12 @@ func (r *runner) run(c **cpu.CPU, i int) runOut {
 			o.restored, o.skipped = k > 0, prefix
 			return o
 		}
-		if single.Exhausted(res) && (res.Injections == 0 || sim.Matches(rec, j)) {
-			return runOut{outcome: Masked, injections: res.Injections,
-				restored: k > 0, exited: true, skipped: prefix + r.g.instret - res.Instret}
+		if single.Exhausted(res) {
+			if res.Injections == 0 || sim.Matches(rec, j) {
+				return runOut{outcome: Masked, injections: res.Injections,
+					restored: k > 0, exited: true, skipped: prefix + r.g.instret - res.Instret}
+			}
+			sim.SetInjector(nil)
 		}
 	}
 }
@@ -532,27 +540,14 @@ func (r *runner) classify(c *cpu.CPU, res cpu.Result) runOut {
 		o.outcome = Timeout
 	default:
 		w := r.spec.Workload
-		if bytesEqual(c.Mem()[w.OutStart:w.OutStart+w.OutLen], r.g.out) &&
-			bytesEqual(c.Output(), r.g.console) {
+		if bytes.Equal(c.Mem()[w.OutStart:w.OutStart+w.OutLen], r.g.out) &&
+			bytes.Equal(c.Output(), r.g.console) {
 			o.outcome = Masked
 		} else {
 			o.outcome = SDC
 		}
 	}
 	return o
-}
-
-// bytesEqual avoids importing bytes for two call sites.
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the cell like the paper's Figure 9 bars.

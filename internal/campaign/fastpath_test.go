@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -45,8 +46,8 @@ func referenceRuns(t *testing.T, spec Spec, tf float64) []runOut {
 			o.outcome, o.crashKind = Crash, crashKind(r.Reason)
 		case r.Status == cpu.TimedOut:
 			o.outcome = Timeout
-		case bytesEqual(c.Mem()[w.OutStart:w.OutStart+w.OutLen], out) &&
-			bytesEqual(c.Output(), gc.Output()):
+		case bytes.Equal(c.Mem()[w.OutStart:w.OutStart+w.OutLen], out) &&
+			bytes.Equal(c.Output(), gc.Output()):
 			o.outcome = Masked
 		default:
 			o.outcome = SDC

@@ -8,10 +8,13 @@
 //
 // This is the gem5 substitute of the reproduction: a performance model,
 // not an RTL model — architectural state is computed functionally while
-// cycle counts come from the hazard/latency model. Floating-point
-// arithmetic uses the same bit-accurate flush-to-zero softfp semantics as
-// the gate-level FPU, so circuit-level bitmasks apply 1-to-1 to the
-// values the software layer observes. Injected corruption propagates
+// cycle counts come from the hazard/latency model. The 12 FPU-datapath
+// instructions produce exactly the gate-level FPU's flush-to-zero,
+// round-to-nearest-even results, so circuit-level bitmasks apply 1-to-1
+// to the values the software layer observes. Each is computed with one
+// host IEEE-754 operation where that result provably equals softfp's
+// (normal operands and a result clear of the FTZ boundary; see nativeFP)
+// and with softfp otherwise. Injected corruption propagates
 // architecturally: corrupted indexes cause memory faults (Crash),
 // corrupted loop bounds cause livelock (Timeout), corrupted data causes
 // silent output corruption (SDC), and corrupted-but-dead values are
@@ -749,9 +752,9 @@ func (c *CPU) execFP(in isa.Inst) bool {
 	return true
 }
 
-// execFPUDatapath executes one of the 12 modelled FPU instructions with
-// softfp (bit-identical to the gate-level golden model) and offers the
-// writeback to the injector.
+// execFPUDatapath executes one of the 12 modelled FPU instructions
+// (bit-identical to the gate-level golden model; see goldenWithFlags) and
+// offers the writeback to the injector.
 func (c *CPU) execFPUDatapath(in isa.Inst, op fpu.Op) bool {
 	var a, b uint64
 	if op == fpu.DI2F || op == fpu.SI2F {
@@ -806,9 +809,20 @@ func widthMask(w int) uint64 {
 	return 1<<uint(w) - 1
 }
 
-// goldenWithFlags computes the softfp result and whether the operation is
-// invalid (the trap condition).
+// goldenWithFlags computes the result the gate-level FPU produces and
+// whether the operation is invalid (the trap condition). That result is
+// softfp's flush-to-zero, round-to-nearest-even one; nativeFP supplies it
+// with one host IEEE operation wherever the two provably agree, and every
+// other case, including every invalid one, takes the softfp call.
 func goldenWithFlags(op fpu.Op, a, b uint64) (uint64, bool) {
+	if r, ok := nativeFP(op, a, b); ok {
+		return r, false
+	}
+	return softfpWithFlags(op, a, b)
+}
+
+// softfpWithFlags is op's softfp result and whether it raised invalid.
+func softfpWithFlags(op fpu.Op, a, b uint64) (uint64, bool) {
 	f := op.Format()
 	var r uint64
 	var fl softfp.Flags
@@ -829,3 +843,84 @@ func goldenWithFlags(op fpu.Op, a, b uint64) (uint64, bool) {
 	}
 	return r, fl.Has(softfp.FlagInvalid)
 }
+
+// nativeFP computes op with one host IEEE-754 operation and reports
+// whether that result is bit-identical to softfp's. Both round to nearest
+// even, so they differ only where FTZ does:
+//   - add, sub, mul and div qualify when both operands are normal and the
+//     host result's biased exponent lies in [2, max-1]. A result that
+//     rounds to exponent 1 is excluded: softfp rounds a subnormal exact
+//     value at full precision before flushing, so where the host rounds
+//     up to the smallest normal, softfp can give zero. Normal operands
+//     never raise invalid;
+//   - i2f always qualifies (exact for binary64, correctly rounded for
+//     binary32);
+//   - f2i qualifies for normal operands strictly inside (-2^31, 2^31),
+//     where both truncate toward zero without saturating.
+func nativeFP(op fpu.Op, a, b uint64) (uint64, bool) {
+	switch op {
+	case fpu.DAdd, fpu.DSub, fpu.DMul, fpu.DDiv:
+		if !normal64(a) || !normal64(b) {
+			return 0, false
+		}
+		x, y := math.Float64frombits(a), math.Float64frombits(b)
+		var z float64
+		switch op {
+		case fpu.DAdd:
+			z = x + y
+		case fpu.DSub:
+			z = x - y
+		case fpu.DMul:
+			z = x * y
+		default:
+			z = x / y
+		}
+		r := math.Float64bits(z)
+		if e := r >> 52 & 0x7ff; e < 2 || e == 0x7ff {
+			return 0, false
+		}
+		return r, true
+	case fpu.SAdd, fpu.SSub, fpu.SMul, fpu.SDiv:
+		if !normal32(a) || !normal32(b) {
+			return 0, false
+		}
+		x, y := math.Float32frombits(uint32(a)), math.Float32frombits(uint32(b))
+		var z float32
+		switch op {
+		case fpu.SAdd:
+			z = x + y
+		case fpu.SSub:
+			z = x - y
+		case fpu.SMul:
+			z = x * y
+		default:
+			z = x / y
+		}
+		r := math.Float32bits(z)
+		if e := r >> 23 & 0xff; e < 2 || e == 0xff {
+			return 0, false
+		}
+		return uint64(r), true
+	case fpu.DI2F:
+		return math.Float64bits(float64(int32(uint32(a)))), true
+	case fpu.SI2F:
+		return uint64(math.Float32bits(float32(int32(uint32(a))))), true
+	case fpu.DF2I:
+		// Biased exponent 1023+31 is 2^31; below it |x| < 2^31.
+		if !normal64(a) || a>>52&0x7ff >= 1023+31 {
+			return 0, false
+		}
+		return uint64(uint32(int32(math.Float64frombits(a)))), true
+	case fpu.SF2I:
+		if !normal32(a) || a>>23&0xff >= 127+31 {
+			return 0, false
+		}
+		return uint64(uint32(int32(math.Float32frombits(uint32(a))))), true
+	}
+	return 0, false
+}
+
+// normal64 and normal32 report whether an encoding is a normal number:
+// biased exponent in [1, max-1]. normal32 reads the low 32 bits.
+func normal64(x uint64) bool { e := x >> 52 & 0x7ff; return e != 0 && e != 0x7ff }
+func normal32(x uint64) bool { e := x >> 23 & 0xff; return e != 0 && e != 0xff }
