@@ -151,7 +151,7 @@ func main() {
 }
 
 // newMetrics builds the run's registry with a real monotonic clock; the
-// simulation packages only ever see the injected closure (simpurity bans
+// simulation packages only ever see the injected closure (detflow bans
 // direct time reads there).
 func newMetrics() *obs.Registry {
 	start := time.Now()

@@ -1,7 +1,10 @@
 // Command teva-vet runs TEVA's domain-specific static analyzers over the
 // repo. It enforces the invariants the experiment pipeline's determinism
 // guarantee rests on — see the internal/lint package documentation and
-// the "Static invariants" section of DESIGN.md.
+// the "Static invariants" section of DESIGN.md. There are eight analyzers
+// (-list prints them): five per-site checks (opcodeswitch, floateq,
+// obsnames, panicbarrier, sampleretain) and three interprocedural ones
+// (detflow, ctxflow, hotalloc).
 //
 // Usage:
 //

@@ -173,7 +173,7 @@ func (OSFS) SweepTmp(dir string, age time.Duration) int {
 	}
 	// File mtimes are wall-clock by nature; the sweep only removes debris
 	// and never feeds a simulation result, so the clock read is harmless.
-	cutoff := time.Now().Add(-age) //teva:allow simpurity -- mtime-based debris sweep, no result dataflow
+	cutoff := time.Now().Add(-age) //teva:allow detflow -- mtime-based debris sweep, no result dataflow
 	swept := 0
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasPrefix(e.Name(), ".tmp-") {

@@ -3,27 +3,36 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
-// DetFlow is the interprocedural determinism-taint analyzer: it reports
-// paths from nondeterminism sources (wall clock, environment, unseeded
-// math/rand, map-iteration order escaping a function, goroutine
-// completion order) into determinism sinks — artifact payloads, CSV and
-// stdout/report writers, and obs metric updates. The byte-identical
-// output guarantee (DESIGN.md) holds only if every value written through
-// those sinks is a pure function of inputs and seeds; this analyzer is
-// the compile-time twin of the chaos byte-diff tests.
+// DetFlow is the determinism analyzer. The byte-identical output
+// guarantee (DESIGN.md) holds only if every value written to persisted or
+// compared output is a pure function of inputs and seeds, and it enforces
+// that three ways:
 //
-// Function summaries make the check whole-repo: a sink argument computed
-// by experiments code that (through campaign and dta) ends in time.Now is
-// reported with the full call chain as a witness. cmd/ binaries are
-// exempt — progress logs and exit summaries legitimately read the clock;
-// the experiment data they orchestrate must not.
+//   - Source uses. Inside the simulation packages (teva/internal/...,
+//     except the seedable internal/prng itself) every wall-clock read,
+//     environment read and math/rand import is reported where it occurs,
+//     package-level initializers included.
+//   - Map-range order. In every package, an unsorted append, a write to
+//     an output sink or a float accumulation inside a map range is
+//     reported where it occurs; the collect-keys-then-sort idiom is clean.
+//   - Source→sink flow. Inside teva/internal/..., a path from any of those
+//     sources (or goroutine completion order) into artifact payloads, CSV
+//     and stdout/report writers, or obs metric updates is reported.
+//     Function summaries make the check whole-repo: a sink argument
+//     computed by experiments code that (through campaign and dta) ends
+//     in time.Now is reported with the full call chain as a witness.
+//
+// cmd/ binaries are exempt from the first and third rules — progress logs
+// and exit summaries legitimately read the clock; the experiment data they
+// orchestrate must not.
 func DetFlow() *Analyzer {
 	return &Analyzer{
 		Name: "detflow",
-		Doc:  "nondeterministic values must not reach artifact payloads, CSV/report writers, or obs metrics",
+		Doc:  "clock/env/rand reads in sim packages, map-range order, and nondeterministic values reaching output",
 		Run:  runDetFlow,
 	}
 }
@@ -72,13 +81,14 @@ func sinkFor(c Call) *detSink {
 }
 
 func runDetFlow(p *Package) []Finding {
-	// Only experiment-side packages carry the determinism guarantee;
-	// cmd/ binaries own their progress output.
-	if !strings.HasPrefix(p.Path, "teva/internal/") {
-		return nil
+	// Only experiment-side packages carry the source and flow rules; cmd/
+	// binaries own their progress output.
+	sim := strings.HasPrefix(p.Path, "teva/internal/")
+	var out []Finding
+	if sim && !strings.Contains(p.Path+"/", "internal/prng/") {
+		out = sourceUses(p)
 	}
 	prog := program(p)
-	var out []Finding
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -90,8 +100,44 @@ func runDetFlow(p *Package) []Finding {
 			if fi == nil {
 				continue
 			}
-			out = append(out, detFlowFunc(p, prog, fi)...)
+			for _, s := range fi.Sources {
+				if s.MapRange {
+					out = append(out, p.finding("detflow", s.Node, "%s; iterate sorted keys, or collect and sort", s.Desc))
+				}
+			}
+			if sim {
+				out = append(out, detFlowFunc(p, prog, fi)...)
+			}
 		}
+	}
+	return out
+}
+
+// sourceUses reports every direct source use in the package's files: a
+// call the nondetSources table names, or the import of a package whose
+// every function is a source (its call sites are not reported again).
+func sourceUses(p *Package) []Finding {
+	var out []Finding
+	for _, file := range p.Files {
+		for _, imp := range file.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if names, ok := nondetSources[path]; err == nil && ok && names == nil {
+				out = append(out, p.finding("detflow", imp,
+					"import of %s in a simulation package; use the seedable internal/prng instead", path))
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			c := resolveCall(p, call)
+			if src := sourceCall(c); src != "" && nondetSources[c.Callee.Pkg().Path()] != nil {
+				out = append(out, p.finding("detflow", call,
+					"simulation package %s, which makes runs depend on the host; pass the value in explicitly", src))
+			}
+			return true
+		})
 	}
 	return out
 }
@@ -153,7 +199,7 @@ func taintedVars(p *Package, prog *Program, fi *FuncInfo) map[types.Object]strin
 		if !ok || !isBuiltin(p, call, "append") || len(call.Args) == 0 {
 			continue
 		}
-		if target := appendTarget(call); target != nil {
+		if target := rootIdent(call.Args[0]); target != nil {
 			mark(target, s.Desc)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // graph over every loaded package with one summary per function, plus the
 // fixed-point propagation the detflow/ctxflow/hotalloc analyzers query.
 //
-// The single-function analyzers (maporder, simpurity, ...) inspect one
+// The single-function analyzers (floateq, opcodeswitch, ...) inspect one
 // package at a time; the summary engine instead reasons about paths that
 // cross package boundaries — experiments → campaign → dta — the way
 // FastFlip composes per-section injection results into whole-program
@@ -70,9 +70,12 @@ type Call struct {
 // SourceUse is one direct nondeterminism source inside a function.
 type SourceUse struct {
 	Node ast.Node
-	// Desc names the source ("time.Now", "map-range order escaping into
-	// an appended slice", ...).
+	// Desc names the source ("calls time.Now", "appends in map-iteration
+	// order (unsorted)", ...).
 	Desc string
+	// MapRange marks an order-dependent effect inside a map range, which
+	// detflow reports where it occurs, sink or no sink.
+	MapRange bool
 }
 
 // AllocSite is one direct allocation (or unprovable construct) inside a
@@ -284,7 +287,11 @@ func collectFunc(p *Package, fd *ast.FuncDecl, obj *types.Func) *FuncInfo {
 				fi.DefaultsCtx = true
 			}
 		case *ast.RangeStmt:
-			collectRangeSources(p, fd.Body, n, fi)
+			scope := fd.Body
+			if lit := enclosingFunc(stack); lit != nil {
+				scope = funcBody(lit)
+			}
+			collectRangeSources(p, fd.Body, scope, n, fi)
 		}
 	})
 	collectAllocs(p, fd.Body, fi)
@@ -378,9 +385,11 @@ func isContextType(t types.Type) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-// nondetSources names the external calls treated as direct nondeterminism
-// sources by detflow: wall-clock reads, environment reads, and the global
-// (unseeded) math/rand streams.
+// nondetSources is the one table of direct nondeterminism sources:
+// wall-clock reads, environment reads, and the global (unseeded) math/rand
+// streams. detflow taints every value computed from them and, inside
+// simulation packages, reports each use where it occurs — the named call,
+// or the import line for a package whose every function is a source.
 var nondetSources = map[string]map[string]bool{
 	"time":         {"Now": true, "Since": true, "Until": true},
 	"os":           {"Getenv": true, "LookupEnv": true, "Environ": true},
@@ -404,34 +413,52 @@ func sourceCall(c Call) string {
 	return ""
 }
 
-// collectRangeSources records map-iteration order escaping the function
-// and goroutine-unordered channel collection as nondeterminism sources.
-func collectRangeSources(p *Package, body *ast.BlockStmt, rs *ast.RangeStmt, fi *FuncInfo) {
+// collectRangeSources records the order-dependent effects of one range
+// statement as sources. Inside a map range those are unsorted appends,
+// writes to an output sink and float accumulation (+= -= *= /=, whose
+// rounding depends on summation order); detflow reports each where it
+// occurs. Integer accumulation and map-to-map counting commute and are
+// not recorded. scope is the innermost function body around the range,
+// where a later sort clears an append (the collect-then-sort idiom).
+// Inside a channel range, appends collect goroutine results in completion
+// order — nondeterministic only when several goroutines feed the channel,
+// which the declaration body launching goroutines approximates.
+func collectRangeSources(p *Package, body, scope *ast.BlockStmt, rs *ast.RangeStmt, fi *FuncInfo) {
 	t := p.Info.TypeOf(rs.X)
 	if t == nil {
 		return
 	}
 	switch t.Underlying().(type) {
 	case *types.Map:
-		// Appending inside a map range without a later sort makes the
-		// slice's element order depend on map iteration — if that slice
-		// reaches a sink, the output is nondeterministic. The
-		// collect-then-sort idiom stays clean.
+		record := func(n ast.Node, desc string) {
+			fi.Sources = append(fi.Sources, SourceUse{Node: n, Desc: desc, MapRange: true})
+		}
 		ast.Inspect(rs.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isBuiltin(p, call, "append") || len(call.Args) == 0 {
-				return true
-			}
-			if target := appendTarget(call); target != nil && !sortedLater(p, body, target) {
-				fi.Sources = append(fi.Sources, SourceUse{Node: call,
-					Desc: "appends in map-iteration order (unsorted)"})
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				return !isMap(p, n.X) // a nested map range records its own
+			case *ast.AssignStmt:
+				switch n.Tok {
+				case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+					for _, lhs := range n.Lhs {
+						if t := p.Info.TypeOf(lhs); t != nil && isFloat(t) {
+							record(n, "accumulates floats in map-iteration order (the rounded result depends on it)")
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if isBuiltin(p, n, "append") && len(n.Args) > 0 {
+					if target := rootIdent(n.Args[0]); target != nil && !sortedLater(p, scope, target) {
+						record(n, "appends in map-iteration order (unsorted)")
+					}
+				}
+				if isEmissionCall(p, n) {
+					record(n, "writes output in map-iteration order")
+				}
 			}
 			return true
 		})
 	case *types.Chan:
-		// Ranging a channel and appending yields completion order — only
-		// nondeterministic when several goroutines feed the channel, which
-		// the enclosing function launching goroutines approximates.
 		if !launchesGoroutine(body) {
 			return
 		}
@@ -445,6 +472,88 @@ func collectRangeSources(p *Package, body *ast.BlockStmt, rs *ast.RangeStmt, fi 
 			return true
 		})
 	}
+}
+
+// isMap reports whether e is of map type.
+func isMap(p *Package, e ast.Expr) bool {
+	t := p.Info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// sortedLater reports whether the function body passes the appended slice
+// to a sort call.
+func sortedLater(p *Package, scope *ast.BlockStmt, target *ast.Ident) bool {
+	obj := p.Info.Uses[target]
+	if obj == nil {
+		obj = p.Info.Defs[target]
+	}
+	if obj == nil {
+		return false
+	}
+	sorted := false
+	ast.Inspect(scope, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || sorted || !isSortCall(p, call) {
+			return !sorted
+		}
+		for _, arg := range call.Args {
+			if root := rootIdent(arg); root != nil && p.Info.Uses[root] == obj {
+				sorted = true
+			}
+		}
+		return !sorted
+	})
+	return sorted
+}
+
+// sorters are the standard-library functions that reorder their slice
+// argument. Searches and IsSorted checks read a slice without sorting it.
+var sorters = map[string]map[string]bool{
+	"sort":   {"Sort": true, "Stable": true, "Strings": true, "Ints": true, "Float64s": true, "Slice": true, "SliceStable": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
+}
+
+// isSortCall recognizes the standard sorters and local helpers whose name
+// starts with "sort" (the repo's sortInts/sortedKeys style).
+func isSortCall(p *Package, call *ast.CallExpr) bool {
+	fun := call.Fun
+	if ix, ok := fun.(*ast.IndexExpr); ok { // generic instantiation, e.g. sortSlice[int](xs)
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
+	case *ast.SelectorExpr:
+		obj := p.Info.Uses[fun.Sel]
+		return obj != nil && obj.Pkg() != nil && sorters[obj.Pkg().Path()][fun.Sel.Name]
+	case *ast.Ident:
+		return strings.HasPrefix(strings.ToLower(fun.Name), "sort")
+	}
+	return false
+}
+
+// emissionMethods are method names treated as ordered output sinks.
+var emissionMethods = map[string]bool{
+	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
+	"WriteAll": true, "Encode": true, "Print": true, "Printf": true, "Println": true,
+}
+
+// isEmissionCall recognizes ordered-output calls: fmt print functions
+// and Write/Encode-style methods.
+func isEmissionCall(p *Package, call *ast.CallExpr) bool {
+	if pkgFunc(p, call, "fmt", "Fprint", "Fprintf", "Fprintln", "Print", "Printf", "Println") {
+		return true
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !emissionMethods[sel.Sel.Name] {
+		return false
+	}
+	// Only method calls (a receiver selection), not package-qualified
+	// functions from arbitrary packages.
+	_, isMethod := p.Info.Selections[sel]
+	return isMethod
 }
 
 // launchesGoroutine reports whether the body contains any go statement.

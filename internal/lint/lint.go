@@ -1,10 +1,12 @@
 // Package lint is TEVA's in-repo static-analysis suite. It machine-checks
 // the invariants the Go compiler cannot: the byte-for-byte reproducibility
-// guarantee of the experiment pipeline (no unordered map iteration feeding
-// ordered output, no unseeded randomness or wall-clock reads inside
-// simulation packages), exhaustive opcode dispatch in every engine, no
-// exact float equality outside approved comparators, and joined goroutines
-// in the worker pools. The suite is built purely on the standard library
+// guarantee of the experiment pipeline (detflow: no unordered map
+// iteration feeding ordered output, no unseeded randomness or wall-clock
+// reads inside simulation packages, no nondeterministic value reaching a
+// persisted or compared output), exhaustive opcode dispatch in every
+// engine, no exact float equality outside approved comparators, and
+// goroutines that are joined and, in the worker pools, panic-guarded
+// (panicbarrier). The suite is built purely on the standard library
 // (go/parser, go/ast, go/types) so the repo keeps its no-external-deps
 // rule, and runs as `go run ./cmd/teva-vet ./...` (wired into CI).
 //
@@ -56,11 +58,8 @@ type Analyzer struct {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		MapOrder(),
 		OpcodeSwitch(),
-		SimPurity(),
 		FloatEq(),
-		GoroutineHygiene(),
 		ObsNames(),
 		PanicBarrier(),
 		SampleRetain(),

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -77,9 +78,8 @@ func checkFixture(t *testing.T, p *Package) {
 }
 
 // checkFixtureWith is checkFixture restricted to an analyzer subset —
-// interprocedural fixtures deliberately contain violations of other
-// analyzers (a detflow fixture is full of time.Now calls simpurity would
-// also flag), so their markers describe a single analyzer's output.
+// interprocedural fixtures may contain violations of other analyzers, so
+// their markers describe a single analyzer's output.
 func checkFixtureWith(t *testing.T, p *Package, analyzers []*Analyzer) {
 	t.Helper()
 	want := wantMarkers(p)
@@ -102,18 +102,18 @@ func TestGoldenFixtures(t *testing.T) {
 		fixture string
 		asPath  string
 	}{
-		// maporder, floateq and goroutinehygiene are path-independent;
-		// simpurity must be loaded under an internal/ path for its
-		// positives to fire; opcodeswitch needs the real cell import.
-		{"maporder", "teva/internal/lintfixture/maporder"},
+		// detflow's map-range rule and floateq are path-independent;
+		// detflow's source uses fire only under an internal/ path;
+		// opcodeswitch needs the real cell import.
+		{"detflow/maprange", "teva/internal/lintfixture/maprange"},
 		{"opcodeswitch", "teva/internal/lintfixture/opcodeswitch"},
-		{"simpurity", "teva/internal/lintfixture/simpurity"},
+		{"detflow/sources", "teva/internal/lintfixture/sources"},
 		{"floateq", "teva/internal/lintfixture/floateq"},
-		{"goroutine", "teva/internal/lintfixture/goroutine"},
 		{"obsnames", "teva/internal/lintfixture/obsnames"},
-		// panicbarrier is path-gated: positives fire only under the
-		// guarded worker-pool packages.
+		// panicbarrier reports every raw go under the guarded worker-pool
+		// packages, and elsewhere only a go with no join evidence.
 		{"panicbarrier", "teva/internal/experiments/lintfixture"},
+		{"panicbarrier/join", "teva/internal/lintfixture/join"},
 		// sampleretain needs the real timingsim import for its types.
 		{"sampleretain", "teva/internal/lintfixture/sampleretain"},
 	}
@@ -150,26 +150,53 @@ func TestInterproceduralFixtures(t *testing.T) {
 	}
 }
 
-// TestInterproceduralPathGates loads the gated dataflow fixtures under
-// exempt import paths: every marker line must stay silent.
+// TestInterproceduralPathGates loads the path-gated fixtures under exempt
+// import paths: every marker line must stay silent except detflow's
+// map-range order findings, which hold in every package.
 func TestInterproceduralPathGates(t *testing.T) {
-	l := newTestLoader(t)
 	cases := []struct {
 		fixture  string
 		asPath   string
 		analyzer *Analyzer
+		mapRange int // findings left: map-range order ones only
 	}{
-		// cmd/ binaries own their progress output.
-		{"detflow", "teva/cmd/lintfixture", DetFlow()},
+		// cmd/ binaries own their progress output; the unsorted map-range
+		// append stays.
+		{"detflow", "teva/cmd/lintfixture", DetFlow(), 1},
 		// ctxflow fires only inside the threaded packages.
-		{"ctxflow", "teva/internal/lintfixture/ctxflow", CtxFlow()},
+		{"ctxflow", "teva/internal/lintfixture/ctxflow", CtxFlow(), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture+"/"+tc.asPath, func(t *testing.T) {
-			p := loadFixture(t, l, tc.fixture, tc.asPath)
-			if got := RunAnalyzers(p, []*Analyzer{tc.analyzer}); len(got) != 0 {
-				t.Errorf("%s under exempt path %s: want 0 findings, got %d: %v",
-					tc.analyzer.Name, tc.asPath, len(got), got)
+			// A fresh loader per case: loaders memoize by import path.
+			p := loadFixture(t, newTestLoader(t), tc.fixture, tc.asPath)
+			got := RunAnalyzers(p, []*Analyzer{tc.analyzer})
+			if len(got) != tc.mapRange {
+				t.Errorf("%s under exempt path %s: want %d findings, got %d: %v",
+					tc.analyzer.Name, tc.asPath, tc.mapRange, len(got), got)
+			}
+			for _, f := range got {
+				if !strings.Contains(f.Message, "in map-iteration order") {
+					t.Errorf("%s under exempt path %s: gated finding %s", tc.analyzer.Name, tc.asPath, f)
+				}
+			}
+		})
+	}
+}
+
+// TestSimPurityAllowlist loads detflow's source-use fixture under exempt
+// import paths: cmd/ binaries and internal/prng may read clocks, env and
+// math/rand, so the same file that produces findings under internal/ must
+// produce none here.
+func TestSimPurityAllowlist(t *testing.T) {
+	for _, asPath := range []string{
+		"teva/cmd/lintfixture",
+		"teva/internal/prng/lintfixture",
+	} {
+		t.Run(asPath, func(t *testing.T) {
+			p := loadFixture(t, newTestLoader(t), "detflow/sources", asPath)
+			if got := RunAnalyzers(p, []*Analyzer{DetFlow()}); len(got) != 0 {
+				t.Errorf("detflow source uses under exempt path %s: want 0 findings, got %d: %v", asPath, len(got), got)
 			}
 		})
 	}
@@ -221,29 +248,11 @@ func TestSortFindingsDedupe(t *testing.T) {
 	}
 }
 
-// TestSimPurityAllowlist loads the simpurity fixture under exempt import
-// paths: cmd/ binaries and internal/prng may read clocks, env and
-// math/rand, so the same file that produces five findings under internal/
-// must produce none here.
-func TestSimPurityAllowlist(t *testing.T) {
-	for _, asPath := range []string{
-		"teva/cmd/lintfixture",
-		"teva/internal/prng/lintfixture",
-	} {
-		t.Run(asPath, func(t *testing.T) {
-			l := newTestLoader(t)
-			p := loadFixture(t, l, "simpurity", asPath)
-			if got := RunAnalyzers(p, []*Analyzer{SimPurity()}); len(got) != 0 {
-				t.Errorf("simpurity under exempt path %s: want 0 findings, got %d: %v", asPath, len(got), got)
-			}
-		})
-	}
-}
-
 // TestPanicBarrierPathGate loads the panicbarrier fixture under paths
 // outside the guarded worker-pool packages: the same raw go statements
-// that fire under internal/experiments must stay silent everywhere else
-// (and under internal/campaign or internal/dta they must fire again).
+// that fire under internal/experiments must stay silent everywhere else,
+// since each shows join evidence (and under internal/campaign or
+// internal/dta they must fire again).
 func TestPanicBarrierPathGate(t *testing.T) {
 	l := newTestLoader(t)
 	for asPath, wantFindings := range map[string]int{
@@ -271,10 +280,10 @@ func TestAllowDirectiveParsing(t *testing.T) {
 	src := `package x
 
 func f() {
-	_ = 1 //teva:allow floateq maporder -- both silenced here
+	_ = 1 //teva:allow floateq detflow -- both silenced here
 	_ = 2
 	_ = 3
-	//teva:allow simpurity
+	//teva:allow hotalloc
 	_ = 4
 }
 `
@@ -290,13 +299,13 @@ func f() {
 		analyzer string
 		want     bool
 	}{
-		{4, "floateq", true},    // directive's own line
-		{4, "maporder", true},   // second analyzer in one directive
-		{5, "floateq", true},    // next line is covered too
-		{6, "floateq", false},   // two lines below is not
-		{4, "simpurity", false}, /* other analyzers stay live */
-		{7, "simpurity", true},  // preceding-line placement, own line
-		{8, "simpurity", true},  // preceding-line placement, next line
+		{4, "floateq", true},   // directive's own line
+		{4, "detflow", true},   // second analyzer in one directive
+		{5, "floateq", true},   // next line is covered too
+		{6, "floateq", false},  // two lines below is not
+		{4, "hotalloc", false}, /* other analyzers stay live */
+		{7, "hotalloc", true},  // preceding-line placement, own line
+		{8, "hotalloc", true},  // preceding-line placement, next line
 	}
 	for _, tc := range tests {
 		got := a.allowed(Finding{File: "allow.go", Line: tc.line, Analyzer: tc.analyzer})
@@ -327,7 +336,9 @@ func TestExpandSkipsTestdata(t *testing.T) {
 // TestRepoIsClean runs the full analyzer suite over every package of the
 // module — the in-test twin of the `teva-vet ./...` CI gate. Any new
 // unsuppressed violation of a determinism/exhaustiveness/concurrency
-// invariant fails this test.
+// invariant fails this test, and so does a //teva:allow outside testdata
+// that names no analyzer of the suite: it silences nothing, so a directive
+// that outlived its analyzer would otherwise go dead unnoticed.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -348,6 +359,46 @@ func TestRepoIsClean(t *testing.T) {
 		p.Prog = prog
 		for _, f := range RunAnalyzers(p, All()) {
 			t.Errorf("%s", l.RelFile(f))
+		}
+	}
+
+	known := make(map[string]bool)
+	for _, an := range All() {
+		known[an.Name] = true
+	}
+	var stale []string
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(l.Root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != l.Root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for file, byLine := range buildAllows(&Package{Fset: fset, Files: []*ast.File{f}}) {
+			for _, names := range byLine {
+				for name := range names {
+					if !known[name] {
+						stale = append(stale, l.RelFile(Finding{File: file}).File+": //teva:allow "+name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(stale)
+	for i, s := range stale {
+		if i == 0 || s != stale[i-1] { // a directive covers two lines
+			t.Errorf("%s names no analyzer of lint.All()", s)
 		}
 	}
 }

@@ -229,8 +229,8 @@ func (l *Loader) Loaded() []*Package {
 }
 
 // CheckDir type-checks dir as if it had the given import path. Analyzer
-// fixtures use this to exercise path-dependent rules (simpurity) from
-// testdata directories.
+// fixtures use this to exercise path-dependent rules (detflow's source
+// uses, panicbarrier's guarded packages) from testdata directories.
 func (l *Loader) CheckDir(dir, asPath string) (*Package, error) {
 	return l.load(asPath, dir, nil)
 }

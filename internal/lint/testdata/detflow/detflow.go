@@ -1,9 +1,8 @@
-// Package detflow exercises the determinism-taint analyzer. Loaded under
-// an internal/ import path the marked sink arguments must be flagged;
-// loaded under a cmd/ path the same file must stay silent (binaries own
-// their progress output). Markers assume only the detflow analyzer runs:
-// the wall-clock reads and unsorted map ranges here would also trip
-// simpurity and maporder.
+// Package detflow exercises the determinism analyzer's source→sink flow.
+// Loaded under an internal/ import path the marked lines must be flagged:
+// the sink arguments, and the clock reads and unsorted map-range appends
+// that are findings where they occur. Loaded under a cmd/ path only the
+// map-range append stays (binaries own their progress output).
 package detflow
 
 import (
@@ -18,11 +17,11 @@ import (
 
 // stamp is a nondeterminism source one call away: callers of stamp are
 // tainted through its summary, not by seeing time.Now themselves.
-func stamp() int64 { return time.Now().UnixNano() }
+func stamp() int64 { return time.Now().UnixNano() } // want detflow
 
 // direct passes a source straight into a report writer.
 func direct(w io.Writer) {
-	fmt.Fprintln(w, time.Now()) // want detflow
+	fmt.Fprintln(w, time.Now()) // want detflow detflow
 }
 
 // viaSummary reaches the source through a module call and a local.
@@ -49,7 +48,7 @@ func viaMetric(reg *obs.Registry) {
 func mapOrder(w io.Writer, m map[string]int) {
 	var keys []string
 	for k := range m {
-		keys = append(keys, k)
+		keys = append(keys, k) // want detflow
 	}
 	fmt.Fprintln(w, keys) // want detflow
 }

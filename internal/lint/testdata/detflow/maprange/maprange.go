@@ -1,11 +1,13 @@
-// Package fixture seeds maporder golden cases: true positives carry a
-// `// want maporder` marker, true negatives carry nothing, and the
-// suppressed case carries a //teva:allow directive.
-package fixture
+// Package maprange seeds detflow's map-range order cases, which fire in
+// every package: true positives carry a `// want detflow` marker, true
+// negatives carry nothing, and the suppressed case carries a //teva:allow
+// directive.
+package maprange
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -14,7 +16,7 @@ import (
 func appendUnsorted(m map[string]int) []string {
 	var out []string
 	for k := range m {
-		out = append(out, k) // want maporder
+		out = append(out, k) // want detflow
 	}
 	return out
 }
@@ -42,10 +44,29 @@ func appendHelperSorted(m map[int]bool) []int {
 
 func sortInts(xs []int) { sort.Ints(xs) }
 
+// appendSearched is a true positive: a binary search reads the slice but
+// does not sort it.
+func appendSearched(m map[string]int, x string) int {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want detflow
+	}
+	return sort.SearchStrings(keys, x)
+}
+
+// appendChecked is a true positive: IsSorted only checks the order.
+func appendChecked(m map[string]int) bool {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want detflow
+	}
+	return slices.IsSorted(keys)
+}
+
 // emit is a true positive: bytes leave in map-iteration order.
 func emit(w io.Writer, m map[string]int) {
 	for k, v := range m {
-		fmt.Fprintf(w, "%s=%d\n", k, v) // want maporder
+		fmt.Fprintf(w, "%s=%d\n", k, v) // want detflow
 	}
 }
 
@@ -54,7 +75,7 @@ func emit(w io.Writer, m map[string]int) {
 func sumFloats(m map[string]float64) float64 {
 	var s float64
 	for _, v := range m {
-		s += v // want maporder
+		s += v // want detflow
 	}
 	return s
 }
@@ -81,8 +102,8 @@ func countInto(m map[string]int) map[string]int {
 // emitAllowed is the suppressed case.
 func emitAllowed(w io.Writer, m map[string]int) {
 	for k := range m {
-		fmt.Fprintln(w, k) //teva:allow maporder -- diagnostic dump, order irrelevant
+		fmt.Fprintln(w, k) //teva:allow detflow -- diagnostic dump, order irrelevant
 	}
 }
 
-var _ = []any{appendUnsorted, appendSorted, appendHelperSorted, emit, sumFloats, sumInts, countInto, emitAllowed}
+var _ = []any{appendUnsorted, appendSorted, appendHelperSorted, appendSearched, appendChecked, emit, sumFloats, sumInts, countInto, emitAllowed}

@@ -1,12 +1,14 @@
-// Package fixture seeds goroutinehygiene golden cases.
-package fixture
+// Package join seeds panicbarrier's join-evidence cases. Loaded outside the
+// guarded worker-pool packages, only a goroutine with no join mechanism in
+// its enclosing function is reported.
+package join
 
 import "sync"
 
 // fireAndForget is a true positive: the goroutine has no join evidence in
 // the spawning function.
 func fireAndForget(work func()) {
-	go work() // want goroutinehygiene
+	go work() // want panicbarrier
 }
 
 // waitGroupJoin is a true negative: classic wg.Add / go / wg.Wait.
@@ -38,7 +40,7 @@ func channelJoin(jobs []func() int) []int {
 // detachedAllowed is the suppressed case: a deliberately detached
 // background goroutine.
 func detachedAllowed(loop func()) {
-	go loop() //teva:allow goroutinehygiene -- fixture: daemon loop by design
+	go loop() //teva:allow panicbarrier -- fixture: daemon loop by design
 }
 
 var _ = []any{fireAndForget, waitGroupJoin, channelJoin, detachedAllowed}

@@ -9,7 +9,7 @@
 //   - No wall-clock reads. Timers take their readings from a Clock
 //     injected at registry construction; simulation packages receive an
 //     already-constructed registry, the cmd/ entry points (exempt from
-//     the simpurity analyzer) supply the real monotonic clock, and tests
+//     detflow's clock rule) supply the real monotonic clock, and tests
 //     supply a fake. A nil Clock is valid and makes every phase report a
 //     zero duration, so instrumented code paths stay byte-reproducible
 //     under test without stubbing.
