@@ -22,6 +22,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -97,18 +98,14 @@ type Latencies struct {
 
 // DefaultLatencies mirror the gate-level FPU pipeline depths.
 func DefaultLatencies() Latencies {
-	l := Latencies{
+	return Latencies{
 		IntALU: 1, IntMul: 3, IntDiv: 16,
 		CacheHit: 2, CacheMiss: 22, BranchPenalty: 2,
+		FP: [fpu.NumOps]int{
+			fpu.DAdd: 6, fpu.DSub: 6, fpu.DMul: 6, fpu.DDiv: 59, fpu.DI2F: 3, fpu.DF2I: 3,
+			fpu.SAdd: 6, fpu.SSub: 6, fpu.SMul: 6, fpu.SDiv: 30, fpu.SI2F: 3, fpu.SF2I: 3,
+		},
 	}
-	fpLat := map[fpu.Op]int{
-		fpu.DAdd: 6, fpu.DSub: 6, fpu.DMul: 6, fpu.DDiv: 59, fpu.DI2F: 3, fpu.DF2I: 3,
-		fpu.SAdd: 6, fpu.SSub: 6, fpu.SMul: 6, fpu.SDiv: 30, fpu.SI2F: 3, fpu.SF2I: 3,
-	}
-	for op, v := range fpLat {
-		l.FP[op] = v
-	}
-	return l
 }
 
 // Config parameterizes a simulation.
@@ -158,10 +155,9 @@ type CPU struct {
 	prog *isa.Program
 
 	state
-	mem       []byte
-	output    []byte
-	decoded   []isa.Inst // decoded text, indexed by (pc-TextBase)/4
-	decodeErr []bool
+	mem    []byte
+	output []byte
+	code   []uop // lowered text, indexed by (pc-TextBase)/4
 
 	// dirty is a bitmap of the memory pages stored to since New or the
 	// last Restore; base/baseK name the checkpoint the rest of memory
@@ -222,14 +218,169 @@ func New(prog *isa.Program, cfg Config) *CPU {
 	c.scratch = make([]uint64, len(c.dirty))
 	c.state = resetState(prog)
 	copy(c.mem[isa.DataBase:], prog.Data)
-	c.decoded = make([]isa.Inst, len(prog.Text))
-	c.decodeErr = make([]bool, len(prog.Text))
+	c.code = make([]uop, len(prog.Text))
 	for i, raw := range prog.Text {
-		in, err := isa.Decode(raw)
-		c.decoded[i] = in
-		c.decodeErr[i] = err != nil
+		c.code[i] = lower(raw)
 	}
 	return c
+}
+
+// uop is one text word lowered for RunTo: kind names the one case of its
+// switch that executes the word, so no field is decoded at run time.
+type uop struct {
+	kind         kind
+	rd, rs1, rs2 uint8
+	fpOp         fpu.Op // the pipeline of a kFPU
+	imm          int32
+}
+
+// kind is a uop's operation: opcode, funct3, funct7 and FP function
+// resolved together. Each reserved encoding isa.Decode accepts gets the
+// kind that reproduces what the simulator has always done with it.
+type kind uint8
+
+const (
+	kIllegal kind = iota // a word isa.Decode rejects
+	kAdd
+	kSub
+	kSll
+	kSlt
+	kSltu
+	kXor
+	kSrl
+	kSra
+	kOr
+	kAnd
+	kMul
+	kMulh
+	kMulZero // mul-group funct3 2 and 3: write 0 at IntALU latency
+	kDiv
+	kDivu
+	kRem
+	kRemu
+	kAddi
+	kSlli
+	kSlti
+	kSltiu
+	kXori
+	kSrli
+	kSrai
+	kOri
+	kAndi
+	kLui
+	kAuipc
+	kLw
+	kLb
+	kLbu
+	kLoadBad // reserved load funct3: a word access, then a crash
+	kSw
+	kSb
+	kStoreBad // reserved store funct3: a word access marking its page, then a crash
+	kFlw
+	kFld // also every reserved FLoad funct3
+	kFsw
+	kFsd // also every reserved FStore funct3
+	kBeq
+	kBne
+	kBlt
+	kBge
+	kBltu
+	kBgeu
+	kBNever // reserved branch funct3: reads both operands, never taken
+	kJal
+	kJalr
+	kEcall
+	kFPU // one of the 12 FPU-datapath ops, in fpOp
+	kFmv
+	kFneg
+	kFabs
+	kFeq
+	kFlt
+	kFle
+	kFmvXD
+	kFmvDX
+	kFcvtSD
+	kFcvtDS
+	kFPBad // reserved FP function: a crash
+)
+
+// Kinds by funct3. In the register ALU group only funct7 0x20 selects
+// sub and sra; every other funct7 but the mul group's acts as the base op.
+var (
+	aluKinds    = [8]kind{kAdd, kSll, kSlt, kSltu, kXor, kSrl, kOr, kAnd}
+	mulKinds    = [8]kind{kMul, kMulh, kMulZero, kMulZero, kDiv, kDivu, kRem, kRemu}
+	immKinds    = [8]kind{kAddi, kSlli, kSlti, kSltiu, kXori, kSrli, kOri, kAndi}
+	loadKinds   = [8]kind{kLb, kLoadBad, kLw, kLoadBad, kLbu, kLoadBad, kLoadBad, kLoadBad}
+	storeKinds  = [8]kind{kSb, kStoreBad, kSw, kStoreBad, kStoreBad, kStoreBad, kStoreBad, kStoreBad}
+	branchKinds = [8]kind{kBeq, kBne, kBNever, kBNever, kBlt, kBge, kBltu, kBgeu}
+	fpKinds     = [isa.FPCvtDS + 1]kind{
+		isa.FPMv: kFmv, isa.FPNegD: kFneg, isa.FPAbsD: kFabs,
+		isa.FPEqD: kFeq, isa.FPLtD: kFlt, isa.FPLeD: kFle,
+		isa.FPMvXD: kFmvXD, isa.FPMvDX: kFmvDX, isa.FPCvtSD: kFcvtSD, isa.FPCvtDS: kFcvtDS,
+	}
+)
+
+// lower translates one text word into its uop.
+func lower(raw uint32) uop {
+	in, err := isa.Decode(raw)
+	if err != nil {
+		return uop{kind: kIllegal}
+	}
+	u := uop{rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2, imm: in.Imm}
+	switch in.Op {
+	case isa.OpInt:
+		switch {
+		case in.Funct7 == isa.F7MulD:
+			u.kind = mulKinds[in.Funct3]
+		case in.Funct7 == isa.F7Alt && in.Funct3 == isa.F3AddSub:
+			u.kind = kSub
+		case in.Funct7 == isa.F7Alt && in.Funct3 == isa.F3SrlSra:
+			u.kind = kSra
+		default:
+			u.kind = aluKinds[in.Funct3]
+		}
+	case isa.OpIntImm:
+		u.kind = immKinds[in.Funct3]
+		if in.Funct3 == isa.F3SrlSra && in.Imm>>5&0x7f == int32(isa.F7Alt) {
+			u.kind = kSrai
+		}
+	case isa.OpLui:
+		u.kind = kLui
+	case isa.OpAuipc:
+		u.kind = kAuipc
+	case isa.OpLoad:
+		u.kind = loadKinds[in.Funct3]
+	case isa.OpStore:
+		u.kind = storeKinds[in.Funct3]
+	case isa.OpFLoad:
+		u.kind = kFld
+		if in.Funct3 == isa.F3FWord {
+			u.kind = kFlw
+		}
+	case isa.OpFStore:
+		u.kind = kFsd
+		if in.Funct3 == isa.F3FWord {
+			u.kind = kFsw
+		}
+	case isa.OpBranch:
+		u.kind = branchKinds[in.Funct3]
+	case isa.OpJal:
+		u.kind = kJal
+	case isa.OpJalr:
+		u.kind = kJalr
+	case isa.OpSys:
+		u.kind = kEcall
+	case isa.OpFP:
+		switch fn := isa.FPFunc(in.Funct7); {
+		case fn.IsFPUDatapath():
+			u.kind, u.fpOp = kFPU, fpOpFor[fn]
+		case int(fn) < len(fpKinds):
+			u.kind = fpKinds[fn]
+		default:
+			u.kind = kFPBad
+		}
+	}
+	return u
 }
 
 // resetState is the state a program starts from: pc at the entry point,
@@ -274,101 +425,329 @@ func (c *CPU) Run(maxCycles uint64) Result {
 // RunTo is Run that also pauses once stop instructions have retired. It
 // reports paused when the run stopped there still running; a later Run or
 // RunTo continues it exactly as if it had never paused.
+//
+// It is the simulator's one executor: each iteration fetches the uop New
+// lowered for pc and dispatches on its kind. Only an instruction that can
+// crash or halt checks for the end of the run.
 func (c *CPU) RunTo(maxCycles uint64, stop int64) (res Result, paused bool) {
-	running := true
-	for running && c.cycle < maxCycles && c.res.Instret < stop {
-		running = c.step()
+	code := c.code
+	alu := uint64(c.lat.IntALU)
+	for c.cycle < maxCycles && c.res.Instret < stop {
+		idx := (c.pc - isa.TextBase) / 4
+		if c.pc < isa.TextBase || c.pc%4 != 0 || int(idx) >= len(code) {
+			c.crash("pc %#x outside text", c.pc)
+			return c.end()
+		}
+		u := &code[idx]
+		if u.kind == kIllegal {
+			c.crash("illegal instruction %#08x at pc %#x", c.prog.Text[idx], c.pc)
+			return c.end()
+		}
+		if c.cfg.Trace != nil {
+			fmt.Fprintf(c.cfg.Trace, "%10d %08x  %s\n", c.cycle, c.pc, isa.Disassemble(c.inst(idx)))
+		}
+		// Instruction fetch: a miss in the (direct-mapped) instruction cache
+		// stalls the front end for the refill.
+		line := c.pc >> cacheLineLog
+		slot := line % icacheLines
+		if c.itags[slot] != line {
+			c.itags[slot] = line
+			c.res.ICacheMisses++
+			c.cycle += uint64(c.lat.CacheMiss - c.lat.CacheHit)
+		}
+		c.cycle++ // fetch/issue slot
+		c.res.Instret++
+		next := c.pc + 4
+
+		// Operands are read into locals before any c.cycle+lat: a read
+		// stalls c.cycle to the operand's ready time.
+		switch u.kind {
+		case kAdd:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, a+b, c.cycle+alu)
+		case kSub:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, a-b, c.cycle+alu)
+		case kSll:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, a<<(b&31), c.cycle+alu)
+		case kSlt:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, b2u(int32(a) < int32(b)), c.cycle+alu)
+		case kSltu:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, b2u(a < b), c.cycle+alu)
+		case kXor:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, a^b, c.cycle+alu)
+		case kSrl:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, a>>(b&31), c.cycle+alu)
+		case kSra:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, uint32(int32(a)>>(b&31)), c.cycle+alu)
+		case kOr:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, a|b, c.cycle+alu)
+		case kAnd:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, a&b, c.cycle+alu)
+		case kMul:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, uint32(int32(a)*int32(b)), c.cycle+uint64(c.lat.IntMul))
+		case kMulh:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			c.writeInt(u.rd, uint32(uint64(int64(int32(a))*int64(int32(b)))>>32), c.cycle+uint64(c.lat.IntMul))
+		case kMulZero:
+			c.readInt(u.rs1)
+			c.readInt(u.rs2)
+			c.writeInt(u.rd, 0, c.cycle+alu)
+		case kDiv, kDivu, kRem, kRemu:
+			a, b := c.readInt(u.rs1), c.readInt(u.rs2)
+			v := c.intDivide(u.kind, a, b)
+			if t := c.divFree; t > c.cycle {
+				c.cycle = t // structural hazard: non-pipelined divider
+			}
+			lat := uint64(c.lat.IntDiv)
+			c.divFree = c.cycle + lat
+			c.writeInt(u.rd, v, c.cycle+lat)
+
+		case kAddi:
+			a := c.readInt(u.rs1)
+			c.writeInt(u.rd, a+uint32(u.imm), c.cycle+alu)
+		case kSlli:
+			a := c.readInt(u.rs1)
+			c.writeInt(u.rd, a<<(u.imm&31), c.cycle+alu)
+		case kSlti:
+			a := c.readInt(u.rs1)
+			c.writeInt(u.rd, b2u(int32(a) < u.imm), c.cycle+alu)
+		case kSltiu:
+			a := c.readInt(u.rs1)
+			c.writeInt(u.rd, b2u(a < uint32(u.imm)), c.cycle+alu)
+		case kXori:
+			a := c.readInt(u.rs1)
+			c.writeInt(u.rd, a^uint32(u.imm), c.cycle+alu)
+		case kSrli:
+			a := c.readInt(u.rs1)
+			c.writeInt(u.rd, a>>(u.imm&31), c.cycle+alu)
+		case kSrai:
+			a := c.readInt(u.rs1)
+			c.writeInt(u.rd, uint32(int32(a)>>(u.imm&31)), c.cycle+alu)
+		case kOri:
+			a := c.readInt(u.rs1)
+			c.writeInt(u.rd, a|uint32(u.imm), c.cycle+alu)
+		case kAndi:
+			a := c.readInt(u.rs1)
+			c.writeInt(u.rd, a&uint32(u.imm), c.cycle+alu)
+		case kLui:
+			c.writeInt(u.rd, uint32(u.imm), c.cycle+alu)
+		case kAuipc:
+			c.writeInt(u.rd, c.pc+uint32(u.imm), c.cycle+alu)
+
+		case kLw:
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			lat, ok := c.memAccess(addr, 4)
+			if !ok {
+				return c.end()
+			}
+			c.writeInt(u.rd, binary.LittleEndian.Uint32(c.mem[addr:]), c.cycle+lat)
+		case kLb:
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			lat, ok := c.memAccess(addr, 1)
+			if !ok {
+				return c.end()
+			}
+			c.writeInt(u.rd, uint32(int32(int8(c.mem[addr]))), c.cycle+lat)
+		case kLbu:
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			lat, ok := c.memAccess(addr, 1)
+			if !ok {
+				return c.end()
+			}
+			c.writeInt(u.rd, uint32(c.mem[addr]), c.cycle+lat)
+		case kLoadBad:
+			// A reserved width is checked as a word access first.
+			if _, ok := c.memAccess(c.readInt(u.rs1)+uint32(u.imm), 4); ok {
+				c.crash("illegal load funct3 %d", c.inst(idx).Funct3)
+			}
+			return c.end()
+		case kSw:
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			v := c.readInt(u.rs2)
+			if _, ok := c.memAccess(addr, 4); !ok {
+				return c.end()
+			}
+			c.markDirty(addr)
+			binary.LittleEndian.PutUint32(c.mem[addr:], v)
+		case kSb:
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			v := c.readInt(u.rs2)
+			if _, ok := c.memAccess(addr, 1); !ok {
+				return c.end()
+			}
+			c.markDirty(addr)
+			c.mem[addr] = byte(v)
+		case kStoreBad:
+			// A reserved width is checked, and its page marked, as a word
+			// store first.
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			c.readInt(u.rs2)
+			if _, ok := c.memAccess(addr, 4); ok {
+				c.markDirty(addr)
+				c.crash("illegal store funct3 %d", c.inst(idx).Funct3)
+			}
+			return c.end()
+		case kFlw:
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			lat, ok := c.memAccess(addr, 4)
+			if !ok {
+				return c.end()
+			}
+			c.writeFPRaw(u.rd, uint64(binary.LittleEndian.Uint32(c.mem[addr:])), c.cycle+lat)
+		case kFld:
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			lat, ok := c.memAccess(addr, 8)
+			if !ok {
+				return c.end()
+			}
+			c.writeFPRaw(u.rd, binary.LittleEndian.Uint64(c.mem[addr:]), c.cycle+lat)
+		case kFsw:
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			v := c.readFP(u.rs2)
+			if _, ok := c.memAccess(addr, 4); !ok {
+				return c.end()
+			}
+			c.markDirty(addr)
+			binary.LittleEndian.PutUint32(c.mem[addr:], uint32(v))
+		case kFsd:
+			addr := c.readInt(u.rs1) + uint32(u.imm)
+			v := c.readFP(u.rs2)
+			if _, ok := c.memAccess(addr, 8); !ok {
+				return c.end()
+			}
+			c.markDirty(addr)
+			binary.LittleEndian.PutUint64(c.mem[addr:], v)
+
+		case kBeq:
+			if a, b := c.branchOperands(u); a == b {
+				next = c.taken(u)
+			}
+		case kBne:
+			if a, b := c.branchOperands(u); a != b {
+				next = c.taken(u)
+			}
+		case kBlt:
+			if a, b := c.branchOperands(u); int32(a) < int32(b) {
+				next = c.taken(u)
+			}
+		case kBge:
+			if a, b := c.branchOperands(u); int32(a) >= int32(b) {
+				next = c.taken(u)
+			}
+		case kBltu:
+			if a, b := c.branchOperands(u); a < b {
+				next = c.taken(u)
+			}
+		case kBgeu:
+			if a, b := c.branchOperands(u); a >= b {
+				next = c.taken(u)
+			}
+		case kBNever:
+			c.branchOperands(u)
+		case kJal:
+			c.writeInt(u.rd, c.pc+4, c.cycle+1)
+			c.cycle += uint64(c.lat.BranchPenalty)
+			next = c.pc + uint32(u.imm)
+		case kJalr:
+			target := (c.readInt(u.rs1) + uint32(u.imm)) &^ 1
+			c.writeInt(u.rd, c.pc+4, c.cycle+1)
+			c.cycle += uint64(c.lat.BranchPenalty)
+			next = target
+		case kEcall:
+			if !c.execSyscall() {
+				return c.end()
+			}
+
+		case kFPU:
+			if !c.execFPUDatapath(u) {
+				return c.end()
+			}
+		case kFmv:
+			v := c.readFP(u.rs1)
+			c.writeFPRaw(u.rd, v, c.cycle+1)
+		case kFneg:
+			v := c.readFP(u.rs1)
+			c.writeFPRaw(u.rd, v^1<<63, c.cycle+1)
+		case kFabs:
+			v := c.readFP(u.rs1)
+			c.writeFPRaw(u.rd, v&^(1<<63), c.cycle+1)
+		case kFeq:
+			a, b := math.Float64frombits(c.readFP(u.rs1)), math.Float64frombits(c.readFP(u.rs2))
+			//teva:allow floateq -- FEQ.D is defined as exact IEEE-754 equality
+			c.writeInt(u.rd, b2u(a == b), c.cycle+1)
+		case kFlt:
+			a, b := math.Float64frombits(c.readFP(u.rs1)), math.Float64frombits(c.readFP(u.rs2))
+			c.writeInt(u.rd, b2u(a < b), c.cycle+1)
+		case kFle:
+			a, b := math.Float64frombits(c.readFP(u.rs1)), math.Float64frombits(c.readFP(u.rs2))
+			c.writeInt(u.rd, b2u(a <= b), c.cycle+1)
+		case kFmvXD:
+			v := c.readFP(u.rs1)
+			c.writeInt(u.rd, uint32(v), c.cycle+1)
+		case kFmvDX:
+			v := c.readInt(u.rs1)
+			c.writeFPRaw(u.rd, uint64(v), c.cycle+1)
+		case kFcvtSD:
+			// Narrowing conversion via the softfp reference (not a gate-level
+			// pipeline in the reference design; excluded from injection).
+			d := math.Float64frombits(c.readFP(u.rs1))
+			c.writeFPRaw(u.rd, uint64(math.Float32bits(float32(d))), c.cycle+3)
+		case kFcvtDS:
+			s := math.Float32frombits(uint32(c.readFP(u.rs1)))
+			c.writeFPRaw(u.rd, math.Float64bits(float64(s)), c.cycle+3)
+		case kFPBad:
+			c.crash("illegal fp funct7 %d", c.inst(idx).Funct7)
+			return c.end()
+		}
+		c.pc = next
 	}
 	c.res.Cycles = c.cycle
-	return c.res, running && c.cycle < maxCycles
+	return c.res, c.cycle < maxCycles
 }
 
-// step executes one instruction; returns false when the run ends.
-func (c *CPU) step() bool {
-	idx := (c.pc - isa.TextBase) / 4
-	if c.pc < isa.TextBase || c.pc%4 != 0 || int(idx) >= len(c.decoded) {
-		c.crash("pc %#x outside text", c.pc)
-		return false
-	}
-	in := c.decoded[idx]
-	if c.decodeErr[idx] {
-		c.crash("illegal instruction %#08x at pc %#x", in.Raw, c.pc)
-		return false
-	}
-	if c.cfg.Trace != nil {
-		fmt.Fprintf(c.cfg.Trace, "%10d %08x  %s\n", c.cycle, c.pc, isa.Disassemble(in))
-	}
-	// Instruction fetch: a miss in the (direct-mapped) instruction cache
-	// stalls the front end for the refill.
-	line := c.pc >> cacheLineLog
-	slot := line % icacheLines
-	if c.itags[slot] != line {
-		c.itags[slot] = line
-		c.res.ICacheMisses++
-		c.cycle += uint64(c.lat.CacheMiss - c.lat.CacheHit)
-	}
-	c.cycle++ // fetch/issue slot
-	c.res.Instret++
-	nextPC := c.pc + 4
+// end finishes RunTo for a run that has just halted or crashed.
+func (c *CPU) end() (Result, bool) {
+	c.res.Cycles = c.cycle
+	return c.res, false
+}
 
-	switch in.Op {
-	case isa.OpInt:
-		c.execInt(in)
-	case isa.OpIntImm:
-		c.execIntImm(in)
-	case isa.OpLui:
-		c.writeInt(in.Rd, uint32(in.Imm), c.cycle+uint64(c.lat.IntALU))
-	case isa.OpAuipc:
-		c.writeInt(in.Rd, c.pc+uint32(in.Imm), c.cycle+uint64(c.lat.IntALU))
-	case isa.OpLoad:
-		if !c.execLoad(in) {
-			return false
-		}
-	case isa.OpStore:
-		if !c.execStore(in) {
-			return false
-		}
-	case isa.OpFLoad:
-		if !c.execFLoad(in) {
-			return false
-		}
-	case isa.OpFStore:
-		if !c.execFStore(in) {
-			return false
-		}
-	case isa.OpBranch:
-		c.res.Branches++
-		if c.evalBranch(in) {
-			c.res.TakenBranches++
-			c.cycle += uint64(c.lat.BranchPenalty)
-			nextPC = c.pc + uint32(in.Imm)
-		}
-	case isa.OpJal:
-		c.writeInt(in.Rd, c.pc+4, c.cycle+1)
-		c.cycle += uint64(c.lat.BranchPenalty)
-		nextPC = c.pc + uint32(in.Imm)
-	case isa.OpJalr:
-		target := (c.readInt(in.Rs1) + uint32(in.Imm)) &^ 1
-		c.writeInt(in.Rd, c.pc+4, c.cycle+1)
-		c.cycle += uint64(c.lat.BranchPenalty)
-		nextPC = target
-	case isa.OpSys:
-		if !c.execSyscall() {
-			return false
-		}
-	case isa.OpFP:
-		if !c.execFP(in) {
-			return false
-		}
-	default:
-		c.crash("unimplemented opcode %#x", uint8(in.Op))
-		return false
+// inst decodes text word idx, for the trace and the rare crash messages
+// that name an instruction field.
+func (c *CPU) inst(idx uint32) isa.Inst {
+	in, _ := isa.Decode(c.prog.Text[idx])
+	return in
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint32 {
+	if b {
+		return 1
 	}
-	if c.res.Status == Crashed || c.res.Status == Halted {
-		return false
-	}
-	c.pc = nextPC
-	return true
+	return 0
+}
+
+// branchOperands counts a conditional branch and reads its operands.
+func (c *CPU) branchOperands(u *uop) (uint32, uint32) {
+	c.res.Branches++
+	a := c.readInt(u.rs1)
+	return a, c.readInt(u.rs2)
+}
+
+// taken redirects fetch to a taken branch's target and returns it.
+func (c *CPU) taken(u *uop) uint32 {
+	c.res.TakenBranches++
+	c.cycle += uint64(c.lat.BranchPenalty)
+	return c.pc + uint32(u.imm)
 }
 
 // readInt returns rs1's value, advancing the cycle to its ready time
@@ -412,66 +791,10 @@ func (c *CPU) writeFPRaw(r uint8, v uint64, ready uint64) {
 	c.fpReady[r] = ready
 }
 
-func (c *CPU) execInt(in isa.Inst) {
-	a := c.readInt(in.Rs1)
-	b := c.readInt(in.Rs2)
-	lat := uint64(c.lat.IntALU)
-	var v uint32
-	if in.Funct7 == isa.F7MulD {
-		switch in.Funct3 {
-		case isa.F3Mul:
-			v = uint32(int32(a) * int32(b))
-			lat = uint64(c.lat.IntMul)
-		case isa.F3Mulh:
-			v = uint32(uint64(int64(int32(a))*int64(int32(b))) >> 32)
-			lat = uint64(c.lat.IntMul)
-		case isa.F3Div, isa.F3Divu, isa.F3Rem, isa.F3Remu:
-			v = c.intDivide(in.Funct3, a, b)
-			if t := c.divFree; t > c.cycle {
-				c.cycle = t // structural hazard: non-pipelined divider
-			}
-			lat = uint64(c.lat.IntDiv)
-			c.divFree = c.cycle + lat
-		}
-	} else {
-		switch in.Funct3 {
-		case isa.F3AddSub:
-			if in.Funct7 == isa.F7Alt {
-				v = a - b
-			} else {
-				v = a + b
-			}
-		case isa.F3Sll:
-			v = a << (b & 31)
-		case isa.F3Slt:
-			if int32(a) < int32(b) {
-				v = 1
-			}
-		case isa.F3Sltu:
-			if a < b {
-				v = 1
-			}
-		case isa.F3Xor:
-			v = a ^ b
-		case isa.F3SrlSra:
-			if in.Funct7 == isa.F7Alt {
-				v = uint32(int32(a) >> (b & 31))
-			} else {
-				v = a >> (b & 31)
-			}
-		case isa.F3Or:
-			v = a | b
-		case isa.F3And:
-			v = a & b
-		}
-	}
-	c.writeInt(in.Rd, v, c.cycle+lat)
-}
-
 // intDivide implements the RISC-style non-trapping division semantics.
-func (c *CPU) intDivide(f3 uint8, a, b uint32) uint32 {
-	switch f3 {
-	case isa.F3Div:
+func (c *CPU) intDivide(k kind, a, b uint32) uint32 {
+	switch k {
+	case kDiv:
 		if b == 0 {
 			return ^uint32(0)
 		}
@@ -479,12 +802,12 @@ func (c *CPU) intDivide(f3 uint8, a, b uint32) uint32 {
 			return a
 		}
 		return uint32(int32(a) / int32(b))
-	case isa.F3Divu:
+	case kDivu:
 		if b == 0 {
 			return ^uint32(0)
 		}
 		return a / b
-	case isa.F3Rem:
+	case kRem:
 		if b == 0 {
 			return a
 		}
@@ -498,59 +821,6 @@ func (c *CPU) intDivide(f3 uint8, a, b uint32) uint32 {
 		}
 		return a % b
 	}
-}
-
-func (c *CPU) execIntImm(in isa.Inst) {
-	a := c.readInt(in.Rs1)
-	imm := uint32(in.Imm)
-	var v uint32
-	switch in.Funct3 {
-	case isa.F3AddSub:
-		v = a + imm
-	case isa.F3Sll:
-		v = a << (imm & 31)
-	case isa.F3Slt:
-		if int32(a) < in.Imm {
-			v = 1
-		}
-	case isa.F3Sltu:
-		if a < imm {
-			v = 1
-		}
-	case isa.F3Xor:
-		v = a ^ imm
-	case isa.F3SrlSra:
-		if in.Imm>>5&0x7f == int32(isa.F7Alt) {
-			v = uint32(int32(a) >> (imm & 31))
-		} else {
-			v = a >> (imm & 31)
-		}
-	case isa.F3Or:
-		v = a | imm
-	case isa.F3And:
-		v = a & imm
-	}
-	c.writeInt(in.Rd, v, c.cycle+uint64(c.lat.IntALU))
-}
-
-func (c *CPU) evalBranch(in isa.Inst) bool {
-	a := c.readInt(in.Rs1)
-	b := c.readInt(in.Rs2)
-	switch in.Funct3 {
-	case isa.F3Beq:
-		return a == b
-	case isa.F3Bne:
-		return a != b
-	case isa.F3Blt:
-		return int32(a) < int32(b)
-	case isa.F3Bge:
-		return int32(a) >= int32(b)
-	case isa.F3Bltu:
-		return a < b
-	case isa.F3Bgeu:
-		return a >= b
-	}
-	return false
 }
 
 // memAccess validates an address and returns the cache latency.
@@ -571,94 +841,6 @@ func (c *CPU) memAccess(addr uint32, size uint32) (uint64, bool) {
 	c.tags[slot] = line
 	c.res.DCacheMisses++
 	return uint64(c.lat.CacheMiss), true
-}
-
-func (c *CPU) execLoad(in isa.Inst) bool {
-	addr := c.readInt(in.Rs1) + uint32(in.Imm)
-	var size uint32 = 4
-	if in.Funct3 == isa.F3Byte || in.Funct3 == isa.F3ByteU {
-		size = 1
-	}
-	lat, ok := c.memAccess(addr, size)
-	if !ok {
-		return false
-	}
-	var v uint32
-	switch in.Funct3 {
-	case isa.F3Word:
-		v = uint32(c.mem[addr]) | uint32(c.mem[addr+1])<<8 |
-			uint32(c.mem[addr+2])<<16 | uint32(c.mem[addr+3])<<24
-	case isa.F3Byte:
-		v = uint32(int32(int8(c.mem[addr])))
-	case isa.F3ByteU:
-		v = uint32(c.mem[addr])
-	default:
-		c.crash("illegal load funct3 %d", in.Funct3)
-		return false
-	}
-	c.writeInt(in.Rd, v, c.cycle+lat)
-	return true
-}
-
-func (c *CPU) execStore(in isa.Inst) bool {
-	addr := c.readInt(in.Rs1) + uint32(in.Imm)
-	v := c.readInt(in.Rs2)
-	var size uint32 = 4
-	if in.Funct3 == isa.F3Byte {
-		size = 1
-	}
-	if _, ok := c.memAccess(addr, size); !ok {
-		return false
-	}
-	c.markDirty(addr)
-	switch in.Funct3 {
-	case isa.F3Word:
-		c.mem[addr] = byte(v)
-		c.mem[addr+1] = byte(v >> 8)
-		c.mem[addr+2] = byte(v >> 16)
-		c.mem[addr+3] = byte(v >> 24)
-	case isa.F3Byte:
-		c.mem[addr] = byte(v)
-	default:
-		c.crash("illegal store funct3 %d", in.Funct3)
-		return false
-	}
-	return true
-}
-
-func (c *CPU) execFLoad(in isa.Inst) bool {
-	addr := c.readInt(in.Rs1) + uint32(in.Imm)
-	size := uint32(8)
-	if in.Funct3 == isa.F3FWord {
-		size = 4
-	}
-	lat, ok := c.memAccess(addr, size)
-	if !ok {
-		return false
-	}
-	var v uint64
-	for i := uint32(0); i < size; i++ {
-		v |= uint64(c.mem[addr+i]) << (8 * i)
-	}
-	c.writeFPRaw(in.Rd, v, c.cycle+lat)
-	return true
-}
-
-func (c *CPU) execFStore(in isa.Inst) bool {
-	addr := c.readInt(in.Rs1) + uint32(in.Imm)
-	v := c.readFP(in.Rs2)
-	size := uint32(8)
-	if in.Funct3 == isa.F3FWord {
-		size = 4
-	}
-	if _, ok := c.memAccess(addr, size); !ok {
-		return false
-	}
-	c.markDirty(addr)
-	for i := uint32(0); i < size; i++ {
-		c.mem[addr+i] = byte(v >> (8 * i))
-	}
-	return true
 }
 
 func (c *CPU) execSyscall() bool {
@@ -711,58 +893,18 @@ var fpOpFor = [fpu.NumOps]fpu.Op{
 	isa.FPDivS: fpu.SDiv, isa.FPI2FS: fpu.SI2F, isa.FPF2IS: fpu.SF2I,
 }
 
-func (c *CPU) execFP(in isa.Inst) bool {
-	fn := isa.FPFunc(in.Funct7)
-	if fn.IsFPUDatapath() {
-		return c.execFPUDatapath(in, fpOpFor[fn])
-	}
-	switch fn {
-	case isa.FPMv:
-		c.writeFPRaw(in.Rd, c.readFP(in.Rs1), c.cycle+1)
-	case isa.FPNegD:
-		c.writeFPRaw(in.Rd, c.readFP(in.Rs1)^1<<63, c.cycle+1)
-	case isa.FPAbsD:
-		c.writeFPRaw(in.Rd, c.readFP(in.Rs1)&^(1<<63), c.cycle+1)
-	case isa.FPEqD, isa.FPLtD, isa.FPLeD:
-		a := math.Float64frombits(c.readFP(in.Rs1))
-		b := math.Float64frombits(c.readFP(in.Rs2))
-		var v uint32
-		switch {
-		//teva:allow floateq -- FEQ.D is defined as exact IEEE-754 equality
-		case fn == isa.FPEqD && a == b, fn == isa.FPLtD && a < b, fn == isa.FPLeD && a <= b:
-			v = 1
-		}
-		c.writeInt(in.Rd, v, c.cycle+1)
-	case isa.FPMvXD:
-		c.writeInt(in.Rd, uint32(c.readFP(in.Rs1)), c.cycle+1)
-	case isa.FPMvDX:
-		c.writeFPRaw(in.Rd, uint64(c.readInt(in.Rs1)), c.cycle+1)
-	case isa.FPCvtSD:
-		// Narrowing conversion via the softfp reference (not a gate-level
-		// pipeline in the reference design; excluded from injection).
-		d := math.Float64frombits(c.readFP(in.Rs1))
-		c.writeFPRaw(in.Rd, uint64(math.Float32bits(float32(d))), c.cycle+3)
-	case isa.FPCvtDS:
-		s := math.Float32frombits(uint32(c.readFP(in.Rs1)))
-		c.writeFPRaw(in.Rd, math.Float64bits(float64(s)), c.cycle+3)
-	default:
-		c.crash("illegal fp funct7 %d", in.Funct7)
-		return false
-	}
-	return true
-}
-
 // execFPUDatapath executes one of the 12 modelled FPU instructions
 // (bit-identical to the gate-level golden model; see goldenWithFlags) and
 // offers the writeback to the injector.
-func (c *CPU) execFPUDatapath(in isa.Inst, op fpu.Op) bool {
+func (c *CPU) execFPUDatapath(u *uop) bool {
+	op := u.fpOp
 	var a, b uint64
 	if op == fpu.DI2F || op == fpu.SI2F {
-		a = uint64(c.readInt(in.Rs1))
+		a = uint64(c.readInt(u.rs1))
 	} else {
-		a = c.readFP(in.Rs1)
+		a = c.readFP(u.rs1)
 		if op.NumOperands() == 2 {
-			b = c.readFP(in.Rs2)
+			b = c.readFP(u.rs2)
 		}
 	}
 	if !op.Double() && op != fpu.SI2F {
@@ -795,9 +937,9 @@ func (c *CPU) execFPUDatapath(in isa.Inst, op fpu.Op) bool {
 		}
 	}
 	if op == fpu.DF2I || op == fpu.SF2I {
-		c.writeInt(in.Rd, uint32(result), ready)
+		c.writeInt(u.rd, uint32(result), ready)
 	} else {
-		c.writeFPRaw(in.Rd, result, ready)
+		c.writeFPRaw(u.rd, result, ready)
 	}
 	return true
 }
