@@ -10,6 +10,7 @@ package teva
 import (
 	"context"
 	"io"
+	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func BenchmarkFig5FlipDistribution(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs, err := dta.AnalyzeStream(context.Background(), e.F.FPU, fpu.DMul, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide, pairs, 0, nil)
+		recs, err := dta.AnalyzeStream(context.Background(), e.F.FPU, fpu.DMul, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide, dta.Outcome, pairs, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,11 +265,25 @@ func benchTimingSim(b *testing.B, exact bool) {
 }
 
 // BenchmarkTimingSimWide measures the 64-lane levelized timing engine on
-// the same stage; ns/transition counts all 64 lanes of each walk.
+// the same stage at VR20's delay scale, once timing every gate (full, what
+// dta's Full records use) and once slack-pruned to the gates dta tracks
+// at that scale (pruned, the default); ns/transition counts all 64 lanes
+// of each walk.
 func BenchmarkTimingSimWide(b *testing.B) {
 	e := benchEnv(b)
+	const scale = 1.256
+	b.Run("full", func(b *testing.B) { benchTimingSimWide(b, e, scale, nil) })
+	b.Run("pruned", func(b *testing.B) {
+		benchTimingSimWide(b, e, scale, dta.TrackedGates(e.F.FPU, fpu.DMul, scale)[3])
+	})
+}
+
+func benchTimingSimWide(b *testing.B, e *experiments.Env, scale float64, track []uint64) {
 	stage := e.F.FPU.Pipeline(fpu.DMul).Stages[3].N // s4-cpa
-	sim := timingsim.NewWideFast(stage.Compiled(), 1.256)
+	sim := timingsim.NewWideFast(stage.Compiled(), scale)
+	sim.Prune(track)
+	lib := e.F.Lib
+	inputArrival, deadline := lib.ClockToQ*scale, e.F.FPU.CLK-lib.Setup*scale
 	src := prng.New(7)
 	prev := make([]uint64, len(stage.Inputs()))
 	cur := make([]uint64, len(stage.Inputs()))
@@ -280,11 +295,19 @@ func BenchmarkTimingSimWide(b *testing.B) {
 	start := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Run(prev, cur, 85, 4400)
+		sim.Run(prev, cur, inputArrival, deadline)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N*64), "ns/transition")
 	b.ReportMetric(float64(stage.NumGates()), "gates")
+	tracked := stage.NumGates()
+	if track != nil {
+		tracked = 0
+		for _, w := range track {
+			tracked += bits.OnesCount64(w)
+		}
+	}
+	b.ReportMetric(float64(tracked), "tracked-gates")
 }
 
 // BenchmarkSTAForwardBackward measures the two-pass slack engine
@@ -367,7 +390,7 @@ func BenchmarkDTAStreamFAdd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dta.AnalyzeStream(context.Background(), e.F.FPU, fpu.DAdd, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide, pairs, 1, nil); err != nil {
+		if _, err := dta.AnalyzeStream(context.Background(), e.F.FPU, fpu.DAdd, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide, dta.Outcome, pairs, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -381,7 +404,7 @@ func BenchmarkDTAStreamFAdd(b *testing.B) {
 // dta-ops/op normalizes to instructions.
 func BenchmarkGateLevelDTA(b *testing.B) {
 	e := benchEnv(b)
-	a := dta.New(e.F.FPU, fpu.DMul, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide)
+	a := dta.New(e.F.FPU, fpu.DMul, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide, dta.Outcome)
 	src := prng.New(9)
 	pairs := make([]dta.Pair, 64)
 	recs := make([]dta.Record, len(pairs))
@@ -401,7 +424,7 @@ func BenchmarkGateLevelDTA(b *testing.B) {
 // the intended usage).
 func BenchmarkGateLevelDTASingle(b *testing.B) {
 	e := benchEnv(b)
-	a := dta.New(e.F.FPU, fpu.DMul, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide)
+	a := dta.New(e.F.FPU, fpu.DMul, e.F.Volt.ScaleFor(vscale.VR20), dta.EngineWide, dta.Outcome)
 	src := prng.New(9)
 	b.ReportAllocs()
 	b.ResetTimer()

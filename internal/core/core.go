@@ -266,7 +266,7 @@ func (f *Framework) characterize(ctx context.Context, level vscale.VRLevel, op f
 		for i := range pairs {
 			pairs[i] = draw(rs)
 		}
-		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, m)
+		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, dta.Outcome, pairs, f.Cfg.Workers, m)
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ func TestAnalyzeStreamCtxCanceledBeforeStart(t *testing.T) {
 	cancel()
 	pairs := randPairs(fpu.DMul, 2*cancelChunk, 7)
 	recs, err := AnalyzeStream(ctx, testFPU, fpu.DMul,
-		testModel.ScaleFor(vscale.VR20), EngineWide, pairs, 2, nil)
+		testModel.ScaleFor(vscale.VR20), EngineWide, Outcome, pairs, 2, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -33,7 +33,7 @@ func TestAnalyzeStreamCtxMatchesUncanceledPath(t *testing.T) {
 	pairs := randPairs(fpu.DAdd, 700, 3)
 	scale := testModel.ScaleFor(vscale.VR20)
 	want := stream(t, testFPU, fpu.DAdd, scale, EngineWide, pairs, 1)
-	got, err := AnalyzeStream(context.Background(), testFPU, fpu.DAdd, scale, EngineWide, pairs, 4, nil)
+	got, err := AnalyzeStream(context.Background(), testFPU, fpu.DAdd, scale, EngineWide, Outcome, pairs, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestAnalyzeStreamCtxMatchesUncanceledPath(t *testing.T) {
 func TestAnalyzeStreamShardPanicIsAnError(t *testing.T) {
 	pairs := randPairs(fpu.DMul, 8, 5)
 	_, err := AnalyzeStream(context.Background(), testFPU, fpu.Op(fpu.NumOps),
-		1.0, EngineWide, pairs, 2, nil)
+		1.0, EngineWide, Outcome, pairs, 2, nil)
 	if !guard.IsPanic(err) {
 		t.Fatalf("want a *guard.PanicError, got %v", err)
 	}

@@ -40,9 +40,14 @@ type Record struct {
 	Mask uint64
 	// MaxArrivalPS is the worst (scaled) signal arrival observed in any
 	// stage while executing this instruction, a dynamic-timing-slack
-	// diagnostic.
+	// diagnostic. Exact with Full detail and on the scalar engines; the
+	// pruned wide engine (Outcome detail) times only paths that can be
+	// late, so there it is exact for an erroneous instruction and a lower
+	// bound otherwise.
 	MaxArrivalPS float64
-	// EnergyFJ is the undervolted instance's switching energy, fJ.
+	// EnergyFJ is the undervolted instance's switching energy, fJ. The
+	// pruned wide engine (Outcome detail) does no energy accounting and
+	// leaves it 0; ask for Full detail to get it.
 	EnergyFJ float64
 }
 
@@ -137,11 +142,12 @@ type Analyzer struct {
 }
 
 // New returns an analyzer for the op's pipeline on the given FPU with
-// every gate delay inflated by scale, timed by eng. A voltage-reduction
-// level maps to its scale through vscale.Model.ScaleFor; the other
-// delay-increase sources of the paper's Section VI (overclocking,
-// temperature, aging — see vscale.StressCorner) reuse the same path.
-func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) *Analyzer {
+// every gate delay inflated by scale, timed by eng, filling the Record
+// fields detail selects. A voltage-reduction level maps to its scale
+// through vscale.Model.ScaleFor; the other delay-increase sources of the
+// paper's Section VI (overclocking, temperature, aging — see
+// vscale.StressCorner) reuse the same path.
+func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine, detail Detail) *Analyzer {
 	p := f.Pipeline(op)
 	a := &Analyzer{p: p, clk: f.CLK, scale: scale, eng: eng}
 	// The golden engines run strictly cycle by cycle and keep no state
@@ -156,7 +162,8 @@ func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) *Analyzer {
 		// cycles strictly in order, so one engine per distinct stage on
 		// one shared scratch (sized for the widest netlist) serves every
 		// expanded cycle. Per-cycle state (the lane-shift carries) stays
-		// outside the engines.
+		// outside the engines. With Outcome detail each engine times only
+		// its stage's tracked gates at this scale.
 		maxNets := 0
 		for _, s := range p.Stages {
 			if n := s.N.Compiled().NumNets; n > maxNets {
@@ -164,9 +171,17 @@ func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) *Analyzer {
 			}
 		}
 		ws := timingsim.NewWideScratch(maxNets)
+		var tracked [][]uint64
+		if detail == Outcome {
+			tracked = TrackedGates(f, op, scale)
+		}
 		byStage := make(map[*fpu.Stage]*timingsim.WideFastSim, len(p.Stages))
-		for _, s := range p.Stages {
-			byStage[s] = timingsim.NewWideFastShared(s.N.Compiled(), scale, ws)
+		for i, s := range p.Stages {
+			e := timingsim.NewWideFastShared(s.N.Compiled(), scale, ws)
+			if tracked != nil {
+				e.Prune(tracked[i])
+			}
+			byStage[s] = e
 		}
 		for _, s := range p.Stages {
 			ins := len(s.N.Inputs())
@@ -229,9 +244,10 @@ func (a *Analyzer) Reset() {
 // poolKey identifies one analyzer configuration inside an FPU's scratch
 // cache. Unexported so no other package's scratch entries can collide.
 type poolKey struct {
-	op    fpu.Op
-	scale float64
-	eng   Engine
+	op     fpu.Op
+	scale  float64
+	eng    Engine
+	detail Detail
 }
 
 // getAnalyzer fetches a pooled analyzer for the configuration (resetting
@@ -240,15 +256,15 @@ type poolKey struct {
 // hundreds of times per FPU, so pooling keeps the steady state
 // allocation-free. The pool lives on the FPU so retired designs are
 // collectable.
-func getAnalyzer(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) (*Analyzer, *sync.Pool) {
-	pi, _ := f.Scratch().LoadOrStore(poolKey{op, scale, eng}, &sync.Pool{})
+func getAnalyzer(f *fpu.FPU, op fpu.Op, scale float64, eng Engine, detail Detail) (*Analyzer, *sync.Pool) {
+	pi, _ := f.Scratch().LoadOrStore(poolKey{op, scale, eng, detail}, &sync.Pool{})
 	pool := pi.(*sync.Pool)
 	if v := pool.Get(); v != nil {
 		a := v.(*Analyzer)
 		a.Reset()
 		return a, pool
 	}
-	return New(f, op, scale, eng), pool
+	return New(f, op, scale, eng, detail), pool
 }
 
 // Op returns the analyzed instruction.
@@ -494,8 +510,10 @@ const (
 const cancelChunk = 256
 
 // AnalyzeStream runs DTA over a stream of operand pairs at delay scale
-// scale, sharding across workers (<= 0 means GOMAXPROCS). Results are
-// returned in input order and are identical for any worker count.
+// scale, filling the Record fields detail selects, sharding across
+// workers (<= 0 means GOMAXPROCS). Results are returned in input order
+// and are identical for any worker count; Golden, Faulty and Mask are
+// identical for either detail.
 //
 // Pipeline history couples consecutive pairs, so each shard but the
 // first speculatively warms up on the previous shard's last pair. That
@@ -518,7 +536,7 @@ const cancelChunk = 256
 // are pure functions of the inputs — worker scheduling cannot change
 // them — so snapshots stay deterministic. A nil registry records
 // nothing.
-func AnalyzeStream(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int, m *obs.Registry) ([]Record, error) {
+func AnalyzeStream(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, detail Detail, pairs []Pair, workers int, m *obs.Registry) ([]Record, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -542,7 +560,7 @@ func AnalyzeStream(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, en
 	for i := range shards {
 		sh := &shards[i]
 		guard.Go(&wg, &sink, fmt.Sprintf("dta %s shard %d", op, i), func() error {
-			a, pool := getAnalyzer(f, op, scale, eng)
+			a, pool := getAnalyzer(f, op, scale, eng, detail)
 			defer pool.Put(a)
 			if sh.lo > 0 {
 				a.Warm(pairs[sh.lo-1])
@@ -558,7 +576,7 @@ func AnalyzeStream(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, en
 	}
 	for i := 1; i < len(shards) && ctx.Err() == nil; i++ {
 		if prev := shards[i-1].end; !slices.Equal(shards[i].start, prev) {
-			a, pool := getAnalyzer(f, op, scale, eng)
+			a, pool := getAnalyzer(f, op, scale, eng, detail)
 			a.setHistory(prev)
 			shards[i].run(ctx, a, pairs, records)
 			pool.Put(a)

@@ -38,10 +38,17 @@ func randPairs(op fpu.Op, n int, seed uint64) []Pair {
 	return pairs
 }
 
-// stream runs AnalyzeStream to completion without metrics.
+// stream runs AnalyzeStream to completion without metrics, computing
+// the Outcome record fields.
 func stream(t testing.TB, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int) []Record {
 	t.Helper()
-	recs, err := AnalyzeStream(context.Background(), f, op, scale, eng, pairs, workers, nil)
+	return streamDetail(t, f, op, scale, eng, Outcome, pairs, workers)
+}
+
+// streamDetail is stream computing the record fields detail selects.
+func streamDetail(t testing.TB, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, detail Detail, pairs []Pair, workers int) []Record {
+	t.Helper()
+	recs, err := AnalyzeStream(context.Background(), f, op, scale, eng, detail, pairs, workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +57,7 @@ func stream(t testing.TB, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pair
 
 func TestNominalVoltageIsErrorFree(t *testing.T) {
 	for _, op := range []fpu.Op{fpu.DMul, fpu.DSub, fpu.DAdd, fpu.DI2F, fpu.SF2I} {
-		a := New(testFPU, op, testModel.ScaleFor(vscale.Nominal), EngineWide)
+		a := New(testFPU, op, testModel.ScaleFor(vscale.Nominal), EngineWide, Outcome)
 		for _, p := range randPairs(op, 200, 7) {
 			rec := a.Analyze(p)
 			if rec.Erroneous() {
@@ -64,7 +71,7 @@ func TestNominalVoltageIsErrorFree(t *testing.T) {
 }
 
 func TestFaultyMatchesMask(t *testing.T) {
-	a := New(testFPU, fpu.DMul, testModel.ScaleFor(vscale.VR20), EngineWide)
+	a := New(testFPU, fpu.DMul, testModel.ScaleFor(vscale.VR20), EngineWide, Outcome)
 	for _, p := range randPairs(fpu.DMul, 500, 11) {
 		rec := a.Analyze(p)
 		if rec.Golden^rec.Faulty != rec.Mask {
@@ -137,7 +144,7 @@ func TestMantissaBitsMoreErrorProne(t *testing.T) {
 func TestAnalyzeStreamMatchesSerial(t *testing.T) {
 	pairs := randPairs(fpu.DSub, 300, 19)
 	serial := stream(t, testFPU, fpu.DSub, testModel.ScaleFor(vscale.VR20), EngineWide, pairs, 1)
-	a := New(testFPU, fpu.DSub, testModel.ScaleFor(vscale.VR20), EngineWide)
+	a := New(testFPU, fpu.DSub, testModel.ScaleFor(vscale.VR20), EngineWide, Outcome)
 	for i, p := range pairs {
 		rec := a.Analyze(p)
 		if i == 0 {
@@ -192,8 +199,8 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestExactEngineAgreesAtNominal(t *testing.T) {
-	fast := New(testFPU, fpu.DMul, testModel.ScaleFor(vscale.Nominal), EngineWide)
-	exact := New(testFPU, fpu.DMul, testModel.ScaleFor(vscale.Nominal), EngineExact)
+	fast := New(testFPU, fpu.DMul, testModel.ScaleFor(vscale.Nominal), EngineWide, Outcome)
+	exact := New(testFPU, fpu.DMul, testModel.ScaleFor(vscale.Nominal), EngineExact, Outcome)
 	for _, p := range randPairs(fpu.DMul, 60, 23) {
 		rf := fast.Analyze(p)
 		re := exact.Analyze(p)
@@ -217,7 +224,7 @@ func TestExactEngineSeesErrorsUndervolted(t *testing.T) {
 func TestWarmAndDeterminism(t *testing.T) {
 	pairs := randPairs(fpu.DSub, 100, 31)
 	run := func() []Record {
-		a := New(testFPU, fpu.DSub, testModel.ScaleFor(vscale.VR20), EngineWide)
+		a := New(testFPU, fpu.DSub, testModel.ScaleFor(vscale.VR20), EngineWide, Outcome)
 		a.Warm(pairs[0])
 		out := make([]Record, len(pairs))
 		for i, p := range pairs {
@@ -260,7 +267,7 @@ func TestFastAndExactAgreeOnERMagnitude(t *testing.T) {
 }
 
 func TestScaleAccessors(t *testing.T) {
-	a := New(testFPU, fpu.DAdd, 1.2, EngineWide)
+	a := New(testFPU, fpu.DAdd, 1.2, EngineWide, Outcome)
 	if a.Op() != fpu.DAdd || a.Scale() != 1.2 {
 		t.Fatalf("accessors: %v %v", a.Op(), a.Scale())
 	}

@@ -10,8 +10,9 @@ import (
 )
 
 // TestEngineAndLaneCountInvariance is the batching contract: the wide
-// engine must produce records identical to the scalar fast engine —
-// Golden, Faulty, Mask, and bit-exact MaxArrivalPS — for every batch
+// engine asked for Full records must produce records identical to the
+// scalar fast engine — Golden, Faulty, Mask, and bit-exact MaxArrivalPS
+// and EnergyFJ — for every batch
 // granularity and worker fan-out, because the lane-shift carry replays
 // the exact serial transition history regardless of how the stream is
 // chopped. A failure here means batch boundaries leak into results.
@@ -22,12 +23,12 @@ func TestEngineAndLaneCountInvariance(t *testing.T) {
 
 		// Serial scalar reference: one pair at a time.
 		ref := make([]Record, len(pairs))
-		a := New(testFPU, op, scale, EngineFast)
+		a := New(testFPU, op, scale, EngineFast, Full)
 		a.AnalyzeBatch(pairs, ref)
 
 		// Wide engine at varying batch sizes (lane occupancies 1..64).
 		for _, batch := range []int{1, 4, 64} {
-			w := New(testFPU, op, scale, EngineWide)
+			w := New(testFPU, op, scale, EngineWide, Full)
 			got := make([]Record, len(pairs))
 			for lo := 0; lo < len(pairs); lo += batch {
 				hi := min(lo+batch, len(pairs))
@@ -44,7 +45,7 @@ func TestEngineAndLaneCountInvariance(t *testing.T) {
 		// Full stream path at varying worker counts and engines.
 		for _, eng := range []Engine{EngineWide, EngineFast} {
 			for _, workers := range []int{1, 4, 64} {
-				got := stream(t, testFPU, op, scale, eng, pairs, workers)
+				got := streamDetail(t, testFPU, op, scale, eng, Full, pairs, workers)
 				for i := range ref {
 					if got[i] != ref[i] {
 						t.Fatalf("%s: engine=%s workers=%d diverges at record %d:\n  ref %+v\n  got %+v",
@@ -58,21 +59,24 @@ func TestEngineAndLaneCountInvariance(t *testing.T) {
 
 // TestAnalyzeBatchSteadyStateAllocs pins the DTA hot loop's
 // zero-allocation invariant: once an analyzer is warm, streaming batches
-// through it allocates nothing for either the wide or the scalar fast
-// engine.
+// through it allocates nothing for the pruned or full wide engine or the
+// scalar fast engine.
 func TestAnalyzeBatchSteadyStateAllocs(t *testing.T) {
 	op := fpu.DAdd
 	pairs := randPairs(op, 64, 0xA110C)
 	recs := make([]Record, len(pairs))
 	scale := testModel.ScaleFor(vscale.VR20)
-	for _, eng := range []Engine{EngineWide, EngineFast} {
-		a := New(testFPU, op, scale, eng)
+	for _, c := range []struct {
+		eng    Engine
+		detail Detail
+	}{{EngineWide, Outcome}, {EngineWide, Full}, {EngineFast, Outcome}} {
+		a := New(testFPU, op, scale, c.eng, c.detail)
 		a.AnalyzeBatch(pairs, recs) // warm: history primed, buffers touched
 		avg := testing.AllocsPerRun(20, func() {
 			a.AnalyzeBatch(pairs, recs)
 		})
 		if avg != 0 {
-			t.Errorf("engine=%s: AnalyzeBatch allocates %.1f objects per call, want 0", eng, avg)
+			t.Errorf("engine=%s detail=%d: AnalyzeBatch allocates %.1f objects per call, want 0", c.eng, c.detail, avg)
 		}
 	}
 }

@@ -45,26 +45,6 @@ type ScreenConfig struct {
 	Validate bool
 }
 
-// screenKey memoizes per-op nominal stage worst delays in the FPU's
-// scratch. The key type is unexported, so no other package can collide.
-type screenKey struct{ op fpu.Op }
-
-// stageWorsts returns the op's nominal per-stage STA worst delays,
-// computing them once per FPU (concurrent first calls may duplicate the
-// analysis; the result is deterministic, so either copy is valid).
-func stageWorsts(f *fpu.FPU, op fpu.Op) []float64 {
-	if v, ok := f.Scratch().Load(screenKey{op}); ok {
-		return v.([]float64)
-	}
-	reports := f.Pipeline(op).STA()
-	worsts := make([]float64, len(reports))
-	for i, r := range reports {
-		worsts[i] = r.WorstDelay
-	}
-	v, _ := f.Scratch().LoadOrStore(screenKey{op}, worsts)
-	return v.([]float64)
-}
-
 // OpSlack returns the op's worst stage slack at the FPU's calibrated
 // clock with every delay inflated by scale: min over the op's pipeline
 // stages of CLK - scale*WorstDelay(stage). Negative once some stage's
@@ -72,7 +52,7 @@ func stageWorsts(f *fpu.FPU, op fpu.Op) []float64 {
 // nominal STA runs once per (FPU, op); subsequent queries at any scale
 // are a few multiplies.
 func OpSlack(f *fpu.FPU, op fpu.Op, scale float64) float64 {
-	worsts := stageWorsts(f, op)
+	worsts := nominalTiming(f, op).worsts
 	slack := f.CLK - scale*worsts[0]
 	for _, w := range worsts[1:] {
 		if s := f.CLK - scale*w; s < slack {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"teva/internal/fpu"
+	"teva/internal/netlist"
 	"teva/internal/vscale"
 )
 
@@ -37,6 +38,48 @@ func TestOpSlackMatchesStageReports(t *testing.T) {
 	}
 	if s := OpSlack(f, fpu.SI2F, vr20); s <= 0 {
 		t.Fatalf("SI2F VR20 slack %v, want positive", s)
+	}
+}
+
+// TestTrackedGatesShareTheScreenSTA: the screen's stage worsts and the
+// pruned engine's tracked sets come from one cached nominal STA pass per
+// (FPU, op), and each tracked set is the NetSlack rule up to the cache's
+// float32 round-up, which may only add gates.
+func TestTrackedGatesShareTheScreenSTA(t *testing.T) {
+	f := testFPU
+	vr20 := testModel.ScaleFor(vscale.VR20)
+	for _, op := range []fpu.Op{fpu.DMul, fpu.DDiv, fpu.SI2F} {
+		OpSlack(f, op, vr20)
+		first, _ := f.Scratch().Load(timingKey{op})
+		New(f, op, vr20, EngineWide, Outcome)
+		if again, _ := f.Scratch().Load(timingKey{op}); again != first {
+			t.Fatalf("%s: building an analyzer replaced the cached STA pass", op)
+		}
+		tracked := TrackedGates(f, op, vr20)
+		limit := f.CLK * (1 - pruneMargin)
+		count := 0
+		for si, r := range f.Pipeline(op).STA() {
+			c := f.Pipeline(op).Stages[si].N.Compiled()
+			for gi := 0; gi < c.NumGates; gi++ {
+				d := vr20 * r.PathDelay(netlist.NetID(c.Out[gi]))
+				on := tracked[si][gi>>6]>>uint(gi&63)&1 == 1
+				if d > limit && !on {
+					t.Fatalf("%s stage %d gate %d: path %.6f ps can be late but is untracked", op, si, gi, d)
+				}
+				if on && d <= limit*(1-1e-6) {
+					t.Fatalf("%s stage %d gate %d: path %.6f ps tracked below the limit", op, si, gi, d)
+				}
+				if on {
+					count++
+				}
+			}
+		}
+		if op == fpu.SI2F && count != 0 {
+			t.Errorf("%s: %d gates tracked at VR20, want none (the op has slack to spare)", op, count)
+		}
+		if op != fpu.SI2F && count == 0 {
+			t.Errorf("%s: no gate tracked at VR20, but the op fails there", op)
+		}
 	}
 }
 

@@ -10,52 +10,81 @@ import (
 	"teva/internal/experiments"
 	"teva/internal/fpu"
 	"teva/internal/prng"
+	"teva/internal/vscale"
 )
 
 // The static bound dominates the dynamic arrival: at every operating
-// corner, no instruction's worst DTA arrival may exceed the op's worst STA
-// stage delay at the same corner. STA takes the longest path through every
+// corner and on every die, no instruction's worst DTA arrival may exceed
+// the op's worst STA stage delay at the same corner. Slack-pruned DTA
+// rests on this bound. STA takes the longest path through every
 // gate regardless of which inputs switch; DTA times only the paths one
 // transition sensitizes. An arrival past the bound would mean the two
 // timing models disagree on a gate's derated delay.
 
-// bounds holds the shared FPU and, per corner and op, the worst
-// STACorner stage delay, built once per test binary.
-var bounds = sync.OnceValues(func() (*fpu.FPU, [][]float64) {
+// boundCorners are the corners the bound is checked at: every
+// DefaultCorners voltage corner, plus one corner for each other
+// delay-increase source of Section VI (temperature, aging, overclocking)
+// as a uniform delay derate.
+func boundCorners() []cell.Corner {
+	m := vscale.Default45nm()
+	return append(experiments.DefaultCorners(),
+		cell.Corner{Name: "125C", Process: m.TemperatureScale(125)},
+		cell.Corner{Name: "aging 7y", Process: m.AgingScale(7)},
+		cell.Corner{Name: "1.20x clock", Process: m.OverclockScale(1.2)},
+	)
+}
+
+// boundDie is one design the bound is checked on, with the op's worst
+// STACorner stage delay at every boundCorners corner.
+type boundDie struct {
+	name  string
+	f     *fpu.FPU
+	worst [][fpu.NumOps]float64
+}
+
+// bounds holds the dies the bound is checked on, the nominal FPU and one
+// process-varied die of it, built once per test binary.
+var bounds = sync.OnceValue(func() []boundDie {
 	f, err := fpu.New(cell.Default(), 0xF00D)
 	if err != nil {
 		panic(err)
 	}
-	corners := experiments.DefaultCorners()
-	worst := make([][]float64, len(corners))
-	for ci, corner := range corners {
-		worst[ci] = make([]float64, fpu.NumOps)
-		for _, op := range fpu.Ops() {
-			for _, r := range f.Pipeline(op).STACorner(corner) {
-				worst[ci][op] = max(worst[ci][op], r.WorstDelay)
+	dies := []boundDie{{name: "nominal", f: f}, {name: "varied die", f: f.Vary(0.04, 1)}}
+	for i := range dies {
+		d := &dies[i]
+		for _, corner := range boundCorners() {
+			var worst [fpu.NumOps]float64
+			for _, op := range fpu.Ops() {
+				for _, r := range d.f.Pipeline(op).STACorner(corner) {
+					worst[op] = max(worst[op], r.WorstDelay)
+				}
 			}
+			d.worst = append(d.worst, worst)
 		}
 	}
-	return f, worst
+	return dies
 })
 
-// checkStaticBound analyzes the pairs back to back with eng at every
-// default corner and returns the largest arrival seen.
+// checkStaticBound analyzes the pairs back to back with eng, asking for
+// full records, on every die at every bound corner and returns the
+// largest arrival seen.
 func checkStaticBound(t *testing.T, op fpu.Op, eng dta.Engine, pairs []dta.Pair) float64 {
 	t.Helper()
-	f, worst := bounds()
 	var seen float64
-	for ci, corner := range experiments.DefaultCorners() {
-		recs, err := dta.AnalyzeStream(context.Background(), f, op, corner.Derate(), eng, pairs, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range recs {
-			if r.MaxArrivalPS > worst[ci][op] {
-				t.Errorf("%s at %s (%s engine): pair %d (%#x, %#x) arrives at %.2f ps, past the STA bound %.2f ps",
-					op, corner.Label(), eng, i, r.A, r.B, r.MaxArrivalPS, worst[ci][op])
+	for _, d := range bounds() {
+		for ci, corner := range boundCorners() {
+			recs, err := dta.AnalyzeStream(context.Background(), d.f, op, corner.Derate(), eng, dta.Full, pairs, 0, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen = max(seen, r.MaxArrivalPS)
+			bound := d.worst[ci][op]
+			for i, r := range recs {
+				if r.MaxArrivalPS > bound {
+					t.Errorf("%s on the %s at %s (%s engine): pair %d (%#x, %#x) arrives at %.2f ps, past the STA bound %.2f ps",
+						op, d.name, corner.Label(), eng, i, r.A, r.B, r.MaxArrivalPS, bound)
+				}
+				seen = max(seen, r.MaxArrivalPS)
+			}
 		}
 	}
 	return seen
@@ -70,9 +99,9 @@ func operandMask(op fpu.Op) uint64 {
 }
 
 func TestStaticBoundsDynamic(t *testing.T) {
-	n := 1024
+	n, exact := 1024, 32
 	if testing.Short() {
-		n = 128
+		n, exact = 128, 8
 	}
 	src := prng.New(0x57A)
 	for _, op := range fpu.Ops() {
@@ -86,7 +115,7 @@ func TestStaticBoundsDynamic(t *testing.T) {
 		}
 		// The glitch-accurate engine times the same transitions with
 		// inertial delays; it is much slower, so it sees a prefix.
-		checkStaticBound(t, op, dta.EngineExact, pairs[:32])
+		checkStaticBound(t, op, dta.EngineExact, pairs[:exact])
 	}
 }
 

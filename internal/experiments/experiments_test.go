@@ -608,7 +608,7 @@ func TestFixedHistoryMatchesSerialLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := dta.New(testEnv.F.FPU, op, scale, eng)
+			a := dta.New(testEnv.F.FPU, op, scale, eng, dta.Outcome)
 			for i, p := range pairs {
 				a.Warm(ref)
 				if want := a.Analyze(p); got[i] != want {

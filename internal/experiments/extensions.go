@@ -36,13 +36,17 @@ type SourceRow struct {
 	ER float64
 }
 
-// Sources evaluates the Section VI delay-increase sources.
-func Sources(e *Env) ([]SourceRow, error) {
-	m := e.F.Volt
-	corners := []struct {
-		name string
-		sc   vscale.StressCorner
-	}{
+// SourceCorner is one rung of the Section VI stress ladder.
+type SourceCorner struct {
+	// Name labels the rung in the rendered table.
+	Name string
+	// Stress is the combined delay-increase source.
+	Stress vscale.StressCorner
+}
+
+// SourceCorners returns the stress ladder Sources evaluates, in order.
+func SourceCorners() []SourceCorner {
+	return []SourceCorner{
 		{"nominal", vscale.NominalCorner()},
 		{"VR15", vscale.StressCorner{SupplyReduction: 0.15, TempC: vscale.TempNominalC, FreqMult: 1}},
 		{"VR20", vscale.StressCorner{SupplyReduction: 0.20, TempC: vscale.TempNominalC, FreqMult: 1}},
@@ -54,6 +58,11 @@ func Sources(e *Env) ([]SourceRow, error) {
 		{"1.20x clock", vscale.StressCorner{TempC: vscale.TempNominalC, FreqMult: 1.20}},
 		{"VR10+85C+3y", vscale.StressCorner{SupplyReduction: 0.10, TempC: 85, AgeYears: 3, FreqMult: 1}},
 	}
+}
+
+// Sources evaluates the Section VI delay-increase sources.
+func Sources(e *Env) ([]SourceRow, error) {
+	m := e.F.Volt
 	n := e.F.Cfg.RandomOperands
 	src := e.rng("sources")
 	pairs := make([]dta.Pair, n)
@@ -61,16 +70,16 @@ func Sources(e *Env) ([]SourceRow, error) {
 		pairs[i] = dta.Pair{A: src.Uint64(), B: src.Uint64()}
 	}
 	var rows []SourceRow
-	for _, c := range corners {
-		scale := m.Scale(c.sc)
-		sum, err := e.cachedSummary("sources/"+c.name, fpu.DMul, scale, len(pairs), func() (*dta.Summary, error) {
+	for _, c := range SourceCorners() {
+		scale := m.Scale(c.Stress)
+		sum, err := e.cachedSummary("sources/"+c.Name, fpu.DMul, scale, len(pairs), func() (*dta.Summary, error) {
 			return e.summarize(e.F.FPU, fpu.DMul, scale, pairs)
 		})
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, SourceRow{
-			Name:  c.name,
+			Name:  c.Name,
 			Scale: scale,
 			ER:    sum.ErrorRatio(),
 		})
@@ -205,7 +214,7 @@ func fixedHistoryRecords(e *Env, op fpu.Op, scale float64, pairs []dta.Pair) ([]
 	for _, p := range pairs {
 		stream = append(stream, ref, p)
 	}
-	recs, err := dta.AnalyzeStream(e.ctx, e.F.FPU, op, scale, e.F.Cfg.Timing, stream, e.F.Cfg.Workers, nil)
+	recs, err := dta.AnalyzeStream(e.ctx, e.F.FPU, op, scale, e.F.Cfg.Timing, dta.Outcome, stream, e.F.Cfg.Workers, nil)
 	for i := range pairs {
 		recs[i] = recs[2*i+1]
 	}

@@ -257,7 +257,7 @@ func (e *Env) cachedSummary(tag string, op fpu.Op, scale float64, samples int, c
 // Env's context with the framework's engine and worker count. Metrics stay
 // off, so these ad-hoc streams do not count as characterization work.
 func (e *Env) summarize(f *fpu.FPU, op fpu.Op, scale float64, pairs []dta.Pair) (*dta.Summary, error) {
-	recs, err := dta.AnalyzeStream(e.ctx, f, op, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
+	recs, err := dta.AnalyzeStream(e.ctx, f, op, scale, e.F.Cfg.Timing, dta.Outcome, pairs, e.F.Cfg.Workers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func Characterize(ctx context.Context, f *fpu.FPU, intU *alu.Unit, samples int, 
 		for i := range pairs {
 			pairs[i] = dta.Pair{A: opSrc.Uint64(), B: opSrc.Uint64()}
 		}
-		recs, err := dta.AnalyzeStream(ctx, f, op, 1.0, dta.EngineWide, pairs, workers, nil)
+		recs, err := dta.AnalyzeStream(ctx, f, op, 1.0, dta.EngineWide, dta.Full, pairs, workers, nil)
 		if err != nil {
 			return nil, err
 		}

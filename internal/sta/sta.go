@@ -313,15 +313,23 @@ func (r *Report) Required(net netlist.NetID, clk float64) float64 {
 	return clk - r.setup - te
 }
 
-// NetSlack returns Required − Arrival at a net: the margin of the worst
-// register-to-register path through it. Nets outside any path (constants,
-// nets that reach no endpoint) have +Inf slack.
-func (r *Report) NetSlack(net netlist.NetID, clk float64) float64 {
+// PathDelay returns the delay of the longest register-to-register path
+// through a net, clock-to-Q and setup included: Arrival plus the longest
+// continuation to an endpoint plus setup. Nets outside any path
+// (constants, nets that reach no endpoint) return -Inf.
+func (r *Report) PathDelay(net netlist.NetID) float64 {
 	a, te := r.arrival[net], r.toEnd[net]
 	if math.IsInf(a, -1) || math.IsInf(te, -1) {
-		return math.Inf(1)
+		return math.Inf(-1)
 	}
-	return clk - (a + te + r.setup)
+	return a + te + r.setup
+}
+
+// NetSlack returns Required − Arrival at a net: the margin of the worst
+// register-to-register path through it, clk − PathDelay. Nets outside
+// any path have +Inf slack.
+func (r *Report) NetSlack(net netlist.NetID, clk float64) float64 {
+	return clk - r.PathDelay(net)
 }
 
 // NetSlacks returns the per-net slack vector at a clock period.

@@ -63,12 +63,23 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			prevW[j] = 0xAAAA5555AAAA5555
 		}
 	}
-	i := 0
 	avg := testing.AllocsPerRun(100, func() {
 		wide.Run(prevW, words, 2, 400)
-		i++
 	})
 	if avg != 0 {
 		t.Errorf("wide: Run allocates %.1f objects per call, want 0", avg)
+	}
+	// Pruned to every other gate: the tracked-set walk allocates nothing
+	// either.
+	track := make([]uint64, (c.NumGates+63)/64)
+	for j := range track {
+		track[j] = 0x5555555555555555
+	}
+	wide.Prune(track)
+	avg = testing.AllocsPerRun(100, func() {
+		wide.Run(prevW, words, 2, 400)
+	})
+	if avg != 0 {
+		t.Errorf("pruned wide: Run allocates %.1f objects per call, want 0", avg)
 	}
 }

@@ -12,11 +12,13 @@ package timingsim_test
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"testing"
 
 	"teva/internal/logicsim"
 	"teva/internal/netlist"
 	"teva/internal/prng"
+	"teva/internal/sta"
 	"teva/internal/timingsim"
 )
 
@@ -537,6 +539,75 @@ func TestWideFastMatchesScalarFast(t *testing.T) {
 						want := fast.Run(prevs[lane], curs[lane], 10, deadline)
 						got := wide.LaneSample(lane, &laneBuf)
 						compareLaneExact(t, seed, trial, lane, want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWidePruneMatchesFull checks a pruned WideFastSim against a full
+// one on the same transitions. The tracked set comes from the static
+// bound as dta builds it: a gate is tracked when inputArrival plus the
+// scaled longest path through its output can pass the deadline. Captured
+// values and violations must be equal; every arrival must be at most the
+// full engine's and equal to it at a late endpoint. The pruned engine
+// shares its scratch with a full engine that first times an unrelated
+// transition, so a pruned walk that reads an arrival row it did not write
+// this Run sees a stale value and fails the bound.
+func TestWidePruneMatchesFull(t *testing.T) {
+	const inputArrival = 10
+	for _, seed := range []uint64{5, 23, 777, 31337} {
+		n := randomCircuit(t, seed)
+		c := n.Compiled()
+		static := sta.Analyze(c, 0, 0)
+		src := prng.New(seed ^ 0x9121)
+		ins := len(n.Inputs())
+		word := func() []uint64 {
+			w := make([]uint64, ins)
+			for i := range w {
+				w[i] = src.Uint64()
+			}
+			return w
+		}
+		for _, scale := range []float64{1.0, 1.27} {
+			full := timingsim.NewWideFast(c, scale)
+			ws := timingsim.NewWideScratch(c.NumNets)
+			noise := timingsim.NewWideFastShared(c, scale, ws)
+			pruned := timingsim.NewWideFastShared(c, scale, ws)
+			for trial := 0; trial < 10; trial++ {
+				prev, cur := word(), word()
+				worst := full.Run(prev, cur, inputArrival, timingsim.MaxDeadline).WorstArrival
+				for _, frac := range []float64{0.4, 0.8, 1.1} {
+					deadline := slices.Max(worst[:]) * frac
+					track := make([]uint64, (c.NumGates+63)/64)
+					tracked := 0
+					for gi := 0; gi < c.NumGates; gi++ {
+						if inputArrival+scale*static.PathDelay(netlist.NetID(c.Out[gi])) > deadline*(1-1e-9) {
+							track[gi>>6] |= 1 << uint(gi&63)
+							tracked++
+						}
+					}
+					pruned.Prune(track)
+					noise.Run(word(), word(), inputArrival, deadline)
+					got := pruned.Run(prev, cur, inputArrival, deadline).Clone()
+					want := full.Run(prev, cur, inputArrival, deadline)
+					if !slices.Equal(got.Captured, want.Captured) || got.Violations != want.Violations {
+						t.Fatalf("seed %d scale %v trial %d frac %v (%d/%d gates tracked): captured or violations differ",
+							seed, scale, trial, frac, tracked, c.NumGates)
+					}
+					for oi := range c.Outputs {
+						for lane := 0; lane < 64; lane++ {
+							g, w := pruned.LaneArrival(oi, lane), full.LaneArrival(oi, lane)
+							//teva:allow floateq -- a late endpoint's arrival must be exact
+							if g > w || (w > deadline && g != w) {
+								t.Fatalf("seed %d scale %v trial %d frac %v: output %d lane %d arrives at %v pruned, %v full (deadline %v)",
+									seed, scale, trial, frac, oi, lane, g, w, deadline)
+							}
+						}
+					}
+					if got.Toggles != [64]int64{} || got.EnergyFJ != [64]float64{} {
+						t.Fatalf("seed %d: pruned engine counted toggles or energy", seed)
 					}
 				}
 			}

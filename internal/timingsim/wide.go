@@ -52,9 +52,11 @@ func (s *WideSample) Clone() *WideSample {
 // gate output actually toggled, so the fixed cost of walking the circuit
 // is paid once per 64 transitions instead of once per transition.
 //
-// The engine is bit-exact against FastSim: for every lane, Captured,
-// Settled, arrivals, violation/toggle counts and energies equal a scalar
-// FastSim run of that lane's transition (enforced by differential tests).
+// Unpruned, the engine is bit-exact against FastSim: for every lane,
+// Captured, Settled, arrivals, violation/toggle counts and energies equal
+// a scalar FastSim run of that lane's transition (enforced by
+// differential tests). Prune trades the arrival and energy diagnostics
+// for speed and keeps the captures exact.
 // Lanes are independent; callers that drive fewer than 64 lanes should
 // make the unused lanes transition-free (prev bit == cur bit) so they cost
 // nothing.
@@ -70,7 +72,10 @@ type WideFastSim struct {
 	// arr is the lane-major arrival SoA: arr[net*64+lane]. Slots are only
 	// valid while the matching changedW bit is set; stale lanes are never
 	// read.
-	arr    []float64
+	arr []float64
+	// track, when non-nil, is the pruned engine's tracked-gate bitset
+	// (see Prune).
+	track  []uint64
 	sample WideSample
 }
 
@@ -137,6 +142,27 @@ func NewWideFastShared(c *netlist.Compiled, scale float64, ws *WideScratch) *Wid
 	return s
 }
 
+// Prune restricts the engine's arrival work to the tracked gates: bit
+// gi%64 of track[gi/64] is set for every gate gi whose output net lies on
+// a path that can miss the deadline (primary inputs are always tracked).
+// An untracked gate still computes its logic values, but its changed mask
+// is stored as zero, so it seeds no arrival row, no reader takes a
+// candidate from it, and as an endpoint it captures its settled value.
+//
+// When every path through an untracked gate meets the deadline, which is
+// what the caller's static bound must guarantee, an endpoint can only be
+// late through a fully tracked path, which is timed exactly: Captured,
+// Settled and Violations equal the unpruned engine's. Arrivals are lower
+// bounds (exact at late endpoints; LaneArrival reads 0 at an untracked
+// one), and a pruned engine skips toggle and energy accounting, so
+// Toggles and EnergyFJ read 0. A nil track restores the full engine.
+func (s *WideFastSim) Prune(track []uint64) {
+	if track != nil && len(track) < (s.c.NumGates+63)/64 {
+		panic("timingsim: tracked-gate bitset shorter than the netlist")
+	}
+	s.track = track
+}
+
 // Run times the transitions from the prev input words to cur (one word
 // per primary input, lanes packed LSB = lane 0). Inputs switch at
 // inputArrival; capture happens at deadline. The returned WideSample is
@@ -173,6 +199,7 @@ func (s *WideFastSim) Run(prev, cur []uint64, inputArrival, deadline float64) *W
 	}
 
 	in, stride := c.In, c.Stride
+	track := s.track
 	for gi := 0; gi < c.NumGates; gi++ {
 		base := gi * stride
 		i0, i1, i2 := in[base], in[base+1], in[base+2]
@@ -221,11 +248,15 @@ func (s *WideFastSim) Run(prev, cur []uint64, inputArrival, deadline float64) *W
 		oldW[out] = oldOut
 		newW[out] = newOut
 		toggled := oldOut ^ newOut
+		if track != nil && track[gi>>6]>>uint(gi&63)&1 == 0 {
+			// Untracked: no path through this gate can be late, so its
+			// arrival is never needed (see Prune).
+			toggled = 0
+		}
 		changedW[out] = toggled
 		if toggled == 0 {
 			continue
 		}
-		energy := c.Energy[gi]
 		ob := (*[64]float64)(arr[int(out)*64:])
 		// Seed the whole output row's arrivals with inputArrival. Any
 		// changed pin's candidate is arr+d ≥ inputArrival, so the running
@@ -233,10 +264,13 @@ func (s *WideFastSim) Run(prev, cur []uint64, inputArrival, deadline float64) *W
 		// inputArrival when none did — exactly FastSim's `worst == 0 →
 		// inputArrival` fallback, without the per-lane test.
 		*ob = seedRow
-		for m := toggled; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(m) & 63
-			sm.Toggles[lane]++
-			sm.EnergyFJ[lane] += energy
+		if track == nil {
+			energy := c.Energy[gi]
+			for m := toggled; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros64(m) & 63
+				sm.Toggles[lane]++
+				sm.EnergyFJ[lane] += energy
+			}
 		}
 		// Rising and falling lanes take different pin delays; splitting
 		// the toggled mask keeps each inner loop's delay a constant and
