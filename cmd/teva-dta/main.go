@@ -32,10 +32,7 @@ func main() {
 	out := flag.String("o", "", "output model file (default stdout)")
 	operands := flag.Int("operands", 0, "DTA operands per instruction type (0: default)")
 	seed := flag.Uint64("seed", 0xF00D, "master seed")
-	timing := flag.String("timing", "wide", "timing engine: wide (64-lane, default), fast (scalar reference), exact (event-driven, slow)")
-	staScreen := flag.Bool("sta-screen", false, "skip dense DTA for ops whose worst STA slack clears the guardband")
-	screenGuardband := flag.Float64("screen-guardband", 0, "minimum positive slack in ps an op must clear to be screened (with -sta-screen)")
-	screenValidate := flag.Bool("screen-validate", false, "with -sta-screen: still simulate screened ops and fail on any disagreement")
+	timing := flag.String("timing", "wide", "timing engine: wide (64-lane, default), exact (event-driven, slow)")
 	flag.Parse()
 
 	level, err := vscale.ParseLevel(*levelName)
@@ -46,7 +43,6 @@ func main() {
 	// validate and resolve; -operands then sizes both DTA samples.
 	sp := experiments.Spec{
 		Scale: strings.ToLower(*scaleName), Seed: *seed, Timing: *timing,
-		STAScreen: *staScreen, ScreenGuardband: *screenGuardband, ScreenValidate: *screenValidate,
 	}
 	if err := sp.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "teva-dta:", err)

@@ -34,8 +34,8 @@
 // An unknown name exits 2 and lists the valid ones. The flags fill an
 // experiments.Spec — the request form teva-serve decodes from JSON — so
 // any value a served job would reject (an unknown name, a negative
-// -runs, -workers or -screen-guardband, a bad -scale, -timing or
-// -corners) also exits 2 here, before any work starts.
+// -runs or -workers, a bad -scale, -timing or -corners) also exits 2
+// here, before any work starts.
 //
 // The run shuts down in an orderly way: the first SIGINT/SIGTERM drains
 // (in-flight cells finish and are cached, no new work is dispatched, the
@@ -93,11 +93,8 @@ func main() {
 	pprofCPU := flag.String("pprof-cpu", "", "write a CPU profile to this file")
 	pprofMem := flag.String("pprof-mem", "", "write a heap profile to this file on exit")
 	maxDuration := flag.Duration("max-duration", 0, "wall-clock budget; when exceeded, in-flight work is canceled and the run exits 124 (0: unlimited)")
-	timing := flag.String("timing", "wide", "DTA timing engine: wide (64-lane, default), fast (scalar reference), exact (event-driven, slow)")
+	timing := flag.String("timing", "wide", "DTA timing engine: wide (64-lane, default), exact (event-driven, slow)")
 	cornerSpec := flag.String("corners", "", "corners for the multi-corner STA sweep: named corners (nominal, VR15, VR20) and/or supply voltages in volts, comma-separated (default: nominal,VR15,VR20)")
-	staScreen := flag.Bool("sta-screen", false, "skip dense DTA for ops whose worst STA slack clears the guardband (screened ops are reported error-free)")
-	screenGuardband := flag.Float64("screen-guardband", 0, "minimum positive slack in ps an op must clear to be screened (with -sta-screen)")
-	screenValidate := flag.Bool("screen-validate", false, "with -sta-screen: still simulate screened ops and fail on any disagreement with the slack screen")
 	shards := flag.Int("shards", 0, "prewarm the -cache-dir with this many supervised teva-worker processes before the suite runs (needs -cache-dir; crashed workers are restarted, poison units quarantined, and the report stays byte-identical to an unsharded run)")
 	workerBin := flag.String("worker-bin", "", "teva-worker executable for -shards (default: next to this binary, then $PATH)")
 	shardKillAfter := flag.String("shard-kill-after", "", "chaos drill: SIGKILL one live worker after N prewarm units complete (testing only)")
@@ -107,7 +104,6 @@ func main() {
 		Experiments: strings.Split(*exp, ","),
 		Quick:       *quick, Full: *full, Scale: *scaleName, Runs: *runs,
 		Seed: *seed, Workers: *workers, Timing: *timing, Corners: *cornerSpec,
-		STAScreen: *staScreen, ScreenGuardband: *screenGuardband, ScreenValidate: *screenValidate,
 	}
 	if *maxDuration != 0 {
 		sp.MaxDuration = maxDuration.String()

@@ -41,14 +41,17 @@ func runMain(t *testing.T, args ...string) (int, string, string) {
 
 // TestRejectsWhatServeRejects pins that the flags go through the same
 // validation as a served spec: each invalid value exits 2 with the
-// reason on stderr, before any work starts. A negative guardband used to
-// screen ops that really fail timing and report them error-free.
+// reason on stderr, before any work starts. The removed STA-screen flags
+// and the removed fast engine fail the same way, naming what is gone.
 func TestRejectsWhatServeRejects(t *testing.T) {
 	cases := []struct {
 		args    []string
 		wantErr string
 	}{
-		{[]string{"-quick", "-exp", "fig7", "-sta-screen", "-screen-guardband", "-1000"}, "guardband"},
+		{[]string{"-quick", "-exp", "fig7", "-sta-screen"}, "-sta-screen"},
+		{[]string{"-quick", "-exp", "fig7", "-screen-guardband", "1"}, "-screen-guardband"},
+		{[]string{"-quick", "-exp", "fig7", "-screen-validate"}, "-screen-validate"},
+		{[]string{"-quick", "-exp", "fig7", "-timing", "fast"}, `unknown timing engine "fast"`},
 		{[]string{"-quick", "-exp", "fig7", "-runs", "-5"}, "runs -5"},
 		{[]string{"-quick", "-exp", "fig77"}, "valid: all, design"},
 		{[]string{"-quick", "-exp", "fig7", "-scale", "huge"}, "unknown scale"},

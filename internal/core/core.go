@@ -56,10 +56,9 @@ type Config struct {
 	// as Timeout, so cells from different factors must never alias.
 	TimeoutFactor float64
 	// Timing selects the reduced-voltage timing engine. The zero value is
-	// dta.EngineWide (64-lane levelized, the fastest); dta.EngineFast and
-	// dta.EngineExact are the scalar reference engines. Wide and fast
-	// produce identical records, so only Exact() is folded into artifact
-	// cache keys.
+	// dta.EngineWide (64-lane levelized, the fastest); dta.EngineExact is
+	// the event-driven glitch-accurate engine. Only Exact() is folded into
+	// artifact cache keys.
 	Timing dta.Engine
 	// Artifacts, when non-nil, persists DTA characterization summaries
 	// across runs: a second run with the same seed and sample sizes
@@ -70,12 +69,6 @@ type Config struct {
 	// experiments.* counters plus phase timers from every framework
 	// operation. A nil registry disables instrumentation at zero cost.
 	Metrics *obs.Registry `json:"-"`
-	// Screen configures slack-driven DTA screening: ops whose worst STA
-	// slack at the analyzed corner clears the guardband are predicted
-	// error-free and skip dense DTA (see dta.ScreenConfig). Screened ops
-	// are counted on dta.screened_ops; validation mode simulates them
-	// anyway and fails loudly on any disagreement.
-	Screen dta.ScreenConfig
 }
 
 // DefaultConfig returns the scaled-down defaults.
@@ -242,22 +235,9 @@ func opOperands(op fpu.Op, n int) int {
 // characterize computes (or reloads from the artifact store) op's DTA
 // summary at a level over n operand pairs, each drawn by draw from one
 // source seeded with seed; source names the operands' origin in the
-// artifact key. An op the slack screen clears is reported error-free
-// without simulation, unless screen validation asks for the simulation
-// too.
+// artifact key.
 func (f *Framework) characterize(ctx context.Context, level vscale.VRLevel, op fpu.Op, source string, n int, seed uint64, draw func(rs *prng.Source) dta.Pair) (*dta.Summary, error) {
 	scale := f.Volt.ScaleFor(level)
-	m := f.Cfg.Metrics
-	screened := false
-	if f.Cfg.Screen.Enabled {
-		m.Counter(dta.MetricScreenChecked).Inc()
-		if screened = f.Cfg.Screen.Screens(f.FPU, op, scale); screened {
-			m.Counter(dta.MetricScreenedOps).Inc()
-			if !f.Cfg.Screen.Validate {
-				return dta.ScreenedSummary(op, n), nil
-			}
-		}
-	}
 	key := artifact.SummaryKey(source, op.String(), scale, seed, n, f.Cfg.Timing.Exact())
 	s := new(dta.Summary)
 	if !f.Cfg.Artifacts.Load(key, s) {
@@ -266,22 +246,12 @@ func (f *Framework) characterize(ctx context.Context, level vscale.VRLevel, op f
 		for i := range pairs {
 			pairs[i] = draw(rs)
 		}
-		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, dta.Outcome, pairs, f.Cfg.Workers, m)
+		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, dta.Outcome, pairs, f.Cfg.Workers, f.Cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
 		s = dta.Summarize(op, recs)
 		f.noteSaveErr(f.Cfg.Artifacts.Save(key, s))
-	}
-	// Validation mode: the STA bound guarantees zero faulty instructions,
-	// so any fault the simulation found is a soundness bug worth failing
-	// the run over.
-	if screened {
-		m.Counter(dta.MetricScreenValidated).Inc()
-		if s.Faulty != 0 {
-			return nil, fmt.Errorf("core: STA screen predicted %s error-free at delay scale %.6g (slack %.1f ps >= guardband %.1f ps), but simulation found %d/%d faulty instructions",
-				op, scale, dta.OpSlack(f.FPU, op, scale), f.Cfg.Screen.Guardband, s.Faulty, s.Total)
-		}
 	}
 	return s, nil
 }

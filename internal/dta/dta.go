@@ -40,7 +40,7 @@ type Record struct {
 	Mask uint64
 	// MaxArrivalPS is the worst (scaled) signal arrival observed in any
 	// stage while executing this instruction, a dynamic-timing-slack
-	// diagnostic. Exact with Full detail and on the scalar engines; the
+	// diagnostic. Exact with Full detail and on the exact engine; the
 	// pruned wide engine (Outcome detail) times only paths that can be
 	// late, so there it is exact for an erroneous instruction and a lower
 	// bound otherwise.
@@ -58,20 +58,15 @@ func (r Record) Erroneous() bool { return r.Mask != 0 }
 type Pair struct{ A, B uint64 }
 
 // Engine selects the reduced-voltage timing engine. The zero value is
-// EngineWide, the fastest engine; all three produce the same Records for
-// chain/levelized semantics (Wide is bit-exact against Fast by
-// construction, and differential tests enforce it), so the choice is a
-// speed/fidelity knob, not a correctness one.
+// EngineWide, the production engine; EngineExact is the glitch-accurate
+// ModelSim substitute, which can capture different values, so the choice
+// is a fidelity knob.
 type Engine uint8
 
 const (
 	// EngineWide is the 64-lane levelized engine: one circuit walk per
-	// pipeline cycle times up to 64 consecutive instructions. Bit-exact
-	// against EngineFast; the default.
+	// pipeline cycle times up to 64 consecutive instructions. The default.
 	EngineWide Engine = iota
-	// EngineFast is the scalar levelized arrival engine (one walk per
-	// instruction), kept as the differential reference for EngineWide.
-	EngineFast
 	// EngineExact is the event-driven engine with inertial delays and
 	// glitch-accurate captures — the slow reference. Glitch handling is
 	// inherently serial (event order couples lanes), so it has no wide
@@ -81,7 +76,6 @@ const (
 
 var engineNames = map[Engine]string{
 	EngineWide:  "wide",
-	EngineFast:  "fast",
 	EngineExact: "exact",
 }
 
@@ -93,19 +87,17 @@ func (e Engine) String() string {
 }
 
 // Exact reports whether the engine models glitch-accurate captures. It is
-// also the provenance bit for cached DTA summaries: wide and fast produce
-// identical records, so they share cache entries.
+// also the provenance bit for cached DTA summaries.
 func (e Engine) Exact() bool { return e == EngineExact }
 
-// ParseEngine maps a CLI flag value ("wide", "fast", "exact") to an
-// Engine.
+// ParseEngine maps a CLI flag value ("wide", "exact") to an Engine.
 func ParseEngine(s string) (Engine, error) {
 	for e, n := range engineNames {
 		if n == s {
 			return e, nil
 		}
 	}
-	return EngineWide, fmt.Errorf("dta: unknown timing engine %q (wide, fast, exact)", s)
+	return EngineWide, fmt.Errorf("dta: unknown timing engine %q (wide, exact)", s)
 }
 
 // Analyzer runs DTA for one instruction type at one voltage corner.
@@ -121,8 +113,8 @@ type Analyzer struct {
 	golden  []*logicsim.WideSim
 	stages  []*fpu.Stage
 	wordBuf [][]uint64 // 64-lane words per cycle boundary (golden + wide faulty)
-	// Scalar faulty path (EngineFast, EngineExact). All buffers are
-	// preallocated: one undervolted instruction allocates nothing.
+	// Scalar faulty path (EngineExact). All buffers are preallocated: one
+	// undervolted instruction allocates nothing.
 	timing []timingsim.Runner
 	prevIn [][]bool // faulty-domain previous input per expanded cycle
 	curOut [][]bool // faulty-domain captured output per expanded cycle
@@ -133,11 +125,15 @@ type Analyzer struct {
 	// are the current words shifted up one lane; carry holds the last
 	// analyzed instruction's input bits per cycle (the lane-0 carry-in),
 	// which replays the exact serial history across batch boundaries.
-	wtiming   []*timingsim.WideFastSim
-	carry     [][]uint64 // per cycle, per input net: previous batch's last lane (bit 0)
-	widePrev  []uint64   // lane-shifted transition scratch, max stage width
-	warmPairs [1]Pair    // scratch for Warm's single-lane batch
-	warmRec   [1]Record  // scratch for Warm's discarded record
+	wtiming []*timingsim.WideFastSim
+	carry   [][]uint64 // per cycle, per input net: previous batch's last lane (bit 0)
+	// noLate marks a pruned wide analyzer at a scale where no endpoint
+	// can be late (see noneLate): it builds no timing engines, and the
+	// undervolted instance captures the golden values in every cycle.
+	noLate    bool
+	widePrev  []uint64  // lane-shifted transition scratch, max stage width
+	warmPairs [1]Pair   // scratch for Warm's single-lane batch
+	warmRec   [1]Record // scratch for Warm's discarded record
 	haveHot   bool
 }
 
@@ -164,24 +160,26 @@ func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine, detail Detail) *Analy
 		// expanded cycle. Per-cycle state (the lane-shift carries) stays
 		// outside the engines. With Outcome detail each engine times only
 		// its stage's tracked gates at this scale.
-		maxNets := 0
-		for _, s := range p.Stages {
-			if n := s.N.Compiled().NumNets; n > maxNets {
-				maxNets = n
-			}
-		}
-		ws := timingsim.NewWideScratch(maxNets)
 		var tracked [][]uint64
 		if detail == Outcome {
 			tracked = TrackedGates(f, op, scale)
+			a.noLate = noneLate(f, op, tracked, scale)
 		}
-		byStage := make(map[*fpu.Stage]*timingsim.WideFastSim, len(p.Stages))
-		for i, s := range p.Stages {
-			e := timingsim.NewWideFastShared(s.N.Compiled(), scale, ws)
-			if tracked != nil {
-				e.Prune(tracked[i])
+		var byStage map[*fpu.Stage]*timingsim.WideFastSim
+		if !a.noLate {
+			maxNets := 0
+			for _, s := range p.Stages {
+				maxNets = max(maxNets, s.N.Compiled().NumNets)
 			}
-			byStage[s] = e
+			ws := timingsim.NewWideScratch(maxNets)
+			byStage = make(map[*fpu.Stage]*timingsim.WideFastSim, len(p.Stages))
+			for i, s := range p.Stages {
+				e := timingsim.NewWideFastShared(s.N.Compiled(), scale, ws)
+				if tracked != nil {
+					e.Prune(tracked[i])
+				}
+				byStage[s] = e
+			}
 		}
 		for _, s := range p.Stages {
 			ins := len(s.N.Inputs())
@@ -191,7 +189,9 @@ func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine, detail Detail) *Analy
 			for r := 0; r < s.Repeat; r++ {
 				a.stages = append(a.stages, s)
 				a.golden = append(a.golden, gByStage[s])
-				a.wtiming = append(a.wtiming, byStage[s])
+				if byStage != nil {
+					a.wtiming = append(a.wtiming, byStage[s])
+				}
 				a.carry = append(a.carry, make([]uint64, ins))
 				a.wordBuf = append(a.wordBuf, make([]uint64, ins))
 			}
@@ -206,11 +206,7 @@ func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine, detail Detail) *Analy
 			for r := 0; r < s.Repeat; r++ {
 				a.stages = append(a.stages, s)
 				a.golden = append(a.golden, gByStage[s])
-				if eng == EngineExact {
-					a.timing = append(a.timing, timingsim.NewExact(c, scale))
-				} else {
-					a.timing = append(a.timing, timingsim.NewFast(c, scale))
-				}
+				a.timing = append(a.timing, timingsim.NewExact(c, scale))
 				a.prevIn = append(a.prevIn, make([]bool, ins))
 				a.curOut = append(a.curOut, make([]bool, len(s.N.Outputs())))
 				a.wordBuf = append(a.wordBuf, make([]uint64, ins))
@@ -280,6 +276,9 @@ func (a *Analyzer) Warm(pair Pair) {
 	if a.eng == EngineWide {
 		a.warmPairs[0] = pair
 		a.packBatch(a.warmPairs[:])
+		if a.noLate {
+			a.goldenBatch(a.warmPairs[:], a.warmRec[:])
+		}
 		a.faultyBatch(a.warmPairs[:], a.warmRec[:])
 		return
 	}
@@ -406,30 +405,36 @@ func (a *Analyzer) goldenBatch(pairs []Pair, recs []Record) {
 // cycle's input words up one lane with a.carry supplying lane 0 across
 // batch boundaries. Lanes past len(pairs) are forced transition-free so a
 // short batch costs (and records) nothing extra.
+//
+// A noLate analyzer walks nothing: every cycle captures its settled
+// values, so the undervolted stage inputs are the golden ones goldenBatch
+// left in wordBuf, Faulty is Golden and the carries are the golden words'
+// last lane. MaxArrivalPS then reads 0, a lower bound.
 func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 	a.haveHot = true
 	n := len(pairs)
-	lib := a.stages[0].N.Lib
-	inputArrival := lib.ClockToQ * a.scale
-	deadline := a.clk - lib.Setup*a.scale
-	active := ^uint64(0) >> uint(64-n)
 	for i := range recs[:n] {
 		recs[i].MaxArrivalPS = 0
 		recs[i].EnergyFJ = 0
 	}
+	if a.noLate {
+		for ci, carry := range a.carry {
+			for j, cw := range a.wordBuf[ci] {
+				carry[j] = cw >> uint(n-1) & 1
+			}
+		}
+		for i := range recs[:n] {
+			recs[i].Faulty = recs[i].Golden
+		}
+		return
+	}
+	lib := a.stages[0].N.Lib
+	inputArrival := lib.ClockToQ * a.scale
+	deadline := a.clk - lib.Setup*a.scale
 	for ci := range a.stages {
 		cur := a.wordBuf[ci]
 		prev := a.widePrev[:len(cur)]
-		carry := a.carry[ci]
-		for j, cw := range cur {
-			pw := cw<<1 | carry[j]
-			// Inactive lanes adopt their previous value: no transition,
-			// no toggles, no arrival work.
-			cw = cw&active | pw&^active
-			cur[j] = cw
-			prev[j] = pw
-			carry[j] = cw >> uint(n-1) & 1
-		}
+		timingsim.ChainLanes(prev, cur, a.carry[ci], n)
 		sm := a.wtiming[ci].Run(prev, cur, inputArrival, deadline)
 		for lane := 0; lane < n; lane++ {
 			if wa := sm.WorstArrival[lane]; wa > recs[lane].MaxArrivalPS {
@@ -463,7 +468,7 @@ func (a *Analyzer) faultyStep(pair Pair) (faulty uint64, maxArrivalPS, energyFJ 
 	for ci := range a.stages {
 		// Timing simulation from the previous cycle's (faulty-domain)
 		// stage inputs to the current ones.
-		//teva:allow hotalloc -- reviewed: Runner dispatch picks FastSim/Exact; both are steady-state alloc-free (AllocsPerRun tests)
+		//teva:allow hotalloc -- reviewed: Runner dispatch reaches timingsim.ExactSim, which is steady-state alloc-free (AllocsPerRun tests)
 		sample := a.timing[ci].Run(a.prevIn[ci], faultyIn, inputArrival, deadline)
 		if sample.WorstArrival > maxArrivalPS {
 			maxArrivalPS = sample.WorstArrival
@@ -630,7 +635,7 @@ func (sh *shard) run(ctx context.Context, a *Analyzer, pairs []Pair, records []R
 // history appends the analyzer's faulty-domain pipeline history — every
 // expanded cycle's previous stage input, which the next instruction's
 // transitions start from — to dst: the wide engine's lane-0 carries, or
-// the scalar engines' previous-input bits.
+// the exact engine's previous-input bits.
 func (a *Analyzer) history(dst []uint64) []uint64 {
 	for _, c := range a.carry {
 		dst = append(dst, c...)

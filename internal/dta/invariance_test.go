@@ -10,12 +10,13 @@ import (
 )
 
 // TestEngineAndLaneCountInvariance is the batching contract: the wide
-// engine asked for Full records must produce records identical to the
-// scalar fast engine — Golden, Faulty, Mask, and bit-exact MaxArrivalPS
-// and EnergyFJ — for every batch
-// granularity and worker fan-out, because the lane-shift carry replays
-// the exact serial transition history regardless of how the stream is
-// chopped. A failure here means batch boundaries leak into results.
+// engine asked for Full records must produce records identical to a
+// serial walk on the scalar levelized engine (timingsim.FastSim) —
+// Golden, Faulty, Mask, and bit-exact MaxArrivalPS and EnergyFJ — for
+// every batch granularity and worker fan-out, because the lane-shift
+// carry replays the exact serial transition history regardless of how
+// the stream is chopped. A failure here means batch boundaries leak into
+// results.
 func TestEngineAndLaneCountInvariance(t *testing.T) {
 	for _, op := range []fpu.Op{fpu.DAdd, fpu.DMul} {
 		pairs := randPairs(op, 200, 0xC0FFEE)
@@ -23,8 +24,7 @@ func TestEngineAndLaneCountInvariance(t *testing.T) {
 
 		// Serial scalar reference: one pair at a time.
 		ref := make([]Record, len(pairs))
-		a := New(testFPU, op, scale, EngineFast, Full)
-		a.AnalyzeBatch(pairs, ref)
+		newFastReference(testFPU, op, scale).AnalyzeBatch(pairs, ref)
 
 		// Wide engine at varying batch sizes (lane occupancies 1..64).
 		for _, batch := range []int{1, 4, 64} {
@@ -42,15 +42,13 @@ func TestEngineAndLaneCountInvariance(t *testing.T) {
 			}
 		}
 
-		// Full stream path at varying worker counts and engines.
-		for _, eng := range []Engine{EngineWide, EngineFast} {
-			for _, workers := range []int{1, 4, 64} {
-				got := streamDetail(t, testFPU, op, scale, eng, Full, pairs, workers)
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("%s: engine=%s workers=%d diverges at record %d:\n  ref %+v\n  got %+v",
-							op, eng, workers, i, ref[i], got[i])
-					}
+		// Full stream path at varying worker counts.
+		for _, workers := range []int{1, 4, 64} {
+			got := streamDetail(t, testFPU, op, scale, EngineWide, Full, pairs, workers)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%s: workers=%d diverges at record %d:\n  ref %+v\n  got %+v",
+						op, workers, i, ref[i], got[i])
 				}
 			}
 		}
@@ -59,24 +57,31 @@ func TestEngineAndLaneCountInvariance(t *testing.T) {
 
 // TestAnalyzeBatchSteadyStateAllocs pins the DTA hot loop's
 // zero-allocation invariant: once an analyzer is warm, streaming batches
-// through it allocates nothing for the pruned or full wide engine or the
-// scalar fast engine.
+// through it allocates nothing for the pruned wide engine (walking, or
+// skipping the walk for an op that cannot be late), the full wide engine
+// or the scalar exact engine.
 func TestAnalyzeBatchSteadyStateAllocs(t *testing.T) {
-	op := fpu.DAdd
-	pairs := randPairs(op, 64, 0xA110C)
-	recs := make([]Record, len(pairs))
 	scale := testModel.ScaleFor(vscale.VR20)
 	for _, c := range []struct {
+		op     fpu.Op
 		eng    Engine
 		detail Detail
-	}{{EngineWide, Outcome}, {EngineWide, Full}, {EngineFast, Outcome}} {
-		a := New(testFPU, op, scale, c.eng, c.detail)
+		n      int
+	}{
+		{fpu.DAdd, EngineWide, Outcome, 64},
+		{fpu.SI2F, EngineWide, Outcome, 64},
+		{fpu.DAdd, EngineWide, Full, 64},
+		{fpu.DAdd, EngineExact, Outcome, 4},
+	} {
+		pairs := randPairs(c.op, c.n, 0xA110C)
+		recs := make([]Record, len(pairs))
+		a := New(testFPU, c.op, scale, c.eng, c.detail)
 		a.AnalyzeBatch(pairs, recs) // warm: history primed, buffers touched
 		avg := testing.AllocsPerRun(20, func() {
 			a.AnalyzeBatch(pairs, recs)
 		})
 		if avg != 0 {
-			t.Errorf("engine=%s detail=%d: AnalyzeBatch allocates %.1f objects per call, want 0", c.eng, c.detail, avg)
+			t.Errorf("%s engine=%s detail=%d: AnalyzeBatch allocates %.1f objects per call, want 0", c.op, c.eng, c.detail, avg)
 		}
 	}
 }

@@ -24,6 +24,10 @@ import (
 // and the pipeline history are those of the unpruned engine. The margin
 // keeps rounding between the static sum and the engine's summed scaled
 // delays from flipping a decision.
+//
+// When no stage of an op tracks a gate and no input wired straight to an
+// output can be late either, no endpoint can be late at all: the analyzer
+// skips the faulty walk and takes the golden values (noneLate).
 
 // pruneMargin is the relative clock margin of the tracked-gate rule.
 const pruneMargin = 1e-9
@@ -35,7 +39,7 @@ const (
 	// Outcome computes A, B, Golden, Faulty and Mask. The wide engine
 	// prunes its arrival work to gates that can be late, so MaxArrivalPS
 	// is exact only for a late instruction (a lower bound otherwise) and
-	// EnergyFJ is 0. The scalar engines compute every field regardless.
+	// EnergyFJ is 0. The exact engine computes every field regardless.
 	Outcome Detail = iota
 	// Full also computes the exact MaxArrivalPS and EnergyFJ, with no
 	// pruning.
@@ -47,13 +51,11 @@ const (
 type timingKey struct{ op fpu.Op }
 
 // opTiming is the compact result of one nominal STA pass over an op's
-// pipeline: per stage, the worst delay (the screen's input) and every
-// gate's PathDelay at its output net (the tracked sets' input), rounded
-// up to float32. Rounding up only ever tracks more gates, which costs
-// work but never exactness.
+// pipeline: per stage, every gate's PathDelay at its output net (the
+// tracked sets' input), rounded up to float32. Rounding up only ever
+// tracks more gates, which costs work but never exactness.
 type opTiming struct {
-	worsts []float64
-	paths  [][]float32
+	paths [][]float32
 }
 
 // nominalTiming returns the op's nominal static timing, running STA once
@@ -65,9 +67,8 @@ func nominalTiming(f *fpu.FPU, op fpu.Op) *opTiming {
 	}
 	p := f.Pipeline(op)
 	reports := p.STA()
-	t := &opTiming{worsts: make([]float64, len(reports)), paths: make([][]float32, len(reports))}
+	t := &opTiming{paths: make([][]float32, len(reports))}
 	for i, r := range reports {
-		t.worsts[i] = r.WorstDelay
 		c := p.Stages[i].N.Compiled()
 		paths := make([]float32, c.NumGates)
 		for gi, out := range c.Out[:c.NumGates] {
@@ -115,4 +116,20 @@ func TrackedGates(f *fpu.FPU, op fpu.Op, scale float64) [][]uint64 {
 	}
 	v, _ := f.Scratch().LoadOrStore(key, sets)
 	return v.([][]uint64)
+}
+
+// noneLate reports whether no endpoint of the op can be late at delay
+// scale scale, given its tracked sets: no stage tracks a gate, and a
+// primary input wired straight to an output, which arrives at
+// ClockToQ*scale, still meets CLK - Setup*scale by the pruning margin.
+func noneLate(f *fpu.FPU, op fpu.Op, tracked [][]uint64, scale float64) bool {
+	for _, set := range tracked {
+		for _, w := range set {
+			if w != 0 {
+				return false
+			}
+		}
+	}
+	lib := f.Pipeline(op).Stages[0].N.Lib
+	return scale*(lib.ClockToQ+lib.Setup) <= f.CLK*(1-pruneMargin)
 }

@@ -477,26 +477,36 @@ func AdderAblation(e *Env) ([]AdderRow, error) {
 			return nil, err
 		}
 		report := sta.Analyze(nl.Compiled(), lib.ClockToQ, lib.Setup)
-		sim := timingsim.NewFast(nl.Compiled(), 1.0)
+		// The n transitions form one serial stream, 64 per wide walk.
+		sim := timingsim.NewWideFast(nl.Compiled(), 1.0)
 		src := e.rng("adders/" + a.name)
-		prev := make([]bool, 2*w)
-		cur := make([]bool, 2*w)
+		prev := make([]uint64, 2*w)
+		cur := make([]uint64, 2*w)
+		carry := make([]uint64, 2*w)
 		deadline := 0.85*report.WorstDelay - lib.Setup
 		var sumArr, maxArr float64
 		fails := 0
-		for i := 0; i < n; i++ {
-			copy(prev, cur)
-			for j := range cur {
-				cur[j] = src.Bool()
+		for lo := 0; lo < n; lo += 64 {
+			lanes := min(64, n-lo)
+			clear(cur)
+			for lane := 0; lane < lanes; lane++ {
+				for j := range cur {
+					if src.Bool() {
+						cur[j] |= 1 << uint(lane)
+					}
+				}
 			}
+			timingsim.ChainLanes(prev, cur, carry, lanes)
 			s := sim.Run(prev, cur, lib.ClockToQ, deadline)
-			arr := s.WorstArrival + lib.Setup
-			sumArr += arr
-			if arr > maxArr {
-				maxArr = arr
-			}
-			if s.Violations > 0 {
-				fails++
+			for lane := 0; lane < lanes; lane++ {
+				arr := s.WorstArrival[lane] + lib.Setup
+				sumArr += arr
+				if arr > maxArr {
+					maxArr = arr
+				}
+				if s.Violations[lane] > 0 {
+					fails++
+				}
 			}
 		}
 		rows = append(rows, AdderRow{

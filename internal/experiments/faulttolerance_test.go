@@ -13,7 +13,6 @@ import (
 	"teva/internal/artifact"
 	"teva/internal/chaos"
 	"teva/internal/core"
-	"teva/internal/dta"
 	"teva/internal/errmodel"
 	"teva/internal/guard"
 	"teva/internal/workloads"
@@ -330,27 +329,5 @@ func TestExtensionExperimentsHonorCanceledContext(t *testing.T) {
 				t.Fatalf("canceled run cached %d artifacts", st.Writes)
 			}
 		})
-	}
-}
-
-// TestFig7SurfacesScreenValidationFailure: a guardband that screens ops
-// with negative slack makes -screen-validate find faults in a screened
-// op. Fig7 must return that error, not render a nil summary.
-func TestFig7SurfacesScreenValidationFailure(t *testing.T) {
-	f, err := core.New(core.Config{
-		Seed:           0xF00D,
-		RandomOperands: 600,
-		Screen:         dta.ScreenConfig{Enabled: true, Validate: true, Guardband: -1e9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEnv(f, Options{Scale: workloads.Tiny, Runs: 8})
-	profiles, err := Fig7(e)
-	if err == nil || !strings.Contains(err.Error(), "STA screen predicted") {
-		t.Fatalf("want a screen-validation error, got %v", err)
-	}
-	if profiles != nil {
-		t.Fatalf("failed Fig7 returned profiles %v", profiles)
 	}
 }

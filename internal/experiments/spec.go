@@ -40,15 +40,10 @@ type Spec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Workers bounds the run's parallelism (0: all cores).
 	Workers int `json:"workers,omitempty"`
-	// Timing selects the DTA engine: wide, fast, exact ("": wide).
+	// Timing selects the DTA engine: wide, exact ("": wide).
 	Timing string `json:"timing,omitempty"`
 	// Corners is the -corners sweep spec ("": the default set).
 	Corners string `json:"corners,omitempty"`
-	// STAScreen/ScreenGuardband/ScreenValidate mirror -sta-screen and
-	// friends.
-	STAScreen       bool    `json:"sta_screen,omitempty"`
-	ScreenGuardband float64 `json:"screen_guardband,omitempty"`
-	ScreenValidate  bool    `json:"screen_validate,omitempty"`
 	// TimeoutFactor is the campaign timeout budget as a multiple of the
 	// golden cycle count (0: the 2.0 default).
 	TimeoutFactor float64 `json:"timeout_factor,omitempty"`
@@ -129,11 +124,6 @@ func (sp Spec) Validate() error {
 	if sp.Workers < 0 {
 		return fmt.Errorf("spec: negative workers %d", sp.Workers)
 	}
-	// A negative (or NaN) guardband would screen ops whose paths really
-	// fail timing and report them error-free.
-	if !(sp.ScreenGuardband >= 0) {
-		return fmt.Errorf("spec: screen_guardband %v ps out of range: must be >= 0", sp.ScreenGuardband)
-	}
 	if err := campaign.ValidateTimeoutFactor(sp.TimeoutFactor); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
@@ -178,11 +168,6 @@ func (sp Spec) Effective() (Options, core.Config, error) {
 		Workers:       sp.Workers,
 		Timing:        eng,
 		TimeoutFactor: sp.TimeoutFactor,
-		Screen: dta.ScreenConfig{
-			Enabled:   sp.STAScreen,
-			Guardband: sp.ScreenGuardband,
-			Validate:  sp.ScreenValidate,
-		},
 	}
 	switch {
 	case sp.Quick:

@@ -8,9 +8,10 @@ import (
 
 // Compiled is the flat structure-of-arrays simulation IR of a finalized
 // netlist. It is produced once per netlist (cached, immutable, shared by
-// every engine instance and worker) and is what the four simulation
-// engines — logicsim (scalar and 64-wide), timingsim.FastSim,
-// timingsim.ExactSim and sta — iterate instead of the []Gate slice: gates
+// every engine instance and worker) and is what the simulation engines —
+// logicsim (scalar and 64-wide), timingsim.WideFastSim,
+// timingsim.ExactSim, the test-only reference timingsim.FastSim, and
+// sta — iterate instead of the []Gate slice: gates
 // are opcode-dispatched array walks in topological storage order, with no
 // closure or interface calls and no per-gate slice headers on the hot
 // path.

@@ -3,7 +3,8 @@
 // paper's flow (Section IV-B.1). Energy comes from switching activity:
 // every gate-output transition costs the cell's per-transition energy.
 // FPU ops are DTA streams at the nominal corner, whose records carry the
-// energy; the integer ALU and AGU are driven through the fast engine.
+// energy; the integer ALU and AGU are driven through the wide timing
+// engine.
 //
 // The analysis backs two of the paper's observations: floating-point
 // operations "emerge as a major contributor to the energy consumption
@@ -72,29 +73,41 @@ func Characterize(ctx context.Context, f *fpu.FPU, intU *alu.Unit, samples int, 
 
 // intEnergy measures the integer side: an ALU add plus an AGU add per
 // operation (the dominant per-instruction switching of the core model).
+// The samples form one serial stream, 64 per wide walk.
 func intEnergy(u *alu.Unit, samples int, src *prng.Source) float64 {
-	aluSim := timingsim.NewFast(u.ALU.Compiled(), 1.0)
-	aguSim := timingsim.NewFast(u.AGU.Compiled(), 1.0)
-	aluPrev := make([]bool, len(u.ALU.Inputs()))
-	aguPrev := make([]bool, len(u.AGU.Inputs()))
+	aluSim := timingsim.NewWideFast(u.ALU.Compiled(), 1.0)
+	aguSim := timingsim.NewWideFast(u.AGU.Compiled(), 1.0)
+	nALU, nAGU := len(u.ALU.Inputs()), len(u.AGU.Inputs())
+	aluIn, aluPrev, aluCarry := make([]uint64, nALU), make([]uint64, nALU), make([]uint64, nALU)
+	aguIn, aguPrev, aguCarry := make([]uint64, nAGU), make([]uint64, nAGU), make([]uint64, nAGU)
 	var total float64
 	var counted int
-	for i := 0; i < samples; i++ {
-		aluIn := make([]bool, len(aluPrev))
-		for j := 0; j < 64; j++ { // operands only; function code stays add
-			aluIn[j] = src.Bool()
+	for lo := 0; lo < samples; lo += 64 {
+		n := min(64, samples-lo)
+		clear(aluIn)
+		clear(aguIn)
+		for lane := 0; lane < n; lane++ {
+			bit := uint64(1) << uint(lane)
+			for j := 0; j < 64; j++ { // operands only; function code stays add
+				if src.Bool() {
+					aluIn[j] |= bit
+				}
+			}
+			for j := range aguIn {
+				if src.Bool() {
+					aguIn[j] |= bit
+				}
+			}
 		}
-		aguIn := make([]bool, len(aguPrev))
-		for j := range aguIn {
-			aguIn[j] = src.Bool()
-		}
-		e := aluSim.Run(aluPrev, aluIn, 0, timingsim.MaxDeadline).EnergyFJ
-		e += aguSim.Run(aguPrev, aguIn, 0, timingsim.MaxDeadline).EnergyFJ
-		copy(aluPrev, aluIn)
-		copy(aguPrev, aguIn)
-		if i > 0 {
-			total += e
-			counted++
+		timingsim.ChainLanes(aluPrev, aluIn, aluCarry, n)
+		timingsim.ChainLanes(aguPrev, aguIn, aguCarry, n)
+		sa := aluSim.Run(aluPrev, aluIn, 0, timingsim.MaxDeadline)
+		sg := aguSim.Run(aguPrev, aguIn, 0, timingsim.MaxDeadline)
+		for lane := 0; lane < n; lane++ {
+			if lo+lane > 0 {
+				total += sa.EnergyFJ[lane] + sg.EnergyFJ[lane]
+				counted++
+			}
 		}
 	}
 	return total / float64(counted)

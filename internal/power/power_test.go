@@ -184,3 +184,49 @@ func stageWalkEnergy(f *fpu.FPU, op fpu.Op, samples int, src *prng.Source) float
 	}
 	return total / float64(samples-1)
 }
+
+// TestIntEnergyMatchesScalarWalk: the integer baseline, measured 64
+// samples per wide walk, must equal bit for bit a serial walk of the same
+// samples on the scalar levelized engine, for sample counts that end
+// inside, on and past a 64-lane batch.
+func TestIntEnergyMatchesScalarWalk(t *testing.T) {
+	setup(t)
+	for _, samples := range []int{2, 40, 64, 65, 130} {
+		got := intEnergy(testALU, samples, prng.New(uint64(samples)))
+		want := scalarIntEnergy(testALU, samples, prng.New(uint64(samples)))
+		if got != want {
+			t.Errorf("samples=%d: wide %v, scalar %v", samples, got, want)
+		}
+	}
+}
+
+// scalarIntEnergy is the reference integer energy: one FastSim walk per
+// sample through the ALU and the AGU, drawing the same bits in the same
+// order as intEnergy, averaged over all but the first sample.
+func scalarIntEnergy(u *alu.Unit, samples int, src *prng.Source) float64 {
+	aluSim := timingsim.NewFast(u.ALU.Compiled(), 1.0)
+	aguSim := timingsim.NewFast(u.AGU.Compiled(), 1.0)
+	aluPrev := make([]bool, len(u.ALU.Inputs()))
+	aguPrev := make([]bool, len(u.AGU.Inputs()))
+	var total float64
+	var counted int
+	for i := 0; i < samples; i++ {
+		aluIn := make([]bool, len(aluPrev))
+		for j := 0; j < 64; j++ {
+			aluIn[j] = src.Bool()
+		}
+		aguIn := make([]bool, len(aguPrev))
+		for j := range aguIn {
+			aguIn[j] = src.Bool()
+		}
+		e := aluSim.Run(aluPrev, aluIn, 0, timingsim.MaxDeadline).EnergyFJ
+		e += aguSim.Run(aguPrev, aguIn, 0, timingsim.MaxDeadline).EnergyFJ
+		copy(aluPrev, aluIn)
+		copy(aguPrev, aguIn)
+		if i > 0 {
+			total += e
+			counted++
+		}
+	}
+	return total / float64(counted)
+}

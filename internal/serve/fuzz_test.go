@@ -18,7 +18,8 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"experiments":["fig7"],"quick":true}`,
 		`{"experiments":["all"],"full":true,"seed":99}`,
 		`{"experiments":["fig9","fig7"],"runs":12,"workers":4,"timing":"exact"}`,
-		`{"corners":"nominal,0.85,VR20","sta_screen":true,"screen_guardband":2.5,"screen_validate":true}`,
+		`{"corners":"nominal,0.85,VR20"}`,
+		`{"sta_screen":true,"screen_guardband":2.5,"screen_validate":true}`,
 		`{"scale":"tiny","timeout_factor":3.5,"max_duration":"90s"}`,
 		`{"experiments":[`,
 		`{"experiments": "fig7"}`,

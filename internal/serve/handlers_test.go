@@ -70,19 +70,31 @@ func TestHandlersUnknownJob(t *testing.T) {
 
 func TestHandlersBadSpec400(t *testing.T) {
 	_, _, ts := testServer(t, Spec{Experiments: []string{"table1"}})
-	for _, body := range []string{
-		`{"experiments": ["bogus"]}`,
-		`{"timing": "turbo"}`,
-		`{"timeout_factor": -3}`,
-		`{nope`,
+	for _, tc := range []struct{ body, wantErr string }{
+		{`{"experiments": ["bogus"]}`, "bogus"},
+		{`{"timing": "turbo"}`, "turbo"},
+		{`{"timeout_factor": -3}`, "TimeoutFactor"},
+		{`{nope`, "bad spec"},
+		// The removed STA-screen fields and fast engine are named.
+		{`{"sta_screen": true}`, "sta_screen"},
+		{`{"screen_guardband": 1}`, "screen_guardband"},
+		{`{"screen_validate": true}`, "screen_validate"},
+		{`{"timing": "fast"}`, `\"fast\"`},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("POST %s: status %d want 400", body, resp.StatusCode)
+			t.Fatalf("POST %s: status %d want 400", tc.body, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), tc.wantErr) {
+			t.Fatalf("POST %s: body %s does not name %s", tc.body, msg, tc.wantErr)
 		}
 	}
 }

@@ -66,9 +66,6 @@ func TestSpecKeySeparatesResultShapingFields(t *testing.T) {
 		{Scale: "tiny"},
 		{Timing: "exact"},
 		{Corners: "nominal,0.85"},
-		{STAScreen: true},
-		{ScreenGuardband: 3},
-		{ScreenValidate: true, STAScreen: true},
 		{TimeoutFactor: 4},
 		{Experiments: []string{"fig7"}},
 	}
@@ -99,7 +96,11 @@ func TestDecodeSpecRejects(t *testing.T) {
 		{"negative workers", `{"workers": -2}`, "workers"},
 		{"negative timeout factor", `{"timeout_factor": -1}`, "TimeoutFactor"},
 		{"infinite timeout factor", `{"timeout_factor": 1e999}`, "bad spec"},
-		{"negative guardband", `{"screen_guardband": -0.5}`, "guardband"},
+		{"negative guardband", `{"screen_guardband": -0.5}`, `unknown field "screen_guardband"`},
+		{"removed guardband", `{"screen_guardband": 1}`, `unknown field "screen_guardband"`},
+		{"removed sta screen", `{"sta_screen": true}`, `unknown field "sta_screen"`},
+		{"removed screen validation", `{"screen_validate": true}`, `unknown field "screen_validate"`},
+		{"removed fast engine", `{"timing": "fast"}`, `unknown timing engine "fast"`},
 		{"bad max duration", `{"max_duration": "soon"}`, "max_duration"},
 		{"negative max duration", `{"max_duration": "-5s"}`, "max_duration"},
 	}
@@ -118,7 +119,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 
 func TestDecodeSpecAccepts(t *testing.T) {
 	sp, err := DecodeSpec(strings.NewReader(
-		`{"experiments":["fig7"],"quick":true,"timing":"fast","corners":"nominal,VR20","runs":12,"max_duration":"90s"}`))
+		`{"experiments":["fig7"],"quick":true,"timing":"exact","corners":"nominal,VR20","runs":12,"max_duration":"90s"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // timing analysis: the reduced-voltage gate-level simulation whose sampled
 // outputs are compared with the golden run to detect timing errors.
 //
-// Two engines are provided, both running on the compiled flat IR
+// Three engines are provided, all running on the compiled flat IR
 // (netlist.Compiled) with opcode dispatch:
 //
 //   - Exact: event-driven simulation with inertial delays. Captures the
@@ -11,8 +11,11 @@
 //   - Fast: single-pass levelized transition/arrival propagation. For a
 //     late-arriving bit it assumes the previous-cycle value is captured
 //     (the standard "old value" timing-error model) and ignores
-//     glitch-induced wrong captures. ~10-50x faster; validated against
-//     Exact in tests and used for large characterization campaigns.
+//     glitch-induced wrong captures. ~10-50x faster than Exact and
+//     validated against it in tests.
+//   - WideFast: the Fast model for 64 transitions per circuit walk,
+//     bit-exact against Fast per lane. It is the production engine;
+//     Fast is kept only as its differential reference in tests.
 package timingsim
 
 import (
@@ -72,7 +75,10 @@ type Runner interface {
 // ---------------------------------------------------------------------------
 // Fast engine
 
-// FastSim is the levelized arrival-time engine.
+// FastSim is the scalar levelized arrival-time engine. No production
+// code calls it: it is the test-only differential reference that the
+// wide engine (WideFastSim) and the STA bound are checked against, in
+// this package and in sta, power and dta.
 type FastSim struct {
 	c       *netlist.Compiled
 	scale   float64

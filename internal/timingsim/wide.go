@@ -330,6 +330,22 @@ func (s *WideFastSim) Run(prev, cur []uint64, inputArrival, deadline float64) *W
 	return sm
 }
 
+// ChainLanes turns the 64 lanes of cur into n consecutive transitions of
+// one serial input stream. It sets prev so that lane L's previous input
+// is lane L-1's current one and lane 0's is carry's bit 0 (the stream's
+// input before this batch), makes lanes n and up transition-free (they
+// then cost and record nothing), and advances carry to lane n-1's input.
+func ChainLanes(prev, cur, carry []uint64, n int) {
+	active := ^uint64(0) >> uint(64-n)
+	for j, cw := range cur {
+		pw := cw<<1 | carry[j]
+		cw = cw&active | pw&^active
+		cur[j] = cw
+		prev[j] = pw
+		carry[j] = cw >> uint(n-1) & 1
+	}
+}
+
 // LaneArrival returns output oi's arrival time in the given lane after
 // Run (0 when the output never switched), matching Sample.Arrival[oi] of
 // a scalar run of that lane.
