@@ -291,6 +291,9 @@ type Golden struct {
 func NewGolden(w *workloads.Workload, m *obs.Registry) (*Golden, error) {
 	c := cpu.New(w.Program, runConfig)
 	res := c.Run(1 << 40)
+	out := append([]byte(nil), c.Mem()[w.OutStart:w.OutStart+w.OutLen]...)
+	console := append([]byte(nil), c.Output()...)
+	c.Release()
 	if res.Status != cpu.Halted {
 		return nil, fmt.Errorf("campaign: golden %s did not halt: %v (%s)",
 			w.Name, res.Status, res.Reason)
@@ -298,8 +301,8 @@ func NewGolden(w *workloads.Workload, m *obs.Registry) (*Golden, error) {
 	m.Counter(MetricGoldenRuns).Inc()
 	return &Golden{
 		w:        w,
-		out:      append([]byte(nil), c.Mem()[w.OutStart:w.OutStart+w.OutLen]...),
-		console:  append([]byte(nil), c.Output()...),
+		out:      out,
+		console:  console,
 		cycles:   res.Cycles,
 		instret:  res.Instret,
 		fpops:    res.FPOps,
@@ -394,16 +397,23 @@ func Run(spec Spec) (*Result, error) {
 	for w := 0; w < workers; w++ {
 		guard.Go(&wg, &sink, "campaign cell "+cellID, func() error {
 			var c *cpu.CPU // one simulator per worker, created on first use
+			var err error
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= spec.Runs {
-					return nil
+					break
 				}
-				if err := ctx.Err(); err != nil {
-					return err
+				if err = ctx.Err(); err != nil {
+					break
 				}
 				outs[i] = r.run(&c, i)
 			}
+			// Not deferred: a panicking run leaves its simulator to the
+			// GC rather than recycling memory in an unknown state.
+			if c != nil {
+				c.Release()
+			}
+			return err
 		})
 	}
 	wg.Wait()

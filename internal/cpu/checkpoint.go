@@ -3,6 +3,7 @@ package cpu
 import (
 	"bytes"
 	"math/bits"
+	"sync"
 
 	"teva/internal/isa"
 )
@@ -59,6 +60,10 @@ func Record(prog *isa.Program, cfg Config, interval int64, maxCycles uint64) (*R
 		if !paused {
 			r.console = append([]byte(nil), c.output...)
 			r.cps = append([]checkpoint(nil), r.cps...) // drop append's spare capacity
+			// take cleared c.dirty at each checkpoint: the pages stored
+			// to before the last one are the ones the recording versioned.
+			r.markStored(c.dirty, 0, len(r.cps)-1)
+			c.Release()
 			return r, res
 		}
 		r.take(c)
@@ -190,6 +195,45 @@ func (c *CPU) markChanged(rec *Recording, k int) {
 	}
 }
 
+// memPool holds all-zero memory buffers that Release gave back, so New
+// reuses one instead of allocating and zeroing a fresh one.
+var memPool sync.Pool // of *[]byte
+
+// newMem returns an all-zero memory of size bytes, from the pool when it
+// holds one of that size.
+func newMem(size int) []byte {
+	if p, _ := memPool.Get().(*[]byte); p != nil && len(*p) == size {
+		return *p
+	}
+	return make([]byte, size)
+}
+
+// Release zeroes the CPU's memory and returns it to the pool New draws
+// from. Only the pages that can differ from all-zero are cleared: those
+// stored to since the last restore, those the restored checkpoint holds
+// past reset, and the data segment. The CPU is unusable afterwards: Run,
+// RunTo, Restore and Release panic, and Mem returns nil. A CPU whose
+// memory was written through Mem must not be released.
+func (c *CPU) Release() {
+	c.mustHoldMem()
+	c.markChanged(nil, 0)
+	for w, word := range c.dirty {
+		for ; word != 0; word &= word - 1 {
+			clear(c.page(uint32(w<<6 + bits.TrailingZeros64(word))))
+		}
+	}
+	clear(c.mem[isa.DataBase:min(isa.DataBase+len(c.prog.Data), len(c.mem))])
+	mem := c.mem
+	c.mem, c.base = nil, nil
+	memPool.Put(&mem)
+}
+
+func (c *CPU) mustHoldMem() {
+	if c.mem == nil {
+		panic("cpu: use of a released CPU")
+	}
+}
+
 // Reset returns the CPU to the program's reset state, as New left it,
 // rewriting only the memory pages that may differ from the reset image.
 // The injector is kept.
@@ -200,6 +244,7 @@ func (c *CPU) Reset() { c.Restore(nil, 0) }
 // last restore, and those the recording versioned between that restore's
 // checkpoint and k, are rewritten. The injector is kept.
 func (c *CPU) Restore(rec *Recording, k int) {
+	c.mustHoldMem()
 	if rec != nil && rec.prog != c.prog {
 		panic("cpu: Restore from a recording of another program")
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"teva/internal/isa"
+	"teva/internal/prng"
 	"teva/internal/workloads"
 )
 
@@ -186,4 +188,129 @@ func TestCheckpointRunToResumes(t *testing.T) {
 	if paused || res != short || res.Status != TimedOut {
 		t.Fatalf("budgeted RunTo %+v (paused %v), Run %+v", res, paused, short)
 	}
+}
+
+// resetImage is the memory New must hand out for prog: all zero but the
+// data segment.
+func resetImage(prog *isa.Program) []byte {
+	mem := make([]byte, isa.DefaultMemSize)
+	copy(mem[isa.DataBase:], prog.Data)
+	return mem
+}
+
+// pageWalker stores to 512 consecutive pages past its data segment,
+// which it never writes: memory that only checkpoints and dirty pages
+// account for, next to reset data only the data segment does.
+const pageWalker = `
+.data
+seed: .word 0x5eed, 7, 9
+.text
+main:
+    li   t0, 0x300000
+    li   t1, 0x340000
+    li   t2, 1
+    li   t3, 512
+loop:
+    sw   t2, 0(t0)
+    addi t2, t2, 1
+    add  t0, t0, t3
+    blt  t0, t1, loop
+    li   a0, 10
+    li   a1, 0
+    ecall
+`
+
+// TestReleasedMemoryIsReset releases simulators left in each state a
+// campaign leaves them in — a crashed stochastic run, restores to several
+// checkpoints, and Record's own — and requires the recycled memory to be
+// all zero, so that New, for the same program or another, hands out
+// exactly the reset image. A released CPU must refuse to run.
+func TestReleasedMemoryIsReset(t *testing.T) {
+	cg := tinyWorkload(t, "cg").Program
+	walker, err := isa.Assemble(pageWalker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordings := map[*isa.Program]*Recording{}
+	goldens := map[*isa.Program]Result{}
+	for _, p := range []*isa.Program{cg, walker} {
+		golden := New(p, checkpointConfig).Run(1 << 40)
+		if golden.Status != Halted {
+			t.Fatalf("golden run: %v (%s)", golden.Status, golden.Reason)
+		}
+		goldens[p] = golden
+		recordings[p], _ = Record(p, checkpointConfig, golden.Instret/20|1, 1<<40)
+	}
+	crashed := func(p *isa.Program) *CPU {
+		for seed := uint64(1); seed < 64; seed++ {
+			inj := &flipAny{src: prng.New(seed), er: 0.01}
+			c := New(p, Config{Injector: inj, TrapFPInvalid: true})
+			if c.Run(2*goldens[p].Cycles).Status == Crashed {
+				return c
+			}
+		}
+		t.Fatal("no stochastic run crashed")
+		return nil
+	}
+	restored := func(p *isa.Program) *CPU {
+		rec := recordings[p]
+		c := New(p, checkpointConfig)
+		last := rec.Len() - 1
+		for _, k := range []int{last, 2, last / 2, last - 1} {
+			c.Restore(rec, k)
+			c.RunTo(1<<40, rec.At(k).Instret+50)
+		}
+		return c
+	}
+	recorded := func(p *isa.Program) *CPU {
+		Record(p, checkpointConfig, goldens[p].Instret/9|1, 1<<40)
+		return nil
+	}
+	// Each scenario returns the simulator to release, or nil when it
+	// released its own.
+	scenarios := []struct {
+		name string
+		prog *isa.Program
+		use  func(*isa.Program) *CPU
+	}{
+		{"crashed stochastic cg run", cg, crashed},
+		{"cg restored to checkpoints", cg, restored},
+		{"page walker restored to checkpoints", walker, restored},
+		{"page walker Record", walker, recorded},
+	}
+	for _, sc := range scenarios {
+		for _, next := range []*isa.Program{cg, walker} {
+			// Empty the pool, so that a buffer found in it below is the
+			// one this scenario released.
+			for memPool.Get() != nil {
+			}
+			var mem []byte
+			if c := sc.use(sc.prog); c != nil {
+				mem = c.mem
+				c.Release()
+			} else if p, _ := memPool.Get().(*[]byte); p != nil {
+				// The pool may drop a buffer (and always may under the
+				// race detector); when it kept Record's, that is this one.
+				mem = *p
+				memPool.Put(p)
+			}
+			if mem != nil && !allZero(mem) {
+				t.Fatalf("%s: released memory is not all zero", sc.name)
+			}
+			c := New(next, checkpointConfig)
+			if !bytes.Equal(c.Mem(), resetImage(next)) {
+				t.Fatalf("%s, then New: memory differs from the reset image", sc.name)
+			}
+			c.Release()
+		}
+	}
+
+	c := New(cg, checkpointConfig)
+	c.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("Run on a released CPU did not panic")
+		}
+	}()
+	c.Run(1 << 40)
 }

@@ -211,7 +211,7 @@ func New(prog *isa.Program, cfg Config) *CPU {
 		cfg:  cfg,
 		lat:  lat,
 		prog: prog,
-		mem:  make([]byte, cfg.MemSize),
+		mem:  newMem(cfg.MemSize),
 	}
 	pages := (cfg.MemSize + pageSize - 1) >> pageLog
 	c.dirty = make([]uint64, (pages+63)/64)
@@ -400,8 +400,8 @@ func resetState(prog *isa.Program) state {
 }
 
 // Mem exposes the data memory for output-region classification. Writes
-// through it bypass the dirty-page tracking that Reset, Restore and
-// Matches rely on.
+// through it bypass the dirty-page tracking that Reset, Restore, Matches
+// and Release rely on.
 func (c *CPU) Mem() []byte { return c.mem }
 
 // SetInjector replaces the writeback injector for the rest of the run.
@@ -430,6 +430,7 @@ func (c *CPU) Run(maxCycles uint64) Result {
 // lowered for pc and dispatches on its kind. Only an instruction that can
 // crash or halt checks for the end of the run.
 func (c *CPU) RunTo(maxCycles uint64, stop int64) (res Result, paused bool) {
+	c.mustHoldMem()
 	code := c.code
 	alu := uint64(c.lat.IntALU)
 	for c.cycle < maxCycles && c.res.Instret < stop {

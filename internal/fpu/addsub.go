@@ -2,7 +2,7 @@ package fpu
 
 import "teva/internal/netlist"
 
-// buildAddSub compiles the 6-stage add/sub pipeline of Figure 3:
+// addSubSpecs describes the 6-stage add/sub pipeline of Figure 3:
 //
 //	s1 unpack      operand decode, FTZ, effective-sign resolution
 //	s2 compare     magnitude compare/swap, exponent difference
@@ -14,7 +14,7 @@ import "teva/internal/netlist"
 // negB distinguishes subtraction (the only datapath difference is the
 // inversion of operand B's sign in s1); mantPad/roundPad are the
 // calibrated stage margins.
-func buildAddSub(op Op, lib libT, seed uint64, mantPad, roundPad float64) (*Pipeline, error) {
+func addSubSpecs(op Op, mantPad, roundPad float64) (*schema, []stageSpec) {
 	w := widthsOf(op.Format())
 	sub := op.kind() == kindSub
 	inSchema := newSchema(fieldSpec{"a", w.W}, fieldSpec{"b", w.W})
@@ -128,5 +128,5 @@ func buildAddSub(op Op, lib libT, seed uint64, mantPad, roundPad float64) (*Pipe
 			buildRoundStage(c, w, roundPad)
 		}},
 	}
-	return compile(op, lib, seed, inSchema, specs)
+	return inSchema, specs
 }

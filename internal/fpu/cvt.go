@@ -2,10 +2,10 @@ package fpu
 
 import "teva/internal/netlist"
 
-// buildI2F compiles the int32 → float pipeline: magnitude extraction,
+// i2fSpecs describes the int32 → float pipeline: magnitude extraction,
 // normalization (leading-zero count + shift), and the shared round stage
 // (exact for binary64, rounding for binary32).
-func buildI2F(op Op, lib libT, seed uint64) (*Pipeline, error) {
+func i2fSpecs(op Op) (*schema, []stageSpec) {
 	w := widthsOf(op.Format())
 	inSchema := newSchema(fieldSpec{"a", 32})
 
@@ -39,13 +39,13 @@ func buildI2F(op Op, lib libT, seed uint64) (*Pipeline, error) {
 			buildRoundStage(c, w, 0)
 		}},
 	}
-	return compile(op, lib, seed, inSchema, specs)
+	return inSchema, specs
 }
 
-// buildF2I compiles the float → int32 pipeline: unpack, shift to integer
+// f2iSpecs describes the float → int32 pipeline: unpack, shift to integer
 // weight, then negate/saturate/pack. Conversion truncates toward zero;
 // NaN converts to 0 and out-of-range values saturate.
-func buildF2I(op Op, lib libT, seed uint64) (*Pipeline, error) {
+func f2iSpecs(op Op) (*schema, []stageSpec) {
 	w := widthsOf(op.Format())
 	inSchema := newSchema(fieldSpec{"a", w.W})
 	// Significand zero-extended to cover both the FB+1 mantissa and the
@@ -117,5 +117,5 @@ func buildF2I(op Op, lib libT, seed uint64) (*Pipeline, error) {
 			c.put("result", res)
 		}},
 	}
-	return compile(op, lib, seed, inSchema, specs)
+	return inSchema, specs
 }

@@ -2,12 +2,12 @@ package fpu
 
 import "teva/internal/netlist"
 
-// buildDiv compiles the iterative divider: an unpack stage, a radix-2
+// divSpecs describes the iterative divider: an unpack stage, a radix-2
 // restoring-division recurrence stage executed once per quotient bit
 // (mantissa + GRS bits), a sticky-collapse stage, and the shared round
 // stage. The recurrence's compare/subtract is the divider's critical path;
 // iterPad places it at its calibrated margin.
-func buildDiv(op Op, lib libT, seed uint64, iterPad, roundPad float64) (*Pipeline, error) {
+func divSpecs(op Op, iterPad, roundPad float64) (*schema, []stageSpec) {
 	w := widthsOf(op.Format())
 	rw := w.FB + 2 // remainder width (invariant: rem < 2*divisor)
 	qw := w.SW     // quotient bits produced: mantissa + GRS
@@ -77,5 +77,5 @@ func buildDiv(op Op, lib libT, seed uint64, iterPad, roundPad float64) (*Pipelin
 			buildRoundStage(c, w, roundPad)
 		}},
 	}
-	return compile(op, lib, seed, inSchema, specs)
+	return inSchema, specs
 }

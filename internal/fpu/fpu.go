@@ -61,56 +61,90 @@ func (f *FPU) Scratch() *sync.Map { return &f.scratch }
 // identical design, including interconnect annotation.
 func New(lib *cell.Library, seed uint64) (*FPU, error) {
 	f := &FPU{Lib: lib, CLK: DefaultCLK, Seed: seed}
+	var clk float64
 	for _, op := range Ops() {
-		plan, padded := padPlan[op]
-		var mantPad, roundPad float64
-		var p *Pipeline
-		var err error
-		// Calibrate iteratively: the detour's own buffer delay shifts the
-		// result, so rebuild until the padded stage lands on target. The
-		// builder is deterministic per seed, so this converges exactly.
-		for iter := 0; iter < 4; iter++ {
-			p, err = buildOp(op, lib, seed, mantPad, roundPad)
-			if err != nil {
+		s := opSeed(op, seed)
+		in, specs := opSpecs(op, 0, 0)
+		p, err := compile(op, lib, s, in, specs)
+		if err != nil {
+			return nil, err
+		}
+		delays := make([]float64, len(p.Stages))
+		for i, st := range p.Stages {
+			delays[i] = st.sta(lib).WorstDelay
+		}
+		if _, padded := padPlan[op]; padded {
+			if err := f.calibrate(p, delays, s); err != nil {
 				return nil, err
 			}
-			if !padded {
-				break
-			}
-			mi, ri := criticalStageIndexes(op)
-			reports := p.STA()
-			dm := plan.mant*f.CLK - reports[mi].WorstDelay
-			dr := plan.round*f.CLK - reports[ri].WorstDelay
-			if math.Abs(dm) < 0.5 && math.Abs(dr) < 0.5 {
-				break
-			}
-			mantPad = math.Max(0, mantPad+dm)
-			roundPad = math.Max(0, roundPad+dr)
+		}
+		for _, d := range delays {
+			clk = max(clk, d)
 		}
 		f.pipelines[op] = p
 	}
-	// The multiplier's CPA stage must set the clock (Eq. 1).
-	if worst := f.ClockPeriod(); math.Abs(worst-f.CLK) > 2 {
-		return nil, fmt.Errorf("fpu: calibrated clock %f ps, want %f", worst, f.CLK)
+	// The multiplier's CPA stage must set the clock (Eq. 1): clk is
+	// ClockPeriod, from the delays calibration already measured.
+	if math.Abs(clk-f.CLK) > 2 {
+		return nil, fmt.Errorf("fpu: calibrated clock %f ps, want %f", clk, f.CLK)
 	}
 	return f, nil
 }
 
-// buildOp dispatches to the per-kind generator. Seeds are spread so each
-// op gets an independent placement.
-func buildOp(op Op, lib *cell.Library, seed uint64, mantPad, roundPad float64) (*Pipeline, error) {
-	s := seed + uint64(op)*0x1000003
+// calibrate pads p's two critical stages onto their padPlan targets,
+// updating delays (p's per-stage STA worst delays) as it goes. The
+// detour's own buffer delay shifts the result, so it re-pads until the
+// stages land on target; the builder is deterministic per seed, so this
+// converges exactly. Only the padded stages read the pads, so only they
+// are rebuilt and re-analyzed.
+func (f *FPU) calibrate(p *Pipeline, delays []float64, seed uint64) error {
+	plan := padPlan[p.Op]
+	mi, ri := criticalStageIndexes(p.Op)
+	var mantPad, roundPad float64
+	for iter := 0; iter < 3; iter++ {
+		dm := plan.mant*f.CLK - delays[mi]
+		dr := plan.round*f.CLK - delays[ri]
+		if math.Abs(dm) < 0.5 && math.Abs(dr) < 0.5 {
+			return nil
+		}
+		mantPad = math.Max(0, mantPad+dm)
+		roundPad = math.Max(0, roundPad+dr)
+		_, specs := opSpecs(p.Op, mantPad, roundPad)
+		for _, i := range []int{mi, ri} {
+			old := p.Stages[i]
+			s, err := compileStage(p.Op, p.lib, seed, i, old.in, specs[i])
+			if err != nil {
+				return err
+			}
+			if !s.out.equal(old.out) {
+				return fmt.Errorf("fpu: %s: padding %s changes its schema", p.Op, s.Name)
+			}
+			p.Stages[i] = s
+			delays[i] = s.sta(p.lib).WorstDelay
+		}
+	}
+	return nil
+}
+
+// opSeed spreads the design seed so each op gets an independent
+// placement.
+func opSeed(op Op, seed uint64) uint64 { return seed + uint64(op)*0x1000003 }
+
+// opSpecs dispatches to the per-kind stage descriptions. Only the padded
+// ops read mantPad and roundPad, and only in their criticalStageIndexes
+// stages.
+func opSpecs(op Op, mantPad, roundPad float64) (*schema, []stageSpec) {
 	switch op.kind() {
 	case kindAdd, kindSub:
-		return buildAddSub(op, lib, s, mantPad, roundPad)
+		return addSubSpecs(op, mantPad, roundPad)
 	case kindMul:
-		return buildMul(op, lib, s, mantPad, roundPad)
+		return mulSpecs(op, mantPad, roundPad)
 	case kindDiv:
-		return buildDiv(op, lib, s, mantPad, roundPad)
+		return divSpecs(op, mantPad, roundPad)
 	case kindI2F:
-		return buildI2F(op, lib, s)
+		return i2fSpecs(op)
 	case kindF2I:
-		return buildF2I(op, lib, s)
+		return f2iSpecs(op)
 	}
 	panic("fpu: unknown op kind")
 }

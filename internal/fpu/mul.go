@@ -2,7 +2,7 @@ package fpu
 
 import "teva/internal/netlist"
 
-// buildMul compiles the 6-stage multiplier pipeline:
+// mulSpecs describes the 6-stage multiplier pipeline:
 //
 //	s1 unpack      operand decode, sign/flag resolution
 //	s2 ppgen       partial products + first carry-save levels (to 8 rows)
@@ -11,7 +11,7 @@ import "teva/internal/netlist"
 //	               overall critical stage (sets the clock period)
 //	s5 normalize   1-bit normalization and sticky collapse
 //	s6 round       shared round/pack stage
-func buildMul(op Op, lib libT, seed uint64, cpaPad, roundPad float64) (*Pipeline, error) {
+func mulSpecs(op Op, cpaPad, roundPad float64) (*schema, []stageSpec) {
 	w := widthsOf(op.Format())
 	pw := 2*w.FB + 2 // full product width of two FB+1-bit significands
 	inSchema := newSchema(fieldSpec{"a", w.W}, fieldSpec{"b", w.W})
@@ -88,7 +88,7 @@ func buildMul(op Op, lib libT, seed uint64, cpaPad, roundPad float64) (*Pipeline
 			buildRoundStage(c, w, roundPad)
 		}},
 	}
-	return compile(op, lib, seed, inSchema, specs)
+	return inSchema, specs
 }
 
 func rowName(i int) string { return "row" + string(rune('0'+i)) }

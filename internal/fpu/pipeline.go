@@ -64,37 +64,46 @@ type stageSpec struct {
 }
 
 // compile builds the pipeline's stage netlists, checking schema continuity
-// between consecutive stages and that iterated stages preserve their
-// schema.
+// between consecutive stages.
 func compile(op Op, lib libT, seed uint64, in *schema, specs []stageSpec) (*Pipeline, error) {
 	p := &Pipeline{Op: op, lib: lib}
 	cur := in
 	for i, spec := range specs {
-		name := fmt.Sprintf("fpu/%s/%s", op, spec.name)
-		c := newStageBuilder(name, lib, seed+uint64(i)*0x9e37, cur)
-		c.SetUnit(name)
-		spec.build(c)
-		n, out, err := c.finish()
+		s, err := compileStage(op, lib, seed, i, cur, spec)
 		if err != nil {
-			return nil, fmt.Errorf("fpu: %s: %w", name, err)
+			return nil, err
 		}
-		repeat := spec.repeat
-		if repeat == 0 {
-			repeat = 1
-		}
-		if repeat > 1 && !out.equal(cur) {
-			return nil, fmt.Errorf("fpu: %s: iterated stage changes schema", name)
-		}
-		p.Stages = append(p.Stages, &Stage{
-			Name: spec.name, N: n, Repeat: repeat, in: cur, out: out,
-		})
-		cur = out
+		p.Stages = append(p.Stages, s)
+		cur = s.out
 	}
 	last := p.Stages[len(p.Stages)-1]
 	if got, want := last.out.total, op.ResultWidth(); got != want {
 		return nil, fmt.Errorf("fpu: %s: final stage emits %d bits, want %d", op, got, want)
 	}
 	return p, nil
+}
+
+// compileStage builds stage i of the op's pipeline from the register
+// schema in, checking that an iterated stage preserves its schema. The
+// netlist depends only on (lib, seed, i, in, spec): that is what lets
+// calibration rebuild one stage and keep the others.
+func compileStage(op Op, lib libT, seed uint64, i int, in *schema, spec stageSpec) (*Stage, error) {
+	name := fmt.Sprintf("fpu/%s/%s", op, spec.name)
+	c := newStageBuilder(name, lib, seed+uint64(i)*0x9e37, in)
+	c.SetUnit(name)
+	spec.build(c)
+	n, out, err := c.finish()
+	if err != nil {
+		return nil, fmt.Errorf("fpu: %s: %w", name, err)
+	}
+	repeat := spec.repeat
+	if repeat == 0 {
+		repeat = 1
+	}
+	if repeat > 1 && !out.equal(in) {
+		return nil, fmt.Errorf("fpu: %s: iterated stage changes schema", name)
+	}
+	return &Stage{Name: spec.name, N: n, Repeat: repeat, in: in, out: out}, nil
 }
 
 // Exec runs the pipeline functionally (zero delay) and returns the result
@@ -175,9 +184,14 @@ func unpackBits(values []bool, width int) uint64 {
 func (p *Pipeline) STA() []*sta.Report {
 	reports := make([]*sta.Report, len(p.Stages))
 	for i, s := range p.Stages {
-		reports[i] = sta.Analyze(s.N.Compiled(), p.lib.ClockToQ, p.lib.Setup)
+		reports[i] = s.sta(p.lib)
 	}
 	return reports
+}
+
+// sta analyzes the stage at the nominal corner.
+func (s *Stage) sta(lib libT) *sta.Report {
+	return sta.Analyze(s.N.Compiled(), lib.ClockToQ, lib.Setup)
 }
 
 // STACorner is STA with every stage re-derated at an operating corner

@@ -75,7 +75,11 @@ type WideFastSim struct {
 	arr []float64
 	// track, when non-nil, is the pruned engine's tracked-gate bitset
 	// (see Prune).
-	track  []uint64
+	track []uint64
+	// seeded lists the primary inputs whose arrival rows Run seeds: all
+	// of them unpruned, and pruned only those a tracked gate or an
+	// output reads (no other reader looks at an arrival row).
+	seeded []netlist.NetID
 	sample WideSample
 }
 
@@ -127,6 +131,7 @@ func NewWideFastShared(c *netlist.Compiled, scale float64, ws *WideScratch) *Wid
 		newW:     ws.newW[:c.NumNets],
 		changedW: ws.changedW[:c.NumNets],
 		arr:      ws.arr[:c.NumNets*64],
+		seeded:   c.Inputs,
 	}
 	for i, d := range c.Rise {
 		s.riseS[i] = d * scale
@@ -144,10 +149,11 @@ func NewWideFastShared(c *netlist.Compiled, scale float64, ws *WideScratch) *Wid
 
 // Prune restricts the engine's arrival work to the tracked gates: bit
 // gi%64 of track[gi/64] is set for every gate gi whose output net lies on
-// a path that can miss the deadline (primary inputs are always tracked).
-// An untracked gate still computes its logic values, but its changed mask
-// is stored as zero, so it seeds no arrival row, no reader takes a
-// candidate from it, and as an endpoint it captures its settled value.
+// a path that can miss the deadline. An untracked gate still computes its
+// logic values, but its changed mask is stored as zero, so it seeds no
+// arrival row, no reader takes a candidate from it, and as an endpoint it
+// captures its settled value. A primary input's arrival row is seeded
+// only when a tracked gate or an output reads it.
 //
 // When every path through an untracked gate meets the deadline, which is
 // what the caller's static bound must guarantee, an endpoint can only be
@@ -161,6 +167,29 @@ func (s *WideFastSim) Prune(track []uint64) {
 		panic("timingsim: tracked-gate bitset shorter than the netlist")
 	}
 	s.track = track
+	c := s.c
+	if track == nil {
+		s.seeded = c.Inputs
+		return
+	}
+	read := make([]bool, c.NumNets)
+	for gi := 0; gi < c.NumGates; gi++ {
+		if track[gi>>6]>>uint(gi&63)&1 == 1 {
+			base := gi * c.Stride
+			for _, in := range c.In[base : base+int(c.NumIn[gi])] {
+				read[in] = true
+			}
+		}
+	}
+	for _, out := range c.Outputs {
+		read[out] = true
+	}
+	s.seeded = nil
+	for _, in := range c.Inputs {
+		if read[in] {
+			s.seeded = append(s.seeded, in)
+		}
+	}
 }
 
 // Run times the transitions from the prev input words to cur (one word
@@ -188,6 +217,8 @@ func (s *WideFastSim) Run(prev, cur []uint64, inputArrival, deadline float64) *W
 		oldW[net] = prev[i]
 		newW[net] = cur[i]
 		changedW[net] = prev[i] ^ cur[i]
+	}
+	for _, net := range s.seeded {
 		*(*[64]float64)(arr[int(net)*64:]) = seedRow
 	}
 	sm := &s.sample

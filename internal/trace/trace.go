@@ -28,6 +28,11 @@ type Trace struct {
 	TotalInstr int64
 	// Cycles is the error-free execution time.
 	Cycles uint64
+
+	// fingerprint is Fingerprint as Capture computed it (0: not
+	// computed). Written only before the trace is shared, so reading it
+	// needs no synchronization.
+	fingerprint uint64
 }
 
 // FPTotal returns the total dynamic FPU instruction count.
@@ -53,7 +58,18 @@ func (t *Trace) OpShare(op fpu.Op) float64 {
 // the hash keys on-disk artifacts computed from a trace — a different
 // workload scale, trace seed, or sampler change yields a different
 // fingerprint and therefore a cache miss instead of a stale hit.
+//
+// Capture computes it once, so a captured trace must not be modified; a
+// trace built by other means is hashed on every call.
 func (t *Trace) Fingerprint() uint64 {
+	if t.fingerprint != 0 {
+		return t.fingerprint
+	}
+	return t.hash()
+}
+
+// hash is the FNV-1a fold behind Fingerprint.
+func (t *Trace) hash() uint64 {
 	h := uint64(0xcbf29ce484222325)
 	mix := func(v uint64) {
 		for s := 0; s < 64; s += 8 {
@@ -96,6 +112,7 @@ func Capture(w *workloads.Workload, perOpCap int, seed uint64) (*Trace, error) {
 	}
 	c := cpu.New(w.Program, cpu.Config{Injector: cap, TrapFPInvalid: true})
 	res := c.Run(1 << 40)
+	c.Release()
 	if res.Status != cpu.Halted {
 		return nil, fmt.Errorf("trace: %s did not halt: %v (%s)", w.Name, res.Status, res.Reason)
 	}
@@ -108,5 +125,6 @@ func Capture(w *workloads.Workload, perOpCap int, seed uint64) (*Trace, error) {
 		t.Pairs[op] = cap.res[op].Items()
 		t.OpCounts[op] = res.FPOps[op]
 	}
+	t.fingerprint = t.hash()
 	return t, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"testing"
 
+	"teva/internal/dta"
 	"teva/internal/fpu"
 	"teva/internal/workloads"
 )
@@ -109,4 +110,49 @@ func inRange(bits uint64) bool {
 		return true // zero
 	}
 	return exp > 923 && exp < 1057 // |v| in ~(1e-30, 1e10)
+}
+
+// TestFingerprint checks the content hash a captured trace keeps: a trace
+// rebuilt with equal content hashes equal, and changing any sampled pair,
+// dynamic count, TotalInstr or Cycles changes the hash.
+func TestFingerprint(t *testing.T) {
+	tr := capture(t, "sobel")
+	clone := func() *Trace {
+		c := &Trace{Workload: tr.Workload, OpCounts: tr.OpCounts, TotalInstr: tr.TotalInstr, Cycles: tr.Cycles}
+		for op := range tr.Pairs {
+			c.Pairs[op] = append([]dta.Pair(nil), tr.Pairs[op]...)
+		}
+		return c
+	}
+	want := tr.Fingerprint()
+	if got := clone().Fingerprint(); got != want {
+		t.Fatalf("equal content: fingerprint %#x, captured %#x", got, want)
+	}
+	if again := capture(t, "sobel").Fingerprint(); again != want {
+		t.Fatalf("recaptured trace: fingerprint %#x, want %#x", again, want)
+	}
+	changed := map[string]func(c *Trace){
+		"TotalInstr": func(c *Trace) { c.TotalInstr++ },
+		"Cycles":     func(c *Trace) { c.Cycles++ },
+	}
+	for op := range tr.Pairs {
+		op := op
+		name := fpu.Op(op).String()
+		changed[name+" count"] = func(c *Trace) { c.OpCounts[op]++ }
+		if len(tr.Pairs[op]) == 0 {
+			changed[name+" pairs"] = func(c *Trace) { c.Pairs[op] = append(c.Pairs[op], dta.Pair{}) }
+			continue
+		}
+		last := len(tr.Pairs[op]) - 1
+		changed[name+" first A"] = func(c *Trace) { c.Pairs[op][0].A ^= 1 }
+		changed[name+" last B"] = func(c *Trace) { c.Pairs[op][last].B ^= 1 << 63 }
+		changed[name+" dropped pair"] = func(c *Trace) { c.Pairs[op] = c.Pairs[op][:last] }
+	}
+	for name, mutate := range changed {
+		c := clone()
+		mutate(c)
+		if c.Fingerprint() == want {
+			t.Errorf("changing %s left the fingerprint at %#x", name, want)
+		}
+	}
 }
