@@ -97,8 +97,9 @@ func TestStageUnitsTagged(t *testing.T) {
 	for _, op := range Ops() {
 		p := testFPU.Pipeline(op)
 		for _, s := range p.Stages {
-			for _, g := range s.N.Gates() {
-				if g.Unit == "" {
+			c := s.N.Compiled()
+			for gi := int32(0); gi < int32(c.NumGates); gi++ {
+				if c.UnitName(gi) == "" {
 					t.Fatalf("%s/%s: untagged gate", op, s.Name)
 				}
 			}

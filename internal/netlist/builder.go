@@ -25,21 +25,40 @@ type Builder struct {
 	n    *Netlist
 	rng  *prng.Source
 	unit string
+	// unitIdx is unit's index in the netlist's name table; unitIDs
+	// interns the table.
+	unitIdx int32
+	unitIDs map[string]int32
 	// wireMax is the largest interconnect delay added to any pin, ps.
 	wireMax float64
 }
+
+// buildHook, when non-nil, sees every netlist just before Build
+// finalizes it. Only tests set it, to check finalize against an
+// independent lowering of the same creation-order arrays.
+var buildHook func(*Netlist)
 
 // NewBuilder returns a builder for a netlist with the given name over the
 // library. The seed determines the interconnect-delay annotation; the same
 // seed reproduces the identical "placed" design.
 func NewBuilder(name string, lib *cell.Library, seed uint64) *Builder {
-	n := &Netlist{Name: name, Lib: lib, numNets: 2}
-	return &Builder{n: n, rng: prng.New(seed), wireMax: 12}
+	n := &Netlist{Name: name, Lib: lib, numNets: 2, pinOff: []int32{0}}
+	b := &Builder{n: n, rng: prng.New(seed), unitIDs: make(map[string]int32), wireMax: 12}
+	b.SetUnit("")
+	return b
 }
 
 // SetUnit sets the functional-unit tag applied to subsequently created
 // gates (e.g. "stage2/align"). Used to group timing paths per unit.
-func (b *Builder) SetUnit(unit string) { b.unit = unit }
+func (b *Builder) SetUnit(unit string) {
+	id, ok := b.unitIDs[unit]
+	if !ok {
+		id = int32(len(b.n.units))
+		b.n.units = append(b.n.units, unit)
+		b.unitIDs[unit] = id
+	}
+	b.unit, b.unitIdx = unit, id
+}
 
 // Unit returns the current functional-unit tag.
 func (b *Builder) Unit() string { return b.unit }
@@ -112,21 +131,23 @@ func (b *Builder) gate(kind cell.Kind, inputs ...NetID) NetID {
 
 // place creates the gate instance with annotated delays.
 func (b *Builder) place(kind cell.Kind, op cell.OpCode, base []cell.PinDelay, energy float64, inputs []NetID) NetID {
-	out := b.newNet()
-	delays := make([]cell.PinDelay, len(base))
-	w := b.wire()
-	for i, d := range base {
-		delays[i] = cell.PinDelay{Rise: d.Rise + w, Fall: d.Fall + w}
+	if len(base) != len(inputs) {
+		panic(fmt.Sprintf("netlist: %v has %d pin delays for %d inputs", kind, len(base), len(inputs)))
 	}
-	b.n.gates = append(b.n.gates, Gate{
-		Kind:   kind,
-		Inputs: append([]NetID(nil), inputs...),
-		Output: out,
-		Op:     op,
-		Delays: delays,
-		Energy: energy,
-		Unit:   b.unit,
-	})
+	n := b.n
+	out := b.newNet()
+	w := b.wire()
+	for _, d := range base {
+		n.rise = append(n.rise, d.Rise+w)
+		n.fall = append(n.fall, d.Fall+w)
+	}
+	n.pins = append(n.pins, inputs...)
+	n.pinOff = append(n.pinOff, int32(len(n.pins)))
+	n.kind = append(n.kind, kind)
+	n.op = append(n.op, op)
+	n.out = append(n.out, out)
+	n.energy = append(n.energy, energy)
+	n.unit = append(n.unit, b.unitIdx)
 	return out
 }
 
@@ -336,6 +357,9 @@ func (b *Builder) BufBus(x Bus, n int) Bus {
 func (b *Builder) Build() (*Netlist, error) {
 	n := b.n
 	b.n = nil
+	if buildHook != nil {
+		buildHook(n)
+	}
 	if err := n.finalize(); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,11 @@
 // carries per-pin delays taken from the standard-cell library plus a
 // deterministic per-net interconnect component standing in for extracted
 // wire parasitics.
+//
+// A netlist has one representation, the flat Compiled arrays every
+// engine reads. The Builder appends gates to pointer-free creation-order
+// arrays; Build validates them, sorts the gates topologically and writes
+// the Compiled form once, at its exact size.
 package netlist
 
 import (
@@ -24,31 +29,6 @@ const (
 	Const1 NetID = 1
 )
 
-// GateID identifies a gate instance.
-type GateID int32
-
-// Gate is one placed cell instance.
-type Gate struct {
-	// Kind is the library cell.
-	Kind cell.Kind
-	// Inputs are the nets driving each input pin.
-	Inputs []NetID
-	// Output is the net driven by this gate.
-	Output NetID
-	// Op is the resolved logic function (sum vs carry variant for HA/FA).
-	// Simulation engines dispatch on it via the compiled IR; see Compiled.
-	Op cell.OpCode
-	// Delays are the annotated per-pin delays: library cell delay plus the
-	// interconnect component of the output net, in picoseconds at the
-	// nominal corner.
-	Delays []cell.PinDelay
-	// Energy is the dynamic energy per output transition, fJ.
-	Energy float64
-	// Unit tags the functional unit / pipeline stage the gate belongs to
-	// (used to group Figure 4's path distribution).
-	Unit string
-}
-
 // Netlist is a combinational circuit: a DAG of gates between primary
 // inputs (pipeline register outputs) and primary outputs (pipeline
 // register inputs).
@@ -58,7 +38,6 @@ type Netlist struct {
 	// Lib is the library the gates were drawn from.
 	Lib *cell.Library
 
-	gates   []Gate
 	numNets int
 	inputs  []NetID
 	outputs []NetID
@@ -68,30 +47,30 @@ type Netlist struct {
 	// rejects any other floating input or dead gate output.
 	discarded map[NetID]bool
 
-	// derived structures, built by Finalize
-	driver []GateID   // per net, -1 for inputs/constants
-	fanout [][]GateID // per net
-	topo   []GateID   // gates in topological order
-	level  []int32    // per gate, longest input depth
+	// kind is each gate's library cell, in creation order (for Stats).
+	kind []cell.Kind
 
-	// cbox caches the compiled simulation IR (one per finalized netlist,
-	// shared by every engine instance; see Compiled). It is a pointer so
-	// Vary's shallow copy can swap in a fresh cache without copying a lock.
-	cbox *compileBox
+	// Creation-order build arrays, dropped by finalize. Gate gi reads
+	// pins[pinOff[gi]:pinOff[gi+1]], whose annotated delays sit in the
+	// same slots of rise and fall; unit[gi] indexes the units name table.
+	op     []cell.OpCode
+	out    []NetID
+	energy []float64
+	unit   []int32
+	pinOff []int32
+	pins   []NetID
+	rise   []float64
+	fall   []float64
+	units  []string
+
+	c *Compiled
 }
 
 // NumNets returns the number of nets, including the two constants.
 func (n *Netlist) NumNets() int { return n.numNets }
 
 // NumGates returns the number of gate instances.
-func (n *Netlist) NumGates() int { return len(n.gates) }
-
-// Gates returns the gate slice in topological order (after Finalize the
-// storage order is topological). Callers must not mutate it.
-func (n *Netlist) Gates() []Gate { return n.gates }
-
-// Gate returns the gate with the given id.
-func (n *Netlist) Gate(id GateID) *Gate { return &n.gates[id] }
+func (n *Netlist) NumGates() int { return len(n.kind) }
 
 // Inputs returns the primary input nets.
 func (n *Netlist) Inputs() []NetID { return n.inputs }
@@ -99,16 +78,10 @@ func (n *Netlist) Inputs() []NetID { return n.inputs }
 // Outputs returns the primary output nets.
 func (n *Netlist) Outputs() []NetID { return n.outputs }
 
-// Driver returns the gate driving the net, or -1 for primary inputs and
-// constants.
-func (n *Netlist) Driver(id NetID) GateID { return n.driver[id] }
-
-// Fanout returns the gates reading the net. Callers must not mutate it.
-func (n *Netlist) Fanout(id NetID) []GateID { return n.fanout[id] }
-
-// Level returns the logic depth of a gate (0 for gates fed only by inputs
-// or constants).
-func (n *Netlist) Level(id GateID) int { return int(n.level[id]) }
+// Compiled returns the netlist's simulation IR, written by Build. The
+// result is immutable and safe to share across goroutines; every call
+// returns the same instance.
+func (n *Netlist) Compiled() *Compiled { return n.c }
 
 // Stats summarizes a netlist for reports.
 type Stats struct {
@@ -123,17 +96,15 @@ type Stats struct {
 // Stats computes summary statistics.
 func (n *Netlist) Stats() Stats {
 	s := Stats{
-		Gates:   len(n.gates),
-		Nets:    n.numNets,
-		Inputs:  len(n.inputs),
-		Outputs: len(n.outputs),
-		ByKind:  make(map[cell.Kind]int),
+		Gates:    len(n.kind),
+		Nets:     n.numNets,
+		Inputs:   len(n.inputs),
+		Outputs:  len(n.outputs),
+		MaxDepth: n.c.NumLevels,
+		ByKind:   make(map[cell.Kind]int),
 	}
-	for i := range n.gates {
-		s.ByKind[n.gates[i].Kind]++
-		if d := int(n.level[i]) + 1; d > s.MaxDepth {
-			s.MaxDepth = d
-		}
+	for _, k := range n.kind {
+		s.ByKind[k]++
 	}
 	return s
 }
@@ -143,67 +114,75 @@ func (s Stats) String() string {
 		s.Gates, s.Nets, s.Inputs, s.Outputs, s.MaxDepth)
 }
 
-// finalize validates the structure, orders gates topologically and builds
-// the derived driver/fanout/level tables. The builder calls it from Build.
+// finalize validates the structure, orders gates topologically and
+// writes the Compiled form. The builder calls it from Build. Errors name
+// gates by creation index.
 func (n *Netlist) finalize() error {
-	n.cbox = &compileBox{}
+	numGates := len(n.op)
 	maxFanIn := 1
 	if n.Lib != nil {
 		maxFanIn = n.Lib.MaxFanIn()
 	}
-	for gi := range n.gates {
-		g := &n.gates[gi]
-		if g.Op == cell.OpNone {
-			return fmt.Errorf("netlist %s: gate %d (%v) has no opcode", n.Name, gi, g.Kind)
+	numDelays := min(len(n.rise), len(n.fall))
+	for gi := 0; gi < numGates; gi++ {
+		lo, hi := int(n.pinOff[gi]), int(n.pinOff[gi+1])
+		kind, op, ni := n.kind[gi], n.op[gi], hi-lo
+		if op == cell.OpNone {
+			return fmt.Errorf("netlist %s: gate %d (%v) has no opcode", n.Name, gi, kind)
 		}
-		if got, want := len(g.Inputs), g.Op.Arity(); got != want {
+		if want := op.Arity(); ni != want {
 			return fmt.Errorf("netlist %s: gate %d (%v/%v) has %d pins, opcode needs %d",
-				n.Name, gi, g.Kind, g.Op, got, want)
+				n.Name, gi, kind, op, ni, want)
 		}
-		if len(g.Inputs) > maxFanIn {
+		if ni > maxFanIn {
 			return fmt.Errorf("netlist %s: gate %d (%v) fan-in %d exceeds library max %d",
-				n.Name, gi, g.Kind, len(g.Inputs), maxFanIn)
+				n.Name, gi, kind, ni, maxFanIn)
 		}
-		if len(g.Delays) != len(g.Inputs) {
+		if nd := max(0, min(numDelays, hi)-lo); nd != ni {
 			return fmt.Errorf("netlist %s: gate %d (%v) has %d delays for %d pins",
-				n.Name, gi, g.Kind, len(g.Delays), len(g.Inputs))
+				n.Name, gi, kind, nd, ni)
 		}
 	}
-	n.driver = make([]GateID, n.numNets)
-	for i := range n.driver {
-		n.driver[i] = -1
+	// driver and fanGate hold creation indexes until the renumbering
+	// below rewrites them in place.
+	driver := make([]int32, n.numNets)
+	for i := range driver {
+		driver[i] = -1
 	}
-	for gi := range n.gates {
-		out := n.gates[gi].Output
+	for gi, out := range n.out {
 		if out == Const0 || out == Const1 {
 			return fmt.Errorf("netlist %s: gate %d drives a constant net", n.Name, gi)
 		}
-		if n.driver[out] != -1 {
+		if driver[out] != -1 {
 			return fmt.Errorf("netlist %s: net %d has multiple drivers", n.Name, out)
 		}
-		n.driver[out] = GateID(gi)
+		driver[out] = int32(gi)
 	}
-	isInput := make([]bool, n.numNets)
-	isInput[Const0], isInput[Const1] = true, true
+	const isInput, isOutput = 1, 2
+	flags := make([]uint8, n.numNets)
+	flags[Const0], flags[Const1] = isInput, isInput
 	for _, in := range n.inputs {
-		if n.driver[in] != -1 {
+		if driver[in] != -1 {
 			return fmt.Errorf("netlist %s: primary input net %d is gate-driven", n.Name, in)
 		}
-		isInput[in] = true
+		flags[in] |= isInput
 	}
-	n.fanout = make([][]GateID, n.numNets)
-	for gi := range n.gates {
-		for _, in := range n.gates[gi].Inputs {
-			if n.driver[in] == -1 && !isInput[in] {
+	// Fanout CSR by counting sort: fanOff[v+1] first counts net v's
+	// reading pin occurrences, then becomes the prefix sum.
+	fanOff := make([]int32, n.numNets+1)
+	for gi := 0; gi < numGates; gi++ {
+		for _, in := range n.pins[n.pinOff[gi]:n.pinOff[gi+1]] {
+			if driver[in] == -1 && flags[in]&isInput == 0 {
 				return fmt.Errorf("netlist %s: gate %d reads undriven net %d", n.Name, gi, in)
 			}
-			n.fanout[in] = append(n.fanout[in], GateID(gi))
+			fanOff[in+1]++
 		}
 	}
 	for _, out := range n.outputs {
-		if n.driver[out] == -1 && !isInput[out] {
+		if driver[out] == -1 && flags[out]&isInput == 0 {
 			return fmt.Errorf("netlist %s: primary output net %d undriven", n.Name, out)
 		}
+		flags[out] |= isOutput
 	}
 
 	// Structural lints: every net must go somewhere. A primary input nobody
@@ -211,48 +190,67 @@ func (n *Netlist) finalize() error {
 	// generator bug (a mis-wired operand, a result bit that fell off);
 	// intentional dead ends (discarded carry-outs, ignored flag bits) must
 	// be declared with Builder.Discard so the intent is in the netlist.
-	isOutput := make([]bool, n.numNets)
-	for _, out := range n.outputs {
-		isOutput[out] = true
-	}
 	for _, in := range n.inputs {
-		if len(n.fanout[in]) == 0 && !isOutput[in] && !n.discarded[in] {
+		if fanOff[in+1] == 0 && flags[in]&isOutput == 0 && !n.discarded[in] {
 			return fmt.Errorf("netlist %s: primary input net %d is floating: no gate reads it and it is not a primary output; remove it or mark it with Discard",
 				n.Name, in)
 		}
 	}
-	for gi := range n.gates {
-		g := &n.gates[gi]
-		if len(n.fanout[g.Output]) == 0 && !isOutput[g.Output] && !n.discarded[g.Output] {
+	for gi, out := range n.out {
+		if fanOff[out+1] == 0 && flags[out]&isOutput == 0 && !n.discarded[out] {
 			return fmt.Errorf("netlist %s: gate %d (%v, unit %q) drives net %d which has zero fanout and is not a primary output; dead logic — remove the gate or mark its output with Discard",
-				n.Name, gi, g.Kind, g.Unit, g.Output)
+				n.Name, gi, n.kind[gi], n.units[n.unit[gi]], out)
+		}
+	}
+	for v := 0; v < n.numNets; v++ {
+		fanOff[v+1] += fanOff[v]
+	}
+	// One fanout entry per reading pin occurrence, in creation order;
+	// fanPin is the first pin of the reader connected to the net.
+	fanGate := make([]int32, fanOff[n.numNets])
+	fanPin := make([]int32, len(fanGate))
+	next := make([]int32, n.numNets)
+	copy(next, fanOff)
+	for gi := 0; gi < numGates; gi++ {
+		pins := n.pins[n.pinOff[gi]:n.pinOff[gi+1]]
+		for _, in := range pins {
+			first := 0
+			for pins[first] != in {
+				first++
+			}
+			fanGate[next[in]] = int32(gi)
+			fanPin[next[in]] = int32(first)
+			next[in]++
 		}
 	}
 
-	// Kahn topological sort over gates.
-	pending := make([]int32, len(n.gates))
-	ready := make([]GateID, 0, len(n.gates))
-	for gi := range n.gates {
+	// Kahn topological sort over gates: a LIFO ready stack seeded in
+	// creation order, releasing readers in fanout entry order.
+	pending := make([]int32, numGates)
+	ready := make([]int32, 0, numGates)
+	for gi := 0; gi < numGates; gi++ {
 		cnt := int32(0)
-		for _, in := range n.gates[gi].Inputs {
-			if n.driver[in] != -1 {
+		for _, in := range n.pins[n.pinOff[gi]:n.pinOff[gi+1]] {
+			if driver[in] != -1 {
 				cnt++
 			}
 		}
 		pending[gi] = cnt
 		if cnt == 0 {
-			ready = append(ready, GateID(gi))
+			ready = append(ready, int32(gi))
 		}
 	}
-	n.topo = make([]GateID, 0, len(n.gates))
-	n.level = make([]int32, len(n.gates))
+	topo := make([]int32, 0, numGates) // storage order -> creation index
+	level := make([]int32, numGates)   // per creation index, longest input depth
 	for len(ready) > 0 {
 		g := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
-		n.topo = append(n.topo, g)
-		for _, fo := range n.fanout[n.gates[g].Output] {
-			if lvl := n.level[g] + 1; lvl > n.level[fo] {
-				n.level[fo] = lvl
+		topo = append(topo, g)
+		out := n.out[g]
+		for j := fanOff[out]; j < fanOff[out+1]; j++ {
+			fo := fanGate[j]
+			if lvl := level[g] + 1; lvl > level[fo] {
+				level[fo] = lvl
 			}
 			pending[fo]--
 			if pending[fo] == 0 {
@@ -260,52 +258,105 @@ func (n *Netlist) finalize() error {
 			}
 		}
 	}
-	if len(n.topo) != len(n.gates) {
+	if len(topo) != numGates {
 		return fmt.Errorf("netlist %s: combinational cycle (%d of %d gates ordered)",
-			n.Name, len(n.topo), len(n.gates))
+			n.Name, len(topo), numGates)
 	}
-	n.reorderTopological()
+	n.c = n.writeCompiled(topo, level, driver, fanOff, fanGate, fanPin)
+	n.discarded = nil
+	n.op, n.out, n.energy, n.unit = nil, nil, nil, nil
+	n.pinOff, n.pins, n.rise, n.fall, n.units = nil, nil, nil, nil, nil
 	return nil
 }
 
-// reorderTopological permutes gate storage into topological order so
-// simulators can iterate the slice directly. All GateID-bearing tables are
-// remapped.
-func (n *Netlist) reorderTopological() {
-	perm := make([]GateID, len(n.gates)) // old id -> new id
-	newGates := make([]Gate, len(n.gates))
-	for newID, oldID := range n.topo {
-		perm[oldID] = GateID(newID)
-		newGates[newID] = n.gates[oldID]
+// writeCompiled writes the Compiled arrays in topological storage order from
+// the validated build arrays, renumbering the creation-indexed driver and
+// fanout tables in place.
+func (n *Netlist) writeCompiled(topo, level, driver, fanOff, fanGate, fanPin []int32) *Compiled {
+	numGates := len(topo)
+	maxFanIn := 1
+	for gi := 0; gi < numGates; gi++ {
+		maxFanIn = max(maxFanIn, int(n.pinOff[gi+1]-n.pinOff[gi]))
 	}
-	newLevel := make([]int32, len(n.gates))
-	for oldID, lvl := range n.level {
-		newLevel[perm[oldID]] = lvl
+	stride := max(maxFanIn, 3)
+	c := &Compiled{
+		Name:     n.Name,
+		NumNets:  n.numNets,
+		NumGates: numGates,
+		Inputs:   n.inputs,
+		Outputs:  n.outputs,
+		MaxFanIn: maxFanIn,
+		Stride:   stride,
+		Op:       make([]cell.OpCode, numGates),
+		NumIn:    make([]int8, numGates),
+		In:       make([]int32, numGates*stride),
+		Rise:     make([]float64, numGates*stride),
+		Fall:     make([]float64, numGates*stride),
+		Out:      make([]int32, numGates),
+		Energy:   make([]float64, numGates),
+		Unit:     make([]int32, numGates),
+		Units:    n.units,
+		Driver:   driver,
+		FanOff:   fanOff,
+		FanGate:  fanGate,
+		FanPin:   fanPin,
 	}
-	n.gates = newGates
-	n.level = newLevel
-	for net, d := range n.driver {
+	perm := make([]int32, numGates) // creation index -> storage index
+	numLevels := 0
+	for gi, g := range topo {
+		perm[g] = int32(gi)
+		numLevels = max(numLevels, int(level[g])+1)
+		lo, hi := n.pinOff[g], n.pinOff[g+1]
+		base := gi * stride
+		c.Op[gi] = n.op[g]
+		c.NumIn[gi] = int8(hi - lo)
+		// Padded slots keep reading Const0 (zero value) with zero delay.
+		for pin, in := range n.pins[lo:hi] {
+			c.In[base+pin] = int32(in)
+		}
+		copy(c.Rise[base:], n.rise[lo:hi])
+		copy(c.Fall[base:], n.fall[lo:hi])
+		c.Out[gi] = int32(n.out[g])
+		c.Energy[gi] = n.energy[g]
+		c.Unit[gi] = n.unit[g]
+	}
+	for net, d := range driver {
 		if d != -1 {
-			n.driver[net] = perm[d]
+			driver[net] = perm[d]
 		}
 	}
-	for net, fo := range n.fanout {
-		for i, g := range fo {
-			fo[i] = perm[g]
-		}
-		n.fanout[net] = fo
+	for j, g := range fanGate {
+		fanGate[j] = perm[g]
 	}
-	for i := range n.topo {
-		n.topo[i] = GateID(i)
+	// Level schedule: bucket gates by level (counting sort — levels are
+	// dense small ints). Visiting gates in storage order keeps each
+	// level's ids ascending, so the schedule is deterministic for any
+	// consumer that walks it serially.
+	c.NumLevels = numLevels
+	c.LevelOff = make([]int32, numLevels+1)
+	for _, g := range topo {
+		c.LevelOff[level[g]+1]++
 	}
+	for l := 0; l < numLevels; l++ {
+		c.LevelOff[l+1] += c.LevelOff[l]
+	}
+	c.Levels = make([]int32, numGates)
+	fill := make([]int32, numLevels)
+	copy(fill, c.LevelOff[:numLevels])
+	for gi, g := range topo {
+		l := level[g]
+		c.Levels[fill[l]] = int32(gi)
+		fill[l]++
+	}
+	return c
 }
 
 // TotalEnergy sums the per-transition energies of all gates, a proxy for
 // the circuit's switched capacitance used in power comparisons.
 func (n *Netlist) TotalEnergy() float64 {
 	var sum float64
-	for i := range n.gates {
-		sum += n.gates[i].Energy
+	for _, e := range n.c.Energy {
+		sum += e
 	}
 	return sum
 }

@@ -2,6 +2,7 @@ package netlist_test
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -433,13 +434,14 @@ func TestTopologicalOrder(t *testing.T) {
 	for _, in := range n.Inputs() {
 		seen[in] = true
 	}
-	for _, g := range n.Gates() {
-		for _, in := range g.Inputs {
+	c := n.Compiled()
+	for gi := int32(0); gi < int32(c.NumGates); gi++ {
+		for _, in := range c.Pins(gi) {
 			if !seen[in] {
 				t.Fatal("gate reads a net not yet produced: storage not topological")
 			}
 		}
-		seen[g.Output] = true
+		seen[c.Out[gi]] = true
 	}
 }
 
@@ -458,14 +460,15 @@ func TestStatsAndUnits(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	var alpha, beta int
-	for _, g := range h.n.Gates() {
-		switch g.Unit {
+	c := h.n.Compiled()
+	for gi := int32(0); gi < int32(c.NumGates); gi++ {
+		switch unit := c.UnitName(gi); unit {
 		case "alpha":
 			alpha++
 		case "beta":
 			beta++
 		default:
-			t.Fatalf("gate with unexpected unit %q", g.Unit)
+			t.Fatalf("gate with unexpected unit %q", unit)
 		}
 	}
 	if alpha == 0 || beta == 0 {
@@ -497,17 +500,12 @@ func TestInterconnectDeterminism(t *testing.T) {
 		b.Output(s)
 		return b.MustBuild()
 	}
-	n1, n2 := build(), build()
-	g1, g2 := n1.Gates(), n2.Gates()
-	if len(g1) != len(g2) {
+	c1, c2 := build().Compiled(), build().Compiled()
+	if c1.NumGates != c2.NumGates {
 		t.Fatal("gate counts differ")
 	}
-	for i := range g1 {
-		for pin := range g1[i].Delays {
-			if g1[i].Delays[pin] != g2[i].Delays[pin] {
-				t.Fatal("same seed produced different interconnect delays")
-			}
-		}
+	if !slices.Equal(c1.Rise, c2.Rise) || !slices.Equal(c1.Fall, c2.Fall) {
+		t.Fatal("same seed produced different interconnect delays")
 	}
 	// A different seed must change the placement noise.
 	b := netlist.NewBuilder("det", lib, 32)
@@ -515,16 +513,8 @@ func TestInterconnectDeterminism(t *testing.T) {
 	y := b.Input(8)
 	s := b.Sum(b.RippleAdder(x, y, netlist.Const0))
 	b.Output(s)
-	n3 := b.MustBuild()
-	diff := false
-	for i, g := range n3.Gates() {
-		for pin := range g.Delays {
-			if g.Delays[pin] != g1[i].Delays[pin] {
-				diff = true
-			}
-		}
-	}
-	if !diff {
+	c3 := b.MustBuild().Compiled()
+	if slices.Equal(c3.Rise, c1.Rise) && slices.Equal(c3.Fall, c1.Fall) {
 		t.Fatal("different seeds produced identical interconnect delays")
 	}
 }
@@ -646,9 +636,9 @@ func TestDetourAddsDelay(t *testing.T) {
 	out := b.Detour(x, 500)
 	b.Output(netlist.Bus{out})
 	h := newHarness(t, b)
-	g := h.n.Gates()[0]
-	if g.Delays[0].Rise < 500 || g.Delays[0].Fall < 500 {
-		t.Fatalf("detour delay not applied: %+v", g.Delays[0])
+	c := h.n.Compiled()
+	if c.Rise[0] < 500 || c.Fall[0] < 500 {
+		t.Fatalf("detour delay not applied: rise %v fall %v", c.Rise[0], c.Fall[0])
 	}
 	h.in[0] = true
 	h.run()
@@ -734,6 +724,7 @@ func TestVaryPreservesFunctionChangesDelays(t *testing.T) {
 	sum := b.Sum(b.RippleAdder(x, y, netlist.Const0))
 	b.Output(sum)
 	base := b.MustBuild()
+	before := slices.Clone(base.Compiled().Rise)
 	die1 := base.Vary(0.05, 1)
 	die2 := base.Vary(0.05, 2)
 	die1b := base.Vary(0.05, 1)
@@ -757,11 +748,13 @@ func TestVaryPreservesFunctionChangesDelays(t *testing.T) {
 	}
 	// Delays changed, deterministically per seed, differently per die.
 	var changed, differs bool
-	for gi := range base.Gates() {
-		d0 := base.Gates()[gi].Delays[0]
-		d1 := die1.Gates()[gi].Delays[0]
-		d2 := die2.Gates()[gi].Delays[0]
-		d1b := die1b.Gates()[gi].Delays[0]
+	c0, c1, c2, c1b := base.Compiled(), die1.Compiled(), die2.Compiled(), die1b.Compiled()
+	for gi := 0; gi < c0.NumGates; gi++ {
+		pi := gi * c0.Stride
+		d0 := cell.PinDelay{Rise: c0.Rise[pi], Fall: c0.Fall[pi]}
+		d1 := cell.PinDelay{Rise: c1.Rise[pi], Fall: c1.Fall[pi]}
+		d2 := cell.PinDelay{Rise: c2.Rise[pi], Fall: c2.Fall[pi]}
+		d1b := cell.PinDelay{Rise: c1b.Rise[pi], Fall: c1b.Fall[pi]}
 		if d1 != d1b {
 			t.Fatal("same seed must reproduce the same die")
 		}
@@ -771,9 +764,9 @@ func TestVaryPreservesFunctionChangesDelays(t *testing.T) {
 		if d1 != d2 {
 			differs = true
 		}
-		if base.Gates()[gi].Delays[0] != d0 {
-			t.Fatal("original netlist mutated")
-		}
+	}
+	if !slices.Equal(before, c0.Rise) {
+		t.Fatal("original netlist mutated")
 	}
 	if !changed || !differs {
 		t.Fatal("variation had no effect")

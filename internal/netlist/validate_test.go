@@ -10,17 +10,42 @@ import (
 	"teva/internal/cell"
 )
 
-// rawNetlist hand-assembles a netlist bypassing the Builder, so invalid
-// structures can be expressed.
-func rawNetlist(gates []Gate, numNets int, inputs, outputs []NetID) *Netlist {
-	return &Netlist{
+// rawGate describes one gate of a hand-assembled netlist.
+type rawGate struct {
+	Kind   cell.Kind
+	Op     cell.OpCode
+	Inputs []NetID
+	Output NetID
+	Delays []cell.PinDelay
+}
+
+// rawNetlist hand-assembles a netlist's build arrays bypassing the
+// Builder, so invalid structures can be expressed. A gate with fewer
+// delays than pins must come last: the delay arrays run out under it.
+func rawNetlist(gates []rawGate, numNets int, inputs, outputs []NetID) *Netlist {
+	n := &Netlist{
 		Name:    "raw",
 		Lib:     cell.Default(),
-		gates:   gates,
 		numNets: numNets,
 		inputs:  inputs,
 		outputs: outputs,
+		pinOff:  []int32{0},
+		units:   []string{""},
 	}
+	for _, g := range gates {
+		n.kind = append(n.kind, g.Kind)
+		n.op = append(n.op, g.Op)
+		n.out = append(n.out, g.Output)
+		n.energy = append(n.energy, 0)
+		n.unit = append(n.unit, 0)
+		n.pins = append(n.pins, g.Inputs...)
+		n.pinOff = append(n.pinOff, int32(len(n.pins)))
+		for _, d := range g.Delays {
+			n.rise = append(n.rise, d.Rise)
+			n.fall = append(n.fall, d.Fall)
+		}
+	}
+	return n
 }
 
 func delays(n int) []cell.PinDelay {
@@ -39,37 +64,37 @@ func TestFinalizeRejectsInvalidGates(t *testing.T) {
 	}{
 		{
 			"missing opcode",
-			rawNetlist([]Gate{{Kind: cell.And2, Inputs: []NetID{2, 2}, Output: 3, Delays: delays(2)}},
+			rawNetlist([]rawGate{{Kind: cell.And2, Inputs: []NetID{2, 2}, Output: 3, Delays: delays(2)}},
 				4, []NetID{2}, []NetID{3}),
 			"has no opcode",
 		},
 		{
 			"arity mismatch",
-			rawNetlist([]Gate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2}, Output: 3, Delays: delays(1)}},
+			rawNetlist([]rawGate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2}, Output: 3, Delays: delays(1)}},
 				4, []NetID{2}, []NetID{3}),
 			"opcode needs",
 		},
 		{
 			"delay count mismatch",
-			rawNetlist([]Gate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2, 2}, Output: 3, Delays: delays(1)}},
+			rawNetlist([]rawGate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2, 2}, Output: 3, Delays: delays(1)}},
 				4, []NetID{2}, []NetID{3}),
 			"delays for",
 		},
 		{
 			"undriven input net",
-			rawNetlist([]Gate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2, 3}, Output: 4, Delays: delays(2)}},
+			rawNetlist([]rawGate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2, 3}, Output: 4, Delays: delays(2)}},
 				5, []NetID{2}, []NetID{4}),
 			"undriven",
 		},
 		{
 			"floating primary input",
-			rawNetlist([]Gate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2, 2}, Output: 4, Delays: delays(2)}},
+			rawNetlist([]rawGate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2, 2}, Output: 4, Delays: delays(2)}},
 				5, []NetID{2, 3}, []NetID{4}),
 			"floating",
 		},
 		{
 			"zero-fanout gate output",
-			rawNetlist([]Gate{
+			rawNetlist([]rawGate{
 				{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2, 2}, Output: 3, Delays: delays(2)},
 				{Kind: cell.Inv, Op: cell.OpInv, Inputs: []NetID{2}, Output: 4, Delays: delays(1)},
 			}, 5, []NetID{2}, []NetID{3}),
@@ -90,7 +115,7 @@ func TestFinalizeRejectsInvalidGates(t *testing.T) {
 func TestFinalizeRejectsFanInAboveLibraryMax(t *testing.T) {
 	// With no library the max fan-in floor is 1, so a well-formed 2-input
 	// gate must be rejected on the fan-in bound specifically.
-	n := rawNetlist([]Gate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2, 2}, Output: 3, Delays: delays(2)}},
+	n := rawNetlist([]rawGate{{Kind: cell.And2, Op: cell.OpAnd2, Inputs: []NetID{2, 2}, Output: 3, Delays: delays(2)}},
 		4, []NetID{2}, []NetID{3})
 	n.Lib = nil
 	err := n.finalize()
@@ -133,7 +158,7 @@ func TestCompiledLayoutInvariants(t *testing.T) {
 	}
 	c := n.Compiled()
 	if c != n.Compiled() {
-		t.Fatal("Compiled must return the cached instance")
+		t.Fatal("Compiled must return the same instance")
 	}
 	if c.Stride < 3 || c.Stride < c.MaxFanIn {
 		t.Fatalf("stride %d too small for max fan-in %d", c.Stride, c.MaxFanIn)
@@ -144,7 +169,7 @@ func TestCompiledLayoutInvariants(t *testing.T) {
 	for gi := 0; gi < c.NumGates; gi++ {
 		base := gi * c.Stride
 		ni := int(c.NumIn[gi])
-		if got, want := ni, len(n.Gates()[gi].Inputs); got != want {
+		if got, want := ni, c.Op[gi].Arity(); got != want {
 			t.Fatalf("gate %d: NumIn %d want %d", gi, got, want)
 		}
 		for p := ni; p < c.Stride; p++ {
@@ -153,22 +178,29 @@ func TestCompiledLayoutInvariants(t *testing.T) {
 			}
 		}
 	}
-	// CSR fanout: one entry per reading pin occurrence, consistent with
-	// the netlist's per-net fanout lists.
+	// CSR fanout: one entry per reading pin occurrence, each naming the
+	// first pin of its gate that reads the net.
+	occurrences := make([]int, c.NumNets)
+	for gi := int32(0); gi < int32(c.NumGates); gi++ {
+		for _, in := range c.Pins(gi) {
+			occurrences[in]++
+		}
+	}
 	for net := 0; net < c.NumNets; net++ {
-		gates := n.Fanout(NetID(net))
 		lo, hi := c.FanOff[net], c.FanOff[net+1]
-		if int(hi-lo) != len(gates) {
-			t.Fatalf("net %d: CSR fanout %d entries, netlist has %d", net, hi-lo, len(gates))
+		if int(hi-lo) != occurrences[net] {
+			t.Fatalf("net %d: CSR fanout %d entries, gates read it on %d pins", net, hi-lo, occurrences[net])
 		}
 		for j := lo; j < hi; j++ {
 			gi := c.FanGate[j]
-			if GateID(gi) != gates[j-lo] {
-				t.Fatalf("net %d: fanout order diverges at entry %d", net, j-lo)
-			}
 			pin := c.FanPin[j]
 			if c.In[int(gi)*c.Stride+int(pin)] != int32(net) {
 				t.Fatalf("net %d: FanPin %d of gate %d does not read the net", net, pin, gi)
+			}
+			for p := int32(0); p < pin; p++ {
+				if c.In[int(gi)*c.Stride+int(p)] == int32(net) {
+					t.Fatalf("net %d: FanPin %d of gate %d is not its first pin on the net", net, pin, gi)
+				}
 			}
 		}
 	}

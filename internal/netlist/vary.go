@@ -3,7 +3,6 @@ package netlist
 import (
 	"math"
 
-	"teva/internal/cell"
 	"teva/internal/prng"
 )
 
@@ -15,26 +14,25 @@ import (
 // variation. The same (sigma, seed) reproduces the same die; different
 // seeds are different dies of the same design.
 //
-// Logic function, structure and derived tables are shared with the
-// original (they are immutable); only the per-gate delay annotation is
-// cloned.
+// Logic function and structure are shared with the original (they are
+// immutable); only the Rise/Fall delay arrays are cloned.
 func (n *Netlist) Vary(sigma float64, seed uint64) *Netlist {
 	if sigma < 0 {
 		panic("netlist: negative variation sigma")
 	}
 	src := prng.New(seed)
-	out := *n // shallow copy shares driver/fanout/topo/level
-	// The varied die has different delays, so it must compile separately.
-	out.cbox = &compileBox{}
-	out.gates = make([]Gate, len(n.gates))
-	copy(out.gates, n.gates)
-	for gi := range out.gates {
+	c := *n.c
+	c.Rise = make([]float64, len(n.c.Rise))
+	c.Fall = make([]float64, len(n.c.Fall))
+	for gi := 0; gi < c.NumGates; gi++ {
 		factor := math.Exp(src.NormFloat64() * sigma)
-		delays := make([]cell.PinDelay, len(out.gates[gi].Delays))
-		for pin, d := range out.gates[gi].Delays {
-			delays[pin] = cell.PinDelay{Rise: d.Rise * factor, Fall: d.Fall * factor}
+		base := gi * c.Stride
+		for pi := base; pi < base+int(c.NumIn[gi]); pi++ {
+			c.Rise[pi] = n.c.Rise[pi] * factor
+			c.Fall[pi] = n.c.Fall[pi] * factor
 		}
-		out.gates[gi].Delays = delays
 	}
+	out := *n
+	out.c = &c
 	return &out
 }

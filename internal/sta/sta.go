@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -421,6 +422,22 @@ func (h *searchHeap) Pop() any {
 // expansion budget guards against pathological path explosion and is
 // reported via the truncated return.
 func (r *Report) TopPaths(k int) (paths []Path, truncated bool) {
+	return r.topPaths(k, math.Inf(-1))
+}
+
+// floorMargin widens topPaths' floor test by a relative margin far above
+// the rounding gap between a bound (summed from the endpoint backwards)
+// and the delay of a path it bounds (summed from the launch forwards).
+const floorMargin = 1e-9
+
+// topPaths is TopPaths restricted to paths no shorter than floor: the
+// search stops once the best remaining bound, clock-to-Q and setup
+// included, falls below it (by more than floorMargin). Every completion
+// of a popped item is at most its bound, so no path of delay >= floor is
+// skipped. truncated reports a budget exhausted before reaching k paths
+// or the floor.
+func (r *Report) topPaths(k int, floor float64) (paths []Path, truncated bool) {
+	cut := floor - floorMargin*math.Abs(floor) - r.clkToQ - r.setup
 	c := r.c
 	isOutput := make([]bool, c.NumNets)
 	for _, out := range c.Outputs {
@@ -442,7 +459,7 @@ func (r *Report) TopPaths(k int) (paths []Path, truncated bool) {
 	}
 
 	budget := 400 * k
-	for h.Len() > 0 && len(paths) < k {
+	for h.Len() > 0 && len(paths) < k && (*h)[0].bound >= cut {
 		if budget--; budget < 0 {
 			truncated = true
 			break
@@ -488,7 +505,7 @@ func (r *Report) materialize(it searchItem) Path {
 	}
 	unit := ""
 	if d := r.c.Driver[it.node.net]; d >= 0 {
-		unit = r.c.Unit[d]
+		unit = r.c.UnitName(d)
 	}
 	return Path{
 		Delay:   r.clkToQ + it.delaySoFar + r.setup,
@@ -500,16 +517,30 @@ func (r *Report) materialize(it searchItem) Path {
 
 // TopPathsAcross merges the k longest paths across multiple reports
 // (e.g. all pipeline stages of all functional units), descending by
-// delay. The truncated return is the OR of the per-report truncation
-// flags: when set, at least one report hit its expansion budget before
-// yielding k paths, so the merged tail may undercount that report's unit.
+// delay; tied paths keep report order. Each report's search stops at the
+// k-th best delay found in the reports before it: a shorter path there
+// is beaten by k earlier ones, so the result equals merging every
+// report's own top k. The truncated return is the OR of the per-report
+// truncation flags: when set, at least one report hit its expansion
+// budget before reaching k paths or that floor, so the merged tail may
+// undercount that report's unit.
 func TopPathsAcross(reports []*Report, k int) (all []Path, truncated bool) {
+	var best []float64 // the k largest delays so far, ascending
 	for _, r := range reports {
-		p, t := r.TopPaths(k)
+		floor := math.Inf(-1)
+		if len(best) == k && k > 0 {
+			floor = best[0]
+		}
+		p, t := r.topPaths(k, floor)
 		truncated = truncated || t
 		all = append(all, p...)
+		for _, path := range p {
+			best = append(best, path.Delay)
+		}
+		slices.Sort(best)
+		best = best[max(0, len(best)-k):]
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Delay > all[j].Delay })
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Delay > all[j].Delay })
 	if len(all) > k {
 		all = all[:k]
 	}

@@ -26,8 +26,10 @@ func TestChainWorstDelay(t *testing.T) {
 	b.Output(netlist.Bus{out})
 	n := b.MustBuild()
 	var want float64
-	for _, g := range n.Gates() {
-		want += g.Delays[0].Max()
+	c := n.Compiled()
+	for gi := 0; gi < c.NumGates; gi++ {
+		pi := gi * c.Stride
+		want += cell.PinDelay{Rise: c.Rise[pi], Fall: c.Fall[pi]}.Max()
 	}
 	r := sta.Analyze(n.Compiled(), clkToQ, setup)
 	if math.Abs(r.WorstDelay-(clkToQ+want+setup)) > 1e-9 {
@@ -115,14 +117,15 @@ func TestPathNetsFormRealPath(t *testing.T) {
 		if !isOutput[p.Nets[len(p.Nets)-1]] {
 			t.Fatal("path must end at a primary output")
 		}
+		c := n.Compiled()
 		for i := 1; i < len(p.Nets); i++ {
-			d := n.Driver(p.Nets[i])
+			d := c.Driver[p.Nets[i]]
 			if d < 0 {
 				t.Fatal("path net has no driver")
 			}
 			found := false
-			for _, in := range n.Gate(d).Inputs {
-				if in == p.Nets[i-1] {
+			for _, in := range c.Pins(d) {
+				if netlist.NetID(in) == p.Nets[i-1] {
 					found = true
 				}
 			}

@@ -3,8 +3,8 @@ package timingsim_test
 // Differential tests: the compiled-IR engines (logicsim.Sim/WideSim,
 // timingsim.FastSim/ExactSim) must reproduce the behaviour of the legacy
 // per-gate closure walk exactly. The reference engines below are faithful
-// test-local ports of the pre-compilation implementations, operating
-// directly on the netlist's gate list (with Gate.Op.EvalSlice standing in
+// test-local ports of the pre-compilation implementations, operating on
+// an array-of-structs gate view (refGate, with Op.EvalSlice standing in
 // for the removed Eval closure). Circuits are random DAGs from
 // netlist.Builder, deliberately including duplicate-input gates and
 // input-fed-through outputs.
@@ -15,6 +15,7 @@ import (
 	"slices"
 	"testing"
 
+	"teva/internal/cell"
 	"teva/internal/logicsim"
 	"teva/internal/netlist"
 	"teva/internal/prng"
@@ -85,6 +86,34 @@ func randomCircuit(t *testing.T, seed uint64) *netlist.Netlist {
 	return n
 }
 
+// refGate is a test-local array-of-structs view of one compiled gate: the
+// shape the legacy engines below were written against.
+type refGate struct {
+	Inputs []netlist.NetID
+	Output netlist.NetID
+	Op     cell.OpCode
+	Delays []cell.PinDelay
+	Energy float64
+}
+
+// refGates views n's compiled gates as refGates, in storage order.
+func refGates(n *netlist.Netlist) []refGate {
+	c := n.Compiled()
+	gates := make([]refGate, c.NumGates)
+	for gi := range gates {
+		g := &gates[gi]
+		base := gi * c.Stride
+		for pin := 0; pin < int(c.NumIn[gi]); pin++ {
+			g.Inputs = append(g.Inputs, netlist.NetID(c.In[base+pin]))
+			g.Delays = append(g.Delays, cell.PinDelay{Rise: c.Rise[base+pin], Fall: c.Fall[base+pin]})
+		}
+		g.Output = netlist.NetID(c.Out[gi])
+		g.Op = c.Op[gi]
+		g.Energy = c.Energy[gi]
+	}
+	return gates
+}
+
 // refLogicRun is the legacy functional walk: evaluate gates in stored
 // (topological) order via per-gate slice dispatch.
 func refLogicRun(n *netlist.Netlist, inputs []bool) []bool {
@@ -94,7 +123,7 @@ func refLogicRun(n *netlist.Netlist, inputs []bool) []bool {
 		values[net] = inputs[i]
 	}
 	buf := make([]bool, 4)
-	gates := n.Gates()
+	gates := refGates(n)
 	for gi := range gates {
 		g := &gates[gi]
 		in := buf[:len(g.Inputs)]
@@ -109,6 +138,7 @@ func refLogicRun(n *netlist.Netlist, inputs []bool) []bool {
 // refFast is the pre-compilation levelized arrival engine.
 type refFast struct {
 	n       *netlist.Netlist
+	gates   []refGate
 	scale   float64
 	oldV    []bool
 	newV    []bool
@@ -120,6 +150,7 @@ type refFast struct {
 func newRefFast(n *netlist.Netlist, scale float64) *refFast {
 	s := &refFast{
 		n:       n,
+		gates:   refGates(n),
 		scale:   scale,
 		oldV:    make([]bool, n.NumNets()),
 		newV:    make([]bool, n.NumNets()),
@@ -146,7 +177,7 @@ func (s *refFast) Run(prev, cur []bool, inputArrival, deadline float64) *timings
 	}
 	var toggles int64
 	var energy float64
-	gates := s.n.Gates()
+	gates := s.gates
 	var bufOld, bufNew [4]bool
 	for gi := range gates {
 		g := &gates[gi]
@@ -255,6 +286,7 @@ func (h *refEventHeap) Pop() any {
 
 type refExact struct {
 	n          *netlist.Netlist
+	gates      []refGate
 	scale      float64
 	values     []bool
 	atDeadline []bool
@@ -269,6 +301,7 @@ type refExact struct {
 func newRefExact(n *netlist.Netlist, scale float64) *refExact {
 	s := &refExact{
 		n:          n,
+		gates:      refGates(n),
 		scale:      scale,
 		values:     make([]bool, n.NumNets()),
 		atDeadline: make([]bool, n.NumNets()),
@@ -290,9 +323,8 @@ func (s *refExact) settle(inputs []bool) {
 	for i, net := range s.n.Inputs() {
 		s.values[net] = inputs[i]
 	}
-	gates := s.n.Gates()
-	for gi := range gates {
-		g := &gates[gi]
+	for gi := range s.gates {
+		g := &s.gates[gi]
 		buf := s.inBuf[:len(g.Inputs)]
 		for i, in := range g.Inputs {
 			buf[i] = s.values[in]
@@ -301,7 +333,7 @@ func (s *refExact) settle(inputs []bool) {
 	}
 }
 
-func (s *refExact) scheduleGate(g *netlist.Gate, changedPin int, t float64) {
+func (s *refExact) scheduleGate(g *refGate, changedPin int, t float64) {
 	buf := s.inBuf[:len(g.Inputs)]
 	for i, in := range g.Inputs {
 		buf[i] = s.values[in]
@@ -368,12 +400,13 @@ func (s *refExact) Run(prev, cur []bool, inputArrival, deadline float64) *timing
 		}
 		s.values[e.net] = e.value
 		s.lastChange[e.net] = e.time
-		if d := s.n.Driver(e.net); d >= 0 {
+		c := s.n.Compiled()
+		if d := c.Driver[e.net]; d >= 0 {
 			toggles++
-			energy += s.n.Gate(d).Energy
+			energy += s.gates[d].Energy
 		}
-		for _, gid := range s.n.Fanout(e.net) {
-			g := s.n.Gate(gid)
+		for _, gid := range c.FanGate[c.FanOff[e.net]:c.FanOff[e.net+1]] {
+			g := &s.gates[gid]
 			pin := 0
 			for i, in := range g.Inputs {
 				if in == e.net {

@@ -30,11 +30,12 @@ func bufChain(t *testing.T, n int) *netlist.Netlist {
 // chainDelay sums the rise (or fall) path delay through the chain.
 func chainDelay(n *netlist.Netlist, rise bool) float64 {
 	var d float64
-	for _, g := range n.Gates() {
+	c := n.Compiled()
+	for gi := 0; gi < c.NumGates; gi++ {
 		if rise {
-			d += g.Delays[0].Rise
+			d += c.Rise[gi*c.Stride]
 		} else {
-			d += g.Delays[0].Fall
+			d += c.Fall[gi*c.Stride]
 		}
 	}
 	return d
