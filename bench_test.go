@@ -267,7 +267,7 @@ func benchTimingSimWide(b *testing.B, e *experiments.Env, scale float64, track [
 	stage := e.F.FPU.Pipeline(fpu.DMul).Stages[3].N // s4-cpa
 	sim := timingsim.NewWideFast(stage.Compiled(), scale)
 	sim.Prune(track)
-	lib := e.F.Lib
+	lib := e.F.FPU.Lib
 	inputArrival, deadline := lib.ClockToQ*scale, e.F.FPU.CLK-lib.Setup*scale
 	src := prng.New(7)
 	prev := make([]uint64, len(stage.Inputs()))
@@ -303,7 +303,7 @@ func benchTimingSimWide(b *testing.B, e *experiments.Env, scale float64, track [
 func BenchmarkSTAForwardBackward(b *testing.B) {
 	e := benchEnv(b)
 	p := e.F.FPU.Pipeline(fpu.DMul)
-	lib := e.F.Lib
+	lib := e.F.FPU.Lib
 	clk := e.F.FPU.CLK
 	var gates int
 	for _, s := range p.Stages {
@@ -475,7 +475,7 @@ func BenchmarkAssembler(b *testing.B) {
 // gate-level FPU.
 func BenchmarkFPUConstruction(b *testing.B) {
 	e := benchEnv(b)
-	lib := e.F.Lib
+	lib := e.F.FPU.Lib
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fpu.New(lib, uint64(i)+1); err != nil {

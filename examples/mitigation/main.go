@@ -118,7 +118,7 @@ func main() {
 	// substitute): dynamic energy scales with V^2, and re-executing the
 	// protected instructions pays their characterized switching energy a
 	// second time.
-	intU, err := alu.New(f.Lib, f.Cfg.Seed+0xA10)
+	intU, err := alu.New(f.FPU.Lib, f.Cfg.Seed+0xA10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,9 +15,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"teva/internal/artifact"
 	"teva/internal/campaign"
@@ -81,15 +83,69 @@ func DefaultConfig() Config {
 	}
 }
 
+// Design is one seed's calibrated substrate plus a memo of the workload
+// operand traces captured for it: the inputs Figure 2's flow builds once
+// and then evaluates many times over. Everything it holds is a pure
+// function of its seed and of each trace's key, never of a run's
+// configuration or metrics, so several frameworks (a server's concurrent
+// jobs) may share one Design; the FPU's Scratch caches come along with
+// it. Its methods are safe for concurrent use.
+type Design struct {
+	// Seed is the design seed the FPU was generated from.
+	Seed uint64
+	// FPU is the calibrated gate-level floating-point unit.
+	FPU *fpu.FPU
+
+	mu       sync.Mutex
+	traces   map[traceKey]*flight[*trace.Trace]
+	captures atomic.Int64
+}
+
+// traceKey is everything trace.Capture reads: the workload's name (the
+// trace's label) and source (its program is assembled from it), the
+// per-op operand cap and the sampling seed.
+type traceKey struct {
+	name, source string
+	perOpCap     int
+	seed         uint64
+}
+
+// NewDesign generates and calibrates the substrate for a design seed.
+func NewDesign(seed uint64) (*Design, error) {
+	f, err := fpu.New(cell.Default(), seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Design{Seed: seed, FPU: f, traces: make(map[traceKey]*flight[*trace.Trace])}, nil
+}
+
+// Trace returns w's operand trace with up to perOpCap pairs per
+// instruction type, sampled with seed, capturing it on first use while
+// concurrent callers wait. A failed capture is not kept.
+func (d *Design) Trace(w *workloads.Workload, perOpCap int, seed uint64) (*trace.Trace, error) {
+	key := traceKey{name: w.Name, source: w.Source, perOpCap: perOpCap, seed: seed}
+	return singleFlight(&d.mu, d.traces, key, func() (*trace.Trace, error) {
+		d.captures.Add(1)
+		return trace.Capture(w, perOpCap, seed)
+	})
+}
+
+// Captures returns how many trace captures the design's memo has run,
+// failed ones included: with every caller sharing the memo, a trace key
+// is captured once however many frameworks ask for it.
+func (d *Design) Captures() int64 { return d.captures.Load() }
+
 // Framework is an instantiated cross-layer toolflow. Its methods are safe
 // for concurrent use: the experiment pipeline materializes many cells in
 // parallel, and all of them funnel through the per-level characterization
 // below.
 type Framework struct {
 	Cfg  Config
-	Lib  *cell.Library
 	FPU  *fpu.FPU
 	Volt vscale.Model
+	// design owns FPU and the trace memo; it may be shared with other
+	// frameworks of the same seed (see NewOn).
+	design *Design
 	// Per-level random-operand summaries (shared by DA and IA) and
 	// per-workload golden runs, each built once with single-flight so
 	// concurrent callers wait instead of duplicating the work. They live
@@ -111,10 +167,16 @@ type flight[T any] struct {
 	err  error
 }
 
+// errFlightPanicked is what waiters on a single-flight slot see when its
+// computation panicked: sync.Once counts a panicking function as done,
+// so the slot must not be read as a success.
+var errFlightPanicked = errors.New("core: shared computation panicked")
+
 // singleFlight returns calls[key]'s value, computing it with fn on first
-// use while concurrent callers wait. A failed computation never poisons
-// the slot: it is discarded, so a later call (e.g. a resumed run after a
-// cancellation) recomputes instead of inheriting the error.
+// use while concurrent callers wait. A failed or panicking computation
+// never poisons the slot: it is discarded, so a later call (e.g. a resumed
+// run after a cancellation) recomputes instead of inheriting the error.
+// The panic itself propagates to the caller that ran fn.
 func singleFlight[K comparable, T any](mu *sync.Mutex, calls map[K]*flight[T], key K, fn func() (T, error)) (T, error) {
 	mu.Lock()
 	call, ok := calls[key]
@@ -123,22 +185,63 @@ func singleFlight[K comparable, T any](mu *sync.Mutex, calls map[K]*flight[T], k
 		calls[key] = call
 	}
 	mu.Unlock()
-	call.once.Do(func() { call.v, call.err = fn() })
-	if call.err != nil {
-		mu.Lock()
-		if calls[key] == call {
-			delete(calls, key)
+	defer func() {
+		if call.err != nil {
+			mu.Lock()
+			if calls[key] == call {
+				delete(calls, key)
+			}
+			mu.Unlock()
 		}
-		mu.Unlock()
+	}()
+	call.once.Do(func() {
+		call.err = errFlightPanicked
+		call.v, call.err = fn()
+	})
+	if call.err != nil {
 		var zero T
 		return zero, call.err
 	}
 	return call.v, nil
 }
 
-// New builds (and calibrates) the hardware substrate and returns the
-// framework.
+// New builds (and calibrates) a private hardware substrate for cfg's
+// seed and returns the framework over it.
 func New(cfg Config) (*Framework, error) {
+	d, err := NewDesign(DesignSeed(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return NewOn(d, cfg)
+}
+
+// NewOn returns a framework over an existing design, which it shares
+// with every other framework built on it: the FPU, its Scratch caches
+// and the trace memo. cfg's seed (after defaults) must be the design's.
+// Per-run state (summaries, golden runs, metrics, artifact store) stays
+// the framework's own.
+func NewOn(d *Design, cfg Config) (*Framework, error) {
+	cfg = withDefaults(cfg)
+	if cfg.Seed != d.Seed {
+		return nil, fmt.Errorf("core: config seed %#x does not match design seed %#x", cfg.Seed, d.Seed)
+	}
+	return &Framework{
+		Cfg:         cfg,
+		FPU:         d.FPU,
+		Volt:        vscale.Default45nm(),
+		design:      d,
+		randomCalls: make(map[string]*flight[map[fpu.Op]*dta.Summary]),
+		goldens:     make(map[*workloads.Workload]*flight[*campaign.Golden]),
+	}, nil
+}
+
+// DesignSeed is the design seed New builds for cfg: its Seed, or the
+// default seed when unset. Frameworks for configs with equal design seeds
+// can share one Design.
+func DesignSeed(cfg Config) uint64 { return withDefaults(cfg).Seed }
+
+// withDefaults fills cfg's unset sizes and seed from DefaultConfig.
+func withDefaults(cfg Config) Config {
 	d := DefaultConfig()
 	if cfg.RandomOperands == 0 {
 		cfg.RandomOperands = d.RandomOperands
@@ -152,19 +255,7 @@ func New(cfg Config) (*Framework, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = d.Seed
 	}
-	lib := cell.Default()
-	f, err := fpu.New(lib, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Framework{
-		Cfg:         cfg,
-		Lib:         lib,
-		FPU:         f,
-		Volt:        vscale.Default45nm(),
-		randomCalls: make(map[string]*flight[map[fpu.Op]*dta.Summary]),
-		goldens:     make(map[*workloads.Workload]*flight[*campaign.Golden]),
-	}, nil
+	return cfg
 }
 
 // noteSaveErr surfaces a non-fatal artifact cache write failure: the
@@ -298,9 +389,11 @@ func (f *Framework) WorkloadSummaryOpCtx(ctx context.Context, level vscale.VRLev
 }
 
 // CaptureTrace extracts the workload's operand trace (the model
-// development phase's workload input).
+// development phase's workload input), through the design's memo: every
+// framework on the design gets the one trace captured for the same
+// workload, operand cap and seed. Callers must not modify it.
 func (f *Framework) CaptureTrace(w *workloads.Workload) (*trace.Trace, error) {
-	return trace.Capture(w, maxInt(f.Cfg.WorkloadOperands, 4096), f.Cfg.Seed^0x7ACE)
+	return f.design.Trace(w, max(f.Cfg.WorkloadOperands, 4096), f.Cfg.Seed^0x7ACE)
 }
 
 // DevelopDACtx estimates the data-agnostic model: DTA over a mixed
@@ -397,11 +490,4 @@ func hashString(s string) uint64 {
 		h *= 0x100000001b3
 	}
 	return h
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

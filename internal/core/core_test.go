@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -44,7 +45,7 @@ func randomSums(t *testing.T, f *Framework, level vscale.VRLevel) map[fpu.Op]*dt
 
 func TestFrameworkConstruction(t *testing.T) {
 	f := testFramework
-	if f.FPU == nil || f.Lib == nil {
+	if f.FPU == nil || f.FPU.Lib == nil {
 		t.Fatal("substrate missing")
 	}
 	if f.FPU.CLK != fpu.DefaultCLK {
@@ -259,5 +260,106 @@ func TestGoldenRunMemoizedPerWorkload(t *testing.T) {
 	snap := reg.Snapshot()
 	if cells, golden := snap.Counter(campaign.MetricCells), snap.Counter(campaign.MetricGoldenRuns); cells != 6 || golden != 2 {
 		t.Fatalf("%d cells ran %d golden executions, want 6 cells and 2 (one per workload)", cells, golden)
+	}
+}
+
+// TestSharedDesignTraceMemo checks that frameworks on one design share
+// its trace memo: concurrent captures of one workload run once and hand
+// every framework the same trace, while a different operand cap or a
+// different workload source is a capture of its own.
+func TestSharedDesignTraceMemo(t *testing.T) {
+	// The memo never reads the FPU, so the design needs none.
+	d := &Design{Seed: 1, traces: map[traceKey]*flight[*trace.Trace]{}}
+	var fws []*Framework
+	for _, wo := range []int{100, 4096, 5000} {
+		f, err := NewOn(d, Config{Seed: 1, WorkloadOperands: wo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fws = append(fws, f)
+	}
+	tiny, err := workloads.ByName("is", workloads.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := workloads.ByName("is", workloads.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	got := make([]*trace.Trace, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tr, err := fws[i%2].CaptureTrace(tiny) // caps 4096 and max(4096, 100)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = tr
+		}(i)
+	}
+	wg.Wait()
+	for i, tr := range got {
+		if tr == nil || tr != got[0] {
+			t.Fatalf("caller %d got trace %p, caller 0 %p", i, tr, got[0])
+		}
+	}
+	if n := d.Captures(); n != 1 {
+		t.Fatalf("%d captures for one key, want 1", n)
+	}
+	other, err := fws[2].CaptureTrace(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	larger, err := fws[0].CaptureTrace(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == got[0] || larger == got[0] || d.Captures() != 3 {
+		t.Fatalf("a new cap or source must capture anew: %d captures, want 3", d.Captures())
+	}
+	if _, err := NewOn(d, Config{Seed: 2}); err == nil {
+		t.Fatal("NewOn accepted a config for another seed")
+	}
+}
+
+// TestSingleFlightPanicIsNotKept: the caller that ran a panicking
+// computation sees the panic, a caller racing it sees either an error or
+// its own fresh value, never a zero value with a nil error, and the next
+// call computes afresh.
+func TestSingleFlightPanicIsNotKept(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[string]*flight[int]{}
+	started, release := make(chan struct{}), make(chan struct{})
+	waiter := make(chan error, 1)
+	go func() {
+		<-started
+		close(release)
+		v, err := singleFlight(&mu, calls, "k", func() (int, error) { return 2, nil })
+		if err == nil && v != 2 {
+			err = fmt.Errorf("got %d with no error", v)
+		}
+		waiter <- err
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the computing caller did not see the panic")
+			}
+		}()
+		singleFlight(&mu, calls, "k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	if err := <-waiter; err != nil && err != errFlightPanicked {
+		t.Fatalf("waiter: %v", err)
+	}
+	v, err := singleFlight(&mu, calls, "k", func() (int, error) { return 3, nil })
+	if err != nil || (v != 3 && v != 2) {
+		t.Fatalf("after a panic: %d, %v; want a fresh value", v, err)
 	}
 }

@@ -899,18 +899,15 @@ var fpOpFor = [fpu.NumOps]fpu.Op{
 // offers the writeback to the injector.
 func (c *CPU) execFPUDatapath(u *uop) bool {
 	op := u.fpOp
+	form := &fpForms[op]
 	var a, b uint64
-	if op == fpu.DI2F || op == fpu.SI2F {
+	if form.intSrc {
 		a = uint64(c.readInt(u.rs1))
 	} else {
-		a = c.readFP(u.rs1)
-		if op.NumOperands() == 2 {
-			b = c.readFP(u.rs2)
+		a = c.readFP(u.rs1) & form.srcMask
+		if form.twoSrc {
+			b = c.readFP(u.rs2) & form.srcMask
 		}
-	}
-	if !op.Double() && op != fpu.SI2F {
-		a &= 0xffffffff
-		b &= 0xffffffff
 	}
 	result, invalid := goldenWithFlags(op, a, b)
 	if c.cfg.TrapFPInvalid && invalid {
@@ -918,7 +915,7 @@ func (c *CPU) execFPUDatapath(u *uop) bool {
 		return false
 	}
 	lat := uint64(c.lat.FP[op])
-	if op == fpu.DDiv || op == fpu.SDiv {
+	if form.div {
 		if t := c.fpDivFree; t > c.cycle {
 			c.cycle = t
 		}
@@ -930,20 +927,51 @@ func (c *CPU) execFPUDatapath(u *uop) bool {
 		mask := c.cfg.Injector.OnWriteback(Event{
 			Seq: c.res.Instret, Cycle: ready,
 			FPUDatapath: true, FPOp: op, A: a, B: b, Result: result,
-			Width: op.ResultWidth(),
+			Width: form.width,
 		})
 		if mask != 0 {
-			result ^= mask & widthMask(op.ResultWidth())
+			result ^= mask & form.resMask
 			c.res.Injections++
 		}
 	}
-	if op == fpu.DF2I || op == fpu.SF2I {
+	if form.intDst {
 		c.writeInt(u.rd, uint32(result), ready)
 	} else {
 		c.writeFPRaw(u.rd, result, ready)
 	}
 	return true
 }
+
+// fpForm is what executing an FPU op needs to know of it, resolved once
+// per op rather than re-derived from fpu.Op on every instruction.
+type fpForm struct {
+	intSrc  bool   // i2f: the source is an integer register
+	twoSrc  bool   // the op reads rs2
+	intDst  bool   // f2i: the result goes to an integer register
+	div     bool   // the op occupies the unpipelined divider
+	width   int    // the result width in bits
+	srcMask uint64 // the operand bits the datapath reads
+	resMask uint64 // the result bits an injected mask may flip
+}
+
+var fpForms = func() (t [fpu.NumOps]fpForm) {
+	for _, op := range fpu.Ops() {
+		src := ^uint64(0)
+		if !op.Double() {
+			src = 0xffffffff
+		}
+		t[op] = fpForm{
+			intSrc:  op == fpu.DI2F || op == fpu.SI2F,
+			twoSrc:  op.NumOperands() == 2,
+			intDst:  op == fpu.DF2I || op == fpu.SF2I,
+			div:     op == fpu.DDiv || op == fpu.SDiv,
+			width:   op.ResultWidth(),
+			srcMask: src,
+			resMask: widthMask(op.ResultWidth()),
+		}
+	}
+	return t
+}()
 
 func widthMask(w int) uint64 {
 	if w >= 64 {

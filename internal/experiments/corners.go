@@ -110,7 +110,7 @@ func CornerSweep(e *Env, corners []cell.Corner) ([]CornerRow, error) {
 		co := corners[i]
 		store := f.Cfg.Artifacts
 		ak := artifact.CornerKey("fpu", f.FPU.Seed, co.Label(),
-			co.Voltage, co.TempC, co.Process, f.Lib.ClockToQ, f.Lib.Setup)
+			co.Voltage, co.TempC, co.Process, f.FPU.Lib.ClockToQ, f.FPU.Lib.Setup)
 		if store.Load(ak, &rows[i]) {
 			rows[i].Cached = true
 			return nil

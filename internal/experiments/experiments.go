@@ -303,7 +303,7 @@ func (e *Env) CellCtx(ctx context.Context, w *workloads.Workload, kind errmodel.
 // IntUnit returns (building once) the integer-side netlists for Figure 4.
 func (e *Env) IntUnit() (*alu.Unit, error) {
 	return e.intUnit.do("int", func() (*alu.Unit, error) {
-		return alu.New(e.F.Lib, e.F.Cfg.Seed+0xA10)
+		return alu.New(e.F.FPU.Lib, e.F.Cfg.Seed+0xA10)
 	})
 }
 

@@ -461,7 +461,7 @@ func AdderAblation(e *Env) ([]AdderRow, error) {
 			return b.Sum(b.PrefixAdder(x, y, netlist.Const0))
 		}},
 	}
-	lib := e.F.Lib
+	lib := e.F.FPU.Lib
 	n := e.F.Cfg.RandomOperands
 	if n > 4000 {
 		n = 4000

@@ -55,6 +55,11 @@ type FPU struct {
 // so packages cannot collide; everything cached here dies with the FPU,
 // which keeps such caches from pinning retired designs the way a global
 // registry would.
+//
+// One FPU may serve several runs at once (a server shares a seed's design
+// across its admitted jobs), so an entry must be a pure function of the
+// FPU and its key: never a run's configuration, metrics registry or
+// context, and nothing a reader can observe another run mutating.
 func (f *FPU) Scratch() *sync.Map { return &f.scratch }
 
 // New generates and calibrates the FPU. The same seed reproduces the

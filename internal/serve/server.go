@@ -74,7 +74,11 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job // by job ID (latest attempt wins)
 	byKey    map[string]*Job // by canonical spec key
+	designs  map[uint64]*sharedDesign
 	draining bool
+	// newDesign builds a seed's substrate (core.NewDesign; tests
+	// substitute it to count, fail or panic builds).
+	newDesign func(seed uint64) (*core.Design, error)
 
 	drainCh chan struct{}
 	wg      sync.WaitGroup
@@ -101,6 +105,8 @@ func New(cfg Config) *Server {
 		sched:      newFairSched(workers),
 		jobs:       make(map[string]*Job),
 		byKey:      make(map[string]*Job),
+		designs:    make(map[uint64]*sharedDesign),
+		newDesign:  core.NewDesign,
 		drainCh:    make(chan struct{}),
 		mSubmitted: cfg.Metrics.Counter(MetricJobsSubmitted),
 		mDeduped:   cfg.Metrics.Counter(MetricJobsDeduped),
@@ -145,11 +151,67 @@ func (s *Server) SubmitAs(sp Spec, client string) (*Job, bool, error) {
 	s.jobs[j.ID] = j
 	s.byKey[key] = j
 	s.mSubmitted.Inc()
+	sd := s.holdDesign(sp)
 	guard.Go(&s.wg, &s.sink, "serve job "+j.ID, func() error {
-		s.runJob(j, client)
+		defer s.releaseDesign(sd)
+		s.runJob(j, client, sd)
 		return nil
 	})
 	return j, false, nil
+}
+
+// sharedDesign is one seed's substrate and trace memo, shared by every
+// admitted (queued or running) job with that design seed. The server
+// drops it when the last of them returns, so an idle server pins no
+// design.
+type sharedDesign struct {
+	seed uint64
+	refs int // admitted jobs holding it; guarded by Server.mu
+
+	mu sync.Mutex   // serializes the build
+	d  *core.Design // nil until a build succeeds
+}
+
+// holdDesign counts a newly admitted job against its design seed's
+// shared entry, creating the entry on first use. Called with s.mu held.
+// The build waits until a holder runs (get), so a queued job costs
+// nothing but the count.
+func (s *Server) holdDesign(sp Spec) *sharedDesign {
+	_, cfg, _ := sp.Effective() // an invalid spec fails in execute; it still holds an entry
+	seed := core.DesignSeed(cfg)
+	sd := s.designs[seed]
+	if sd == nil {
+		sd = &sharedDesign{seed: seed}
+		s.designs[seed] = sd
+	}
+	sd.refs++
+	return sd
+}
+
+// releaseDesign drops a finished job's hold on its seed's entry, and the
+// entry itself with its last hold.
+func (s *Server) releaseDesign(sd *sharedDesign) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sd.refs--; sd.refs == 0 {
+		delete(s.designs, sd.seed)
+	}
+}
+
+// get returns the shared design, building it with build if no holder
+// has yet. A build that fails or panics leaves nothing behind, so the
+// next holder retries it.
+func (sd *sharedDesign) get(build func(seed uint64) (*core.Design, error)) (*core.Design, error) {
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	if sd.d == nil {
+		d, err := build(sd.seed)
+		if err != nil {
+			return nil, err
+		}
+		sd.d = d
+	}
+	return sd.d, nil
 }
 
 // Job looks a job up by ID.
@@ -205,12 +267,12 @@ func (s *Server) Drain() {
 // means every in-flight cell has been flushed to the cache).
 func (s *Server) Wait() { s.wg.Wait() }
 
-// runJob owns one job attempt end to end: slot acquisition, substrate
-// build, suite run, CSV slurp, terminal state. It deliberately takes no
+// runJob owns one job attempt end to end: slot acquisition, the shared
+// substrate, suite run, CSV slurp, terminal state. It deliberately takes no
 // context parameter — the job's context is rooted in the server's
 // BaseContext (plus the spec's own max_duration), never in a request,
 // so a disconnecting client cannot cancel work other clients share.
-func (s *Server) runJob(j *Job, client string) {
+func (s *Server) runJob(j *Job, client string, sd *sharedDesign) {
 	if !s.sched.Acquire(client, s.drainCh) {
 		s.mCanceled.Inc()
 		j.finish(StateCanceled, "server draining before job start", nil, nil, nil)
@@ -222,7 +284,7 @@ func (s *Server) runJob(j *Job, client string) {
 		j.finish(StateCanceled, "canceled before start", nil, nil, nil)
 		return
 	}
-	err := guard.Recovered("serve job "+j.ID, func() error { return s.execute(j) })
+	err := guard.Recovered("serve job "+j.ID, func() error { return s.execute(j, sd) })
 	switch {
 	case err == nil:
 		s.mCompleted.Inc()
@@ -235,9 +297,10 @@ func (s *Server) runJob(j *Job, client string) {
 	}
 }
 
-// execute runs the job's suite and, on success, moves it to Done with
-// the deterministic report and CSV exports attached.
-func (s *Server) execute(j *Job) error {
+// execute runs the job's suite over its seed's shared design and, on
+// success, moves it to Done with the deterministic report and CSV
+// exports attached.
+func (s *Server) execute(j *Job, sd *sharedDesign) error {
 	opts, cfg, err := j.Spec.Effective()
 	if err != nil {
 		return err
@@ -254,7 +317,11 @@ func (s *Server) execute(j *Job) error {
 		ctx, cancel = context.WithTimeout(ctx, maxDur)
 		defer cancel()
 	}
-	f, err := core.New(cfg)
+	d, err := sd.get(s.newDesign)
+	if err != nil {
+		return err
+	}
+	f, err := core.NewOn(d, cfg)
 	if err != nil {
 		return err
 	}

@@ -153,3 +153,38 @@ func TestTopPathsAcrossTieAtBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestTopPathsIsPrefixOfLonger checks that each Figure 4 stage report's
+// k longest paths come out in descending delay order and are the top k
+// of its 4k longest, delay bit for delay bit: a path whose last net is an
+// output that also feeds gates (or a primary input wired to an output)
+// must not be recorded before longer paths its fanout bound covered.
+func TestTopPathsIsPrefixOfLonger(t *testing.T) {
+	f, err := fpu.New(lib, 0xF00D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := alu.New(lib, 0xF00D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 300
+	for _, r := range append(f.StageReports(), u.StageReports()...) {
+		short, st := r.TopPaths(k)
+		long, lt := r.TopPaths(4 * k)
+		if st || lt {
+			t.Fatalf("%s: truncated (k %v, 4k %v)", r.Netlist, st, lt)
+		}
+		if len(short) != min(k, len(long)) {
+			t.Fatalf("%s: %d paths at k, %d at 4k", r.Netlist, len(short), len(long))
+		}
+		for i, p := range short {
+			if i > 0 && p.Delay > short[i-1].Delay {
+				t.Fatalf("%s: path %d (%v ps) is longer than path %d (%v ps)", r.Netlist, i, p.Delay, i-1, short[i-1].Delay)
+			}
+			if math.Float64bits(p.Delay) != math.Float64bits(long[i].Delay) {
+				t.Fatalf("%s: path %d is %v ps at k, %v ps at 4k", r.Netlist, i, p.Delay, long[i].Delay)
+			}
+		}
+	}
+}

@@ -394,10 +394,14 @@ type pathNode struct {
 }
 
 type searchItem struct {
-	// bound = delaySoFar + toEnd(net): the exact best completion.
+	// bound = delaySoFar + toEnd(net): the exact best completion. For an
+	// end item it is delaySoFar itself.
 	bound      float64
 	delaySoFar float64
 	node       *pathNode
+	// end marks the path that stops at node's net, an output: its bound
+	// is its exact delay, so it is recorded when it pops.
+	end bool
 }
 
 type searchHeap []searchItem
@@ -465,9 +469,16 @@ func (r *Report) topPaths(k int, floor float64) (paths []Path, truncated bool) {
 			break
 		}
 		it := heap.Pop(h).(searchItem)
-		net := it.node.net
-		if isOutput[net] {
+		if it.end {
 			paths = append(paths, r.materialize(it))
+			continue
+		}
+		net := it.node.net
+		// An output that also feeds gates bounds both the path ending
+		// here and its continuations; the ending path waits in the heap
+		// under its own, exact, bound.
+		if isOutput[net] {
+			heap.Push(h, searchItem{bound: it.delaySoFar, delaySoFar: it.delaySoFar, node: it.node, end: true})
 		}
 		for j := c.FanOff[net]; j < c.FanOff[net+1]; j++ {
 			gid := c.FanGate[j]
