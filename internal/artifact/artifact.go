@@ -1,6 +1,8 @@
 // Package artifact implements a content-addressed on-disk store for the
 // expensive intermediate products of the experiment pipeline: DTA
-// characterization summaries and injection-campaign results. A store maps
+// characterization summaries, injection-campaign results and the whole
+// results of the netlist-only experiments (corner reports, Figure 4, the
+// adder ablation). A store maps
 // a canonical key (the full set of inputs that determine an artifact —
 // op, delay scale, seed, sample count for DTA summaries; workload, model
 // kind, voltage level, run count, seed for campaign cells) to a JSON
@@ -71,7 +73,7 @@ func SummaryKey(source, op string, scale float64, seed uint64, samples int, exac
 	return Key{
 		Kind: "dta-summary",
 		ID: fmt.Sprintf("src=%s|op=%s|scale=%s|seed=%#x|n=%d|exact=%v",
-			source, op, strconv.FormatFloat(scale, 'x', -1, 64), seed, samples, exact),
+			source, op, hexFloat(scale), seed, samples, exact),
 	}
 }
 
@@ -82,13 +84,37 @@ func SummaryKey(source, op string, scale float64, seed uint64, samples int, exac
 // float form so the provenance is exact per corner — two corners that
 // differ in any parameter never alias.
 func CornerKey(design string, seed uint64, corner string, voltage, tempC, process, clkToQ, setup float64) Key {
-	hx := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 	return Key{
 		Kind: "sta-corner",
 		ID: fmt.Sprintf("design=%s|seed=%#x|corner=%s|v=%s|t=%s|p=%s|clk2q=%s|setup=%s",
-			design, seed, corner, hx(voltage), hx(tempC), hx(process), hx(clkToQ), hx(setup)),
+			design, seed, corner, hexFloat(voltage), hexFloat(tempC), hexFloat(process), hexFloat(clkToQ), hexFloat(setup)),
 	}
 }
+
+// AdderKey builds the key for the adder-architecture ablation. Its
+// netlists and placement seed are fixed, so its result is a function of
+// the run seed its operand streams derive from, the transition count n
+// and the register parameters alone.
+func AdderKey(seed uint64, n int, clkToQ, setup float64) Key {
+	return Key{
+		Kind: "adders",
+		ID:   fmt.Sprintf("seed=%#x|n=%d|clk2q=%s|setup=%s", seed, n, hexFloat(clkToQ), hexFloat(setup)),
+	}
+}
+
+// Fig4Key builds the key for Figure 4's longest-path census: the design
+// seed fixes every netlist and the calibrated clock, paths is the number
+// of paths kept, and the register parameters bound every path delay.
+func Fig4Key(seed uint64, paths int, clkToQ, setup float64) Key {
+	return Key{
+		Kind: "fig4",
+		ID:   fmt.Sprintf("seed=%#x|paths=%d|clk2q=%s|setup=%s", seed, paths, hexFloat(clkToQ), hexFloat(setup)),
+	}
+}
+
+// hexFloat encodes v exactly (hex float form), so a key never depends on
+// decimal rounding.
+func hexFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 
 // CampaignKey builds the key for one injection-campaign cell. The cfg tag
 // folds in every framework setting that shapes the injected model

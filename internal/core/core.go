@@ -83,13 +83,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// Design is one seed's calibrated substrate plus a memo of the workload
-// operand traces captured for it: the inputs Figure 2's flow builds once
-// and then evaluates many times over. Everything it holds is a pure
-// function of its seed and of each trace's key, never of a run's
-// configuration or metrics, so several frameworks (a server's concurrent
-// jobs) may share one Design; the FPU's Scratch caches come along with
-// it. Its methods are safe for concurrent use.
+// Design is one seed's calibrated substrate plus memos of the benchmark
+// sets built and the workload operand traces captured for it: the inputs
+// Figure 2's flow builds once and then evaluates many times over.
+// Everything it holds is a pure function of its seed, of a set's scale
+// and of each trace's key, never of a run's configuration or metrics, so
+// several frameworks (a server's concurrent jobs) may share one Design;
+// the FPU's Scratch caches come along with it. Its methods are safe for
+// concurrent use.
 type Design struct {
 	// Seed is the design seed the FPU was generated from.
 	Seed uint64
@@ -97,7 +98,9 @@ type Design struct {
 	FPU *fpu.FPU
 
 	mu       sync.Mutex
+	sets     map[workloads.Scale]*flight[[]*workloads.Workload]
 	traces   map[traceKey]*flight[*trace.Trace]
+	builds   atomic.Int64
 	captures atomic.Int64
 }
 
@@ -116,8 +119,28 @@ func NewDesign(seed uint64) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Design{Seed: seed, FPU: f, traces: make(map[traceKey]*flight[*trace.Trace])}, nil
+	return &Design{
+		Seed:   seed,
+		FPU:    f,
+		sets:   make(map[workloads.Scale]*flight[[]*workloads.Workload]),
+		traces: make(map[traceKey]*flight[*trace.Trace]),
+	}, nil
 }
+
+// Workloads returns the benchmark set at scale, building it on first use
+// while concurrent callers wait. A failed build is not kept. Nothing
+// outside the assembler writes to a Workload or its program, so every
+// framework on the design reads the one set; callers must not modify it.
+func (d *Design) Workloads(scale workloads.Scale) ([]*workloads.Workload, error) {
+	return singleFlight(&d.mu, d.sets, scale, func() ([]*workloads.Workload, error) {
+		d.builds.Add(1)
+		return workloads.All(scale)
+	})
+}
+
+// WorkloadBuilds returns how many benchmark sets the design's memo has
+// built, failed ones included: one per scale however many frameworks ask.
+func (d *Design) WorkloadBuilds() int64 { return d.builds.Load() }
 
 // Trace returns w's operand trace with up to perOpCap pairs per
 // instruction type, sampled with seed, capturing it on first use while
@@ -386,6 +409,13 @@ func (f *Framework) WorkloadSummaryOpCtx(ctx context.Context, level vscale.VRLev
 	return f.characterize(ctx, level, op, source, n, seed, func(rs *prng.Source) dta.Pair {
 		return pool[rs.Intn(len(pool))]
 	})
+}
+
+// Workloads returns the benchmark set at scale through the design's
+// memo, shared by every framework on the design. Callers must not modify
+// it.
+func (f *Framework) Workloads(scale workloads.Scale) ([]*workloads.Workload, error) {
+	return f.design.Workloads(scale)
 }
 
 // CaptureTrace extracts the workload's operand trace (the model

@@ -264,12 +264,17 @@ func TestGoldenRunMemoizedPerWorkload(t *testing.T) {
 }
 
 // TestSharedDesignTraceMemo checks that frameworks on one design share
-// its trace memo: concurrent captures of one workload run once and hand
-// every framework the same trace, while a different operand cap or a
-// different workload source is a capture of its own.
+// its benchmark-set and trace memos: concurrent calls build one set per
+// scale and capture one workload once, handing every framework the same
+// set and trace, while a different operand cap or a different workload
+// source is a capture of its own.
 func TestSharedDesignTraceMemo(t *testing.T) {
-	// The memo never reads the FPU, so the design needs none.
-	d := &Design{Seed: 1, traces: map[traceKey]*flight[*trace.Trace]{}}
+	// The memos never read the FPU, so the design needs none.
+	d := &Design{
+		Seed:   1,
+		sets:   map[workloads.Scale]*flight[[]*workloads.Workload]{},
+		traces: map[traceKey]*flight[*trace.Trace]{},
+	}
 	var fws []*Framework
 	for _, wo := range []int{100, 4096, 5000} {
 		f, err := NewOn(d, Config{Seed: 1, WorkloadOperands: wo})
@@ -288,6 +293,7 @@ func TestSharedDesignTraceMemo(t *testing.T) {
 	}
 	const callers = 8
 	got := make([]*trace.Trace, callers)
+	sets := make([][]*workloads.Workload, callers)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
@@ -298,6 +304,9 @@ func TestSharedDesignTraceMemo(t *testing.T) {
 				t.Error(err)
 			}
 			got[i] = tr
+			if sets[i], err = fws[i%3].Workloads(workloads.Tiny); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -305,9 +314,18 @@ func TestSharedDesignTraceMemo(t *testing.T) {
 		if tr == nil || tr != got[0] {
 			t.Fatalf("caller %d got trace %p, caller 0 %p", i, tr, got[0])
 		}
+		if len(sets[i]) == 0 || &sets[i][0] != &sets[0][0] {
+			t.Fatalf("caller %d got another benchmark set", i)
+		}
 	}
 	if n := d.Captures(); n != 1 {
 		t.Fatalf("%d captures for one key, want 1", n)
+	}
+	if n := d.WorkloadBuilds(); n != 1 {
+		t.Fatalf("%d benchmark-set builds for one scale, want 1", n)
+	}
+	if ws, err := fws[0].Workloads(workloads.Small); err != nil || &ws[0] == &sets[0][0] || d.WorkloadBuilds() != 2 {
+		t.Fatalf("another scale must build its own set: %d builds, want 2 (err %v)", d.WorkloadBuilds(), err)
 	}
 	other, err := fws[2].CaptureTrace(tiny)
 	if err != nil {

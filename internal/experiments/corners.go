@@ -108,35 +108,33 @@ func CornerSweep(e *Env, corners []cell.Corner) ([]CornerRow, error) {
 	rows := make([]CornerRow, len(corners))
 	err := forEachLimit(e.ctx, e.drain, e.workers(), len(corners), func(ctx context.Context, i int) error {
 		co := corners[i]
-		store := f.Cfg.Artifacts
 		ak := artifact.CornerKey("fpu", f.FPU.Seed, co.Label(),
 			co.Voltage, co.TempC, co.Process, f.FPU.Lib.ClockToQ, f.FPU.Lib.Setup)
-		if store.Load(ak, &rows[i]) {
-			rows[i].Cached = true
-			return nil
-		}
-		runs.Inc()
-		reports := f.FPU.StageReportsCorner(co)
-		clk := f.FPU.CLK
-		row := CornerRow{
-			Corner:      co.Label(),
-			Supply:      co.Voltage,
-			Derate:      co.Derate(),
-			ClockPeriod: sta.ClockPeriod(reports, 1.0),
-		}
-		if row.Supply == 0 {
-			row.Supply = vscale.Default45nm().VddNominal
-		}
-		row.WNS = clk - row.ClockPeriod
-		for _, r := range reports {
-			if r.WorstDelay > clk {
-				row.FailingStages++
+		row, hit, err := loadOrCompute(e, ak, func() (CornerRow, error) {
+			runs.Inc()
+			reports := f.FPU.StageReportsCorner(co)
+			clk := f.FPU.CLK
+			row := CornerRow{
+				Corner:      co.Label(),
+				Supply:      co.Voltage,
+				Derate:      co.Derate(),
+				ClockPeriod: sta.ClockPeriod(reports, 1.0),
 			}
-			row.FailingEndpoints += r.FailingEndpoints(clk)
-		}
+			if row.Supply == 0 {
+				row.Supply = vscale.Default45nm().VddNominal
+			}
+			row.WNS = clk - row.ClockPeriod
+			for _, r := range reports {
+				if r.WorstDelay > clk {
+					row.FailingStages++
+				}
+				row.FailingEndpoints += r.FailingEndpoints(clk)
+			}
+			return row, nil
+		})
+		row.Cached = hit
 		rows[i] = row
-		e.noteSaveError(store.Save(ak, row))
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

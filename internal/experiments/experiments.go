@@ -101,9 +101,6 @@ type Env struct {
 	// artifact.write_errors regardless).
 	saveWarn sync.Once
 
-	ws      []*workloads.Workload
-	wsErr   error
-	wsOnce  sync.Once
 	traces  *memo[*trace.Trace]
 	waSums  *memo[map[fpu.Op]*dta.Summary] // key: level/workload
 	daBy    *memo[*errmodel.DAModel]
@@ -186,10 +183,10 @@ func (e *Env) noteSaveError(err error) {
 // Levels returns the evaluated voltage-reduction levels.
 func (e *Env) Levels() []vscale.VRLevel { return vscale.PaperLevels() }
 
-// Workloads returns (building once) the benchmark set.
+// Workloads returns the benchmark set at the Env's scale, built once per
+// design (see core.Design.Workloads). Callers must not modify it.
 func (e *Env) Workloads() ([]*workloads.Workload, error) {
-	e.wsOnce.Do(func() { e.ws, e.wsErr = workloads.All(e.Opts.Scale) })
-	return e.ws, e.wsErr
+	return e.F.Workloads(e.Opts.Scale)
 }
 
 // Trace returns (capturing once) a workload's operand trace.
@@ -273,28 +270,25 @@ func (e *Env) Model(kind errmodel.Kind, level vscale.VRLevel, w *workloads.Workl
 func (e *Env) CellCtx(ctx context.Context, w *workloads.Workload, kind errmodel.Kind, level vscale.VRLevel) (*campaign.Result, error) {
 	key := fmt.Sprintf("%s/%s/%s", w.Name, kind, level.Name)
 	return e.cells.do(key, func() (*campaign.Result, error) {
-		store := e.F.Cfg.Artifacts
 		ak := artifact.CampaignKey(w.Name, string(kind), level.Name,
 			e.Opts.Runs, e.F.Cfg.Seed, true, e.cfgTag())
-		cached := new(campaign.Result)
-		if store.Load(ak, cached) {
+		r, hit, err := loadOrCompute(e, ak, func() (*campaign.Result, error) {
+			m, err := e.Model(kind, level, w)
+			if err != nil {
+				return nil, err
+			}
+			// Figures 9 and the AVM analysis use the paper's
+			// single-injection statistical discipline. Cancellation
+			// discards the cell entirely (campaign.Run never returns
+			// partial results), so only complete cells are stored.
+			return e.F.EvaluateSingleCtx(ctx, w, m, e.Opts.Runs)
+		})
+		if err != nil {
+			return nil, err
+		}
+		if hit {
 			e.cellsCached.Add(1)
-			e.cellsDone.Add(1)
-			return cached, nil
 		}
-		m, err := e.Model(kind, level, w)
-		if err != nil {
-			return nil, err
-		}
-		// Figures 9 and the AVM analysis use the paper's single-injection
-		// statistical discipline. Cancellation discards the cell entirely
-		// (campaign.Run never returns partial results), so the store below
-		// only ever sees complete cells.
-		r, err := e.F.EvaluateSingleCtx(ctx, w, m, e.Opts.Runs)
-		if err != nil {
-			return nil, err
-		}
-		e.noteSaveError(store.Save(ak, r))
 		e.cellsDone.Add(1)
 		return r, nil
 	})

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"teva/internal/artifact"
 	"teva/internal/dta"
 	"teva/internal/fpu"
 	"teva/internal/netlist"
@@ -440,8 +441,22 @@ type AdderRow struct {
 
 // AdderAblation compares 56-bit adder architectures (the add/sub mantissa
 // width): full ripple, hybrid carry-bypass with 8- and 16-bit blocks (the
-// design choice DESIGN.md documents), and a Kogge-Stone prefix adder.
+// design choice DESIGN.md documents), and a Kogge-Stone prefix adder. The
+// adders share only the cell library with the FPU, so the rows are stored
+// under the run seed, the transition count and the register parameters.
 func AdderAblation(e *Env) ([]AdderRow, error) {
+	lib := e.F.FPU.Lib
+	n := min(e.F.Cfg.RandomOperands, 4000)
+	ak := artifact.AdderKey(e.F.Cfg.Seed, n, lib.ClockToQ, lib.Setup)
+	rows, _, err := loadOrCompute(e, ak, func() ([]AdderRow, error) {
+		return adderAblation(e, n)
+	})
+	return rows, err
+}
+
+// adderAblation is AdderAblation's analysis over n random transitions per
+// architecture. It checks the Env's context between 64-lane walks.
+func adderAblation(e *Env, n int) ([]AdderRow, error) {
 	const w = 56
 	type arch struct {
 		name  string
@@ -462,10 +477,6 @@ func AdderAblation(e *Env) ([]AdderRow, error) {
 		}},
 	}
 	lib := e.F.FPU.Lib
-	n := e.F.Cfg.RandomOperands
-	if n > 4000 {
-		n = 4000
-	}
 	var rows []AdderRow
 	for _, a := range archs {
 		b := netlist.NewBuilder("ablate/"+a.name, lib, 0xADDE)
@@ -487,6 +498,9 @@ func AdderAblation(e *Env) ([]AdderRow, error) {
 		var sumArr, maxArr float64
 		fails := 0
 		for lo := 0; lo < n; lo += 64 {
+			if err := e.ctx.Err(); err != nil {
+				return nil, err
+			}
 			lanes := min(64, n-lo)
 			clear(cur)
 			for lane := 0; lane < lanes; lane++ {

@@ -306,10 +306,13 @@ func TestFig7HonorsCanceledContext(t *testing.T) {
 }
 
 // TestExtensionExperimentsHonorCanceledContext: the ad-hoc DTA streams
-// behind the extension experiments stop with the Env's context, and a
-// stream cut short is never written to the artifact store.
+// behind the extension experiments, and the netlist-only Figure 4 and
+// adder ablation, stop with the Env's context, and work cut short is
+// never written to the artifact store.
 func TestExtensionExperimentsHonorCanceledContext(t *testing.T) {
 	for name, run := range map[string]func(*Env) error{
+		"fig4":    func(e *Env) error { _, err := Fig4(e); return err },
+		"adders":  func(e *Env) error { _, err := AdderAblation(e); return err },
 		"fig6":    func(e *Env) error { _, err := Fig6(e); return err },
 		"sources": func(e *Env) error { _, err := Sources(e); return err },
 		"power":   func(e *Env) error { _, err := Power(e); return err },

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"teva/internal/artifact"
 	"teva/internal/dta"
 	"teva/internal/fpu"
 	"teva/internal/sta"
@@ -88,8 +89,23 @@ type Fig4Result struct {
 }
 
 // Fig4 enumerates the longest paths of the placed core (FPU + integer
-// units) and groups them per unit.
+// units) and groups them per unit. The census reads nothing but the
+// design and the path count, so it is stored under the artifact key of
+// exactly those and reloaded on a warm store.
 func Fig4(e *Env) (*Fig4Result, error) {
+	lib := e.F.FPU.Lib
+	ak := artifact.Fig4Key(e.F.FPU.Seed, e.Opts.Fig4Paths, lib.ClockToQ, lib.Setup)
+	res, _, err := loadOrCompute(e, ak, func() (*Fig4Result, error) {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
+		}
+		return fig4(e)
+	})
+	return res, err
+}
+
+// fig4 is Fig4's analysis.
+func fig4(e *Env) (*Fig4Result, error) {
 	intU, err := e.IntUnit()
 	if err != nil {
 		return nil, err

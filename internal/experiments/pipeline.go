@@ -234,23 +234,30 @@ func (e *Env) cfgTag() string {
 func (e *Env) cachedSummary(tag string, op fpu.Op, scale float64, samples int, compute func() (*dta.Summary, error)) (*dta.Summary, error) {
 	key := fmt.Sprintf("%s|%s|%v|%d", tag, op, scale, samples)
 	return e.streams.do(key, func() (*dta.Summary, error) {
-		store := e.F.Cfg.Artifacts
 		ak := artifact.SummaryKey(tag+","+e.cfgTag(), op.String(), scale,
 			e.F.Cfg.Seed, samples, e.F.Cfg.Timing.Exact())
-		sum := new(dta.Summary)
-		if store.Load(ak, sum) {
-			return sum, nil
-		}
-		sum, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		// Cache write failures are non-fatal (the summary is recomputed
-		// next run): counted by the store on artifact.write_errors, warned
-		// about once per Env.
-		e.noteSaveError(store.Save(ak, sum))
-		return sum, nil
+		sum, _, err := loadOrCompute(e, ak, compute)
+		return sum, err
 	})
+}
+
+// loadOrCompute returns the artifact stored under k, or computes it and
+// stores the result; hit reports a reload. A compute error (a canceled
+// Env) is returned and nothing is stored, so the store only ever sees
+// complete results. Write failures are non-fatal (the value is recomputed
+// next run): the store counts them on artifact.write_errors and the Env
+// warns once.
+func loadOrCompute[T any](e *Env, k artifact.Key, compute func() (T, error)) (v T, hit bool, err error) {
+	store := e.F.Cfg.Artifacts
+	if store.Load(k, &v) {
+		return v, true, nil
+	}
+	if v, err = compute(); err != nil {
+		var zero T
+		return zero, false, err
+	}
+	e.noteSaveError(store.Save(k, v))
+	return v, false, nil
 }
 
 // summarize is cachedSummary's usual compute: one DTA stream under the

@@ -55,6 +55,17 @@ func (l *buildLog) captures() int64 {
 	return n
 }
 
+// workloadBuilds sums the benchmark-set builds of every recorded design.
+func (l *buildLog) workloadBuilds() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var n int64
+	for _, d := range l.designs {
+		n += d.WorkloadBuilds()
+	}
+	return n
+}
+
 // gate returns a build hook that holds every build until the returned
 // open function is called, so a test can admit all its jobs before any
 // of them gets a design.
@@ -149,8 +160,9 @@ func sameServed(t *testing.T, label string, got, want served) {
 }
 
 // TestAdmittedJobsShareOneDesign: jobs admitted together with one seed
-// build the design once and capture each workload trace once, get the
-// bytes and metrics they would get alone, and leave nothing pinned.
+// build the design and the benchmark set once and capture each workload
+// trace once, get the bytes and metrics they would get alone, and leave
+// nothing pinned.
 func TestAdmittedJobsShareOneDesign(t *testing.T) {
 	s := New(Config{})
 	before, open := gate()
@@ -173,6 +185,9 @@ func TestAdmittedJobsShareOneDesign(t *testing.T) {
 	if n, want := builds.captures(), int64(7); n != want {
 		t.Fatalf("%d trace captures, want %d (each workload once)", n, want)
 	}
+	if n := builds.workloadBuilds(); n != 1 {
+		t.Fatalf("%d benchmark-set builds for one design and scale, want 1", n)
+	}
 	if n := heldDesigns(s); n != 0 {
 		t.Fatalf("idle server holds %d shared designs, want 0", n)
 	}
@@ -181,9 +196,10 @@ func TestAdmittedJobsShareOneDesign(t *testing.T) {
 	}
 }
 
-// TestDistinctRunsDoNotShare: a different seed gets its own design, and
-// a different workload scale or operand cap its own traces; every result
-// equals the one a fresh server per job gives.
+// TestDistinctRunsDoNotShare: a different seed gets its own design, a
+// different workload scale its own benchmark set, and a different scale
+// or operand cap its own traces; every result equals the one a fresh
+// server per job gives.
 func TestDistinctRunsDoNotShare(t *testing.T) {
 	s := New(Config{})
 	before, open := gate()
@@ -204,6 +220,11 @@ func TestDistinctRunsDoNotShare(t *testing.T) {
 	}
 	if n, want := builds.captures(), int64(4*7); n != want {
 		t.Fatalf("%d trace captures, want %d (no trace shared)", n, want)
+	}
+	// Seed 1 at tiny (shared by the first and last job) and at small,
+	// seed 2 at tiny.
+	if n := builds.workloadBuilds(); n != 3 {
+		t.Fatalf("%d benchmark-set builds, want 3 (one per design and scale)", n)
 	}
 	if n := heldDesigns(s); n != 0 {
 		t.Fatalf("idle server holds %d shared designs, want 0", n)
