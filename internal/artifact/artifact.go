@@ -43,6 +43,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"teva/internal/obs"
@@ -275,6 +276,10 @@ type Store struct {
 
 	hits, misses, writes, corrupt *obs.Counter
 	retries, writeErrors          *obs.Counter
+	// warnOnce limits the stderr warning for failed writes to one per
+	// store: every failure is counted on artifact.write_errors, and a
+	// degraded disk would otherwise print a line per entry.
+	warnOnce sync.Once
 }
 
 // Open creates (if needed) and opens a store rooted at dir, with its
@@ -404,9 +409,10 @@ func (s *Store) Load(k Key, out any) bool {
 // Save persists the payload under the key, atomically and with bounded
 // retry: a transient write failure is retried saveAttempts times with
 // short backoff (each retry counted on artifact.retries) before the Save
-// reports an error (counted on artifact.write_errors). Failures never
-// corrupt the store — the atomic write discipline means the previous
-// entry, if any, stays intact. Saving on a nil store is a no-op.
+// reports an error (counted on artifact.write_errors, and the store's
+// first one warned about on stderr). Failures never corrupt the store —
+// the atomic write discipline means the previous entry, if any, stays
+// intact. Saving on a nil store is a no-op.
 func (s *Store) Save(k Key, payload any) error {
 	if s == nil {
 		return nil
@@ -414,16 +420,14 @@ func (s *Store) Save(k Key, payload any) error {
 	body, err := json.Marshal(payload)
 	if err != nil {
 		// Marshal failures are deterministic, not transient: no retry.
-		s.writeErrors.Add(1)
-		return fmt.Errorf("artifact: marshal %s: %w", k.Kind, err)
+		return s.failed(fmt.Errorf("artifact: marshal %s: %w", k.Kind, err))
 	}
 	raw, err := json.Marshal(envelope{
 		Schema: SchemaVersion, Kind: k.Kind, ID: k.ID,
 		Sum: payloadSum(body), Payload: body,
 	})
 	if err != nil {
-		s.writeErrors.Add(1)
-		return fmt.Errorf("artifact: marshal envelope: %w", err)
+		return s.failed(fmt.Errorf("artifact: marshal envelope: %w", err))
 	}
 	var werr error
 	for attempt := 1; attempt <= saveAttempts; attempt++ {
@@ -436,6 +440,35 @@ func (s *Store) Save(k Key, payload any) error {
 			return nil
 		}
 	}
+	return s.failed(fmt.Errorf("artifact: write %s (%d attempts): %w", k.Kind, saveAttempts, werr))
+}
+
+// failed counts a failed Save and returns its error. The store's first
+// failure is also printed on stderr, so a read-only cache directory is
+// not silent: losing a write costs only a recompute next run, so it never
+// fails the caller's work.
+func (s *Store) failed(err error) error {
 	s.writeErrors.Add(1)
-	return fmt.Errorf("artifact: write %s (%d attempts): %w", k.Kind, saveAttempts, werr)
+	s.warnOnce.Do(func() {
+		fmt.Fprintf(os.Stderr, "teva: artifact cache write failed (non-fatal, counted on %s): %v\n",
+			MetricWriteErrors, err)
+	})
+	return err
+}
+
+// LoadOrCompute returns the artifact stored under k, or computes it and
+// stores the result; hit reports a reload. A compute error (a canceled
+// context) is returned and nothing is stored, so the store only ever holds
+// complete results. A failed write is not an error: Save has counted it,
+// and the value is recomputed next run. A nil store always computes.
+func LoadOrCompute[T any](s *Store, k Key, compute func() (T, error)) (v T, hit bool, err error) {
+	if s.Load(k, &v) {
+		return v, true, nil
+	}
+	if v, err = compute(); err != nil {
+		var zero T
+		return zero, false, err
+	}
+	_ = s.Save(k, v) // non-fatal; see failed
+	return v, false, nil
 }

@@ -23,6 +23,7 @@ import (
 
 	"teva/internal/artifact"
 	"teva/internal/obs"
+	"teva/internal/prng"
 )
 
 // ErrInjected is the root of every chaos-injected I/O error, so callers
@@ -111,20 +112,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// hashString is FNV-1a, matching the repo's seed-derivation idiom.
-func hashString(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
-
 // draw returns a deterministic uniform float64 in [0, 1) for the n-th
 // occurrence of (op, path), independent per effect salt.
 func draw(seed uint64, op, path string, n uint64, salt uint64) float64 {
-	u := splitmix64(seed ^ hashString(op+"\x00"+path) ^ splitmix64(n+salt))
+	u := splitmix64(seed ^ prng.HashString(op+"\x00"+path) ^ splitmix64(n+salt))
 	return float64(u>>11) / (1 << 53)
 }
 
@@ -178,7 +169,7 @@ func (c *FS) ReadFile(name string) ([]byte, error) {
 	}
 	if len(data) > 0 && draw(c.opts.Seed, "read", name, n, 2) < c.opts.TornRead {
 		c.faults.Inc()
-		cut := 1 + int(splitmix64(c.opts.Seed^hashString(name)^n)%uint64(len(data)))
+		cut := 1 + int(splitmix64(c.opts.Seed^prng.HashString(name)^n)%uint64(len(data)))
 		if cut >= len(data) {
 			cut = len(data) - 1
 		}
@@ -187,7 +178,7 @@ func (c *FS) ReadFile(name string) ([]byte, error) {
 	if len(data) > 0 && draw(c.opts.Seed, "read", name, n, 3) < c.opts.FlipRead {
 		c.faults.Inc()
 		flipped := append([]byte(nil), data...)
-		bit := splitmix64(c.opts.Seed^hashString(name)^(n+77)) % uint64(len(data)*8)
+		bit := splitmix64(c.opts.Seed^prng.HashString(name)^(n+77)) % uint64(len(data)*8)
 		flipped[bit/8] ^= 1 << (bit % 8)
 		return flipped, nil
 	}

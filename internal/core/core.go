@@ -17,10 +17,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
+	"teva/internal/alu"
 	"teva/internal/artifact"
 	"teva/internal/campaign"
 	"teva/internal/cell"
@@ -83,9 +83,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Design is one seed's calibrated substrate plus memos of the benchmark
-// sets built and the workload operand traces captured for it: the inputs
-// Figure 2's flow builds once and then evaluates many times over.
+// Design is one seed's calibrated substrate plus memos of the integer
+// unit, the benchmark sets built and the workload operand traces captured
+// for it: the inputs Figure 2's flow builds once and then evaluates many
+// times over.
 // Everything it holds is a pure function of its seed, of a set's scale
 // and of each trace's key, never of a run's configuration or metrics, so
 // several frameworks (a server's concurrent jobs) may share one Design;
@@ -98,6 +99,7 @@ type Design struct {
 	FPU *fpu.FPU
 
 	mu       sync.Mutex
+	intUnit  map[struct{}]*flight[*alu.Unit] // one slot
 	sets     map[workloads.Scale]*flight[[]*workloads.Workload]
 	traces   map[traceKey]*flight[*trace.Trace]
 	builds   atomic.Int64
@@ -120,11 +122,21 @@ func NewDesign(seed uint64) (*Design, error) {
 		return nil, err
 	}
 	return &Design{
-		Seed:   seed,
-		FPU:    f,
-		sets:   make(map[workloads.Scale]*flight[[]*workloads.Workload]),
-		traces: make(map[traceKey]*flight[*trace.Trace]),
+		Seed:    seed,
+		FPU:     f,
+		intUnit: make(map[struct{}]*flight[*alu.Unit]),
+		sets:    make(map[workloads.Scale]*flight[[]*workloads.Workload]),
+		traces:  make(map[traceKey]*flight[*trace.Trace]),
 	}, nil
+}
+
+// IntUnit returns the design's integer-side netlists (Figure 4's ALU and
+// AGU paths), building them on first use while concurrent callers wait.
+// A failed build is not kept. Callers must not modify the unit.
+func (d *Design) IntUnit() (*alu.Unit, error) {
+	return singleFlight(&d.mu, d.intUnit, struct{}{}, tally{}, func() (*alu.Unit, error) {
+		return alu.New(d.FPU.Lib, d.Seed+0xA10)
+	})
 }
 
 // Workloads returns the benchmark set at scale, building it on first use
@@ -132,7 +144,7 @@ func NewDesign(seed uint64) (*Design, error) {
 // outside the assembler writes to a Workload or its program, so every
 // framework on the design reads the one set; callers must not modify it.
 func (d *Design) Workloads(scale workloads.Scale) ([]*workloads.Workload, error) {
-	return singleFlight(&d.mu, d.sets, scale, func() ([]*workloads.Workload, error) {
+	return singleFlight(&d.mu, d.sets, scale, tally{}, func() ([]*workloads.Workload, error) {
 		d.builds.Add(1)
 		return workloads.All(scale)
 	})
@@ -147,7 +159,7 @@ func (d *Design) WorkloadBuilds() int64 { return d.builds.Load() }
 // concurrent callers wait. A failed capture is not kept.
 func (d *Design) Trace(w *workloads.Workload, perOpCap int, seed uint64) (*trace.Trace, error) {
 	key := traceKey{name: w.Name, source: w.Source, perOpCap: perOpCap, seed: seed}
-	return singleFlight(&d.mu, d.traces, key, func() (*trace.Trace, error) {
+	return singleFlight(&d.mu, d.traces, key, tally{}, func() (*trace.Trace, error) {
 		d.captures.Add(1)
 		return trace.Capture(w, perOpCap, seed)
 	})
@@ -166,22 +178,39 @@ type Framework struct {
 	Cfg  Config
 	FPU  *fpu.FPU
 	Volt vscale.Model
-	// design owns FPU and the trace memo; it may be shared with other
+	// design owns FPU and the memos; it may be shared with other
 	// frameworks of the same seed (see NewOn).
 	design *Design
-	// Per-level random-operand summaries (shared by DA and IA) and
+	// Per-level random-operand summaries (shared by DA and IA),
+	// per-(level, trace) workload summaries (the WA model's) and
 	// per-workload golden runs, each built once with single-flight so
 	// concurrent callers wait instead of duplicating the work. They live
-	// and die with the framework.
+	// and die with the framework; memo counts their lookups.
 	mu          sync.Mutex
 	randomCalls map[string]*flight[map[fpu.Op]*dta.Summary]
+	waCalls     map[waKey]*flight[map[fpu.Op]*dta.Summary]
 	goldens     map[*workloads.Workload]*flight[*campaign.Golden]
-	// saveWarn rate-limits the cache-write-failure warning to once per
-	// framework: write errors are non-fatal (counted on
-	// artifact.write_errors) and a degraded disk would otherwise spam one
-	// line per summary.
-	saveWarn sync.Once
+	memo        tally
 }
+
+// waKey names one WorkloadSummariesCtx result by the provenance its
+// artifact keys carry: the level, and the trace's label and content
+// fingerprint.
+type waKey struct {
+	level, workload string
+	fingerprint     uint64
+}
+
+// Metric names of the framework's single-flight lookups: a hit found a
+// slot already computed or in flight (the dedup saved a characterization
+// or golden run), a miss created one.
+const (
+	MetricMemoHits   = "experiments.memo_hits"
+	MetricMemoMisses = "experiments.memo_misses"
+)
+
+// tally counts single-flight lookups; the zero tally counts nothing.
+type tally struct{ hits, misses *obs.Counter }
 
 // flight is one single-flight slot.
 type flight[T any] struct {
@@ -196,11 +225,12 @@ type flight[T any] struct {
 var errFlightPanicked = errors.New("core: shared computation panicked")
 
 // singleFlight returns calls[key]'s value, computing it with fn on first
-// use while concurrent callers wait. A failed or panicking computation
-// never poisons the slot: it is discarded, so a later call (e.g. a resumed
-// run after a cancellation) recomputes instead of inheriting the error.
-// The panic itself propagates to the caller that ran fn.
-func singleFlight[K comparable, T any](mu *sync.Mutex, calls map[K]*flight[T], key K, fn func() (T, error)) (T, error) {
+// use while concurrent callers wait, and counts the lookup on t. A failed
+// or panicking computation never poisons the slot: it is discarded, so a
+// later call (e.g. a resumed run after a cancellation) recomputes instead
+// of inheriting the error. The panic itself propagates to the caller that
+// ran fn.
+func singleFlight[K comparable, T any](mu *sync.Mutex, calls map[K]*flight[T], key K, t tally, fn func() (T, error)) (T, error) {
 	mu.Lock()
 	call, ok := calls[key]
 	if !ok {
@@ -208,6 +238,11 @@ func singleFlight[K comparable, T any](mu *sync.Mutex, calls map[K]*flight[T], k
 		calls[key] = call
 	}
 	mu.Unlock()
+	if ok {
+		t.hits.Inc()
+	} else {
+		t.misses.Inc()
+	}
 	defer func() {
 		if call.err != nil {
 			mu.Lock()
@@ -240,9 +275,9 @@ func New(cfg Config) (*Framework, error) {
 
 // NewOn returns a framework over an existing design, which it shares
 // with every other framework built on it: the FPU, its Scratch caches
-// and the trace memo. cfg's seed (after defaults) must be the design's.
-// Per-run state (summaries, golden runs, metrics, artifact store) stays
-// the framework's own.
+// and the design's memos. cfg's seed (after defaults) must be the
+// design's. Per-run state (summaries, golden runs, metrics, artifact
+// store) stays the framework's own.
 func NewOn(d *Design, cfg Config) (*Framework, error) {
 	cfg = withDefaults(cfg)
 	if cfg.Seed != d.Seed {
@@ -254,7 +289,9 @@ func NewOn(d *Design, cfg Config) (*Framework, error) {
 		Volt:        vscale.Default45nm(),
 		design:      d,
 		randomCalls: make(map[string]*flight[map[fpu.Op]*dta.Summary]),
+		waCalls:     make(map[waKey]*flight[map[fpu.Op]*dta.Summary]),
 		goldens:     make(map[*workloads.Workload]*flight[*campaign.Golden]),
+		memo:        tally{cfg.Metrics.Counter(MetricMemoHits), cfg.Metrics.Counter(MetricMemoMisses)},
 	}, nil
 }
 
@@ -281,19 +318,6 @@ func withDefaults(cfg Config) Config {
 	return cfg
 }
 
-// noteSaveErr surfaces a non-fatal artifact cache write failure: the
-// store already counted it on artifact.write_errors; here it becomes one
-// (and only one) stderr warning so a silently read-only cache directory
-// is visible without flooding the run's output.
-func (f *Framework) noteSaveErr(err error) {
-	if err == nil {
-		return
-	}
-	f.saveWarn.Do(func() {
-		fmt.Fprintf(os.Stderr, "teva: artifact cache write failed (non-fatal, results are recomputed next run): %v\n", err)
-	})
-}
-
 // RandomSummariesCtx runs (or returns cached) DTA over uniformly random
 // operands for every instruction type at the level — the IA model's
 // characterization and Figure 7's data. Each op's operand stream is
@@ -303,7 +327,7 @@ func (f *Framework) noteSaveErr(err error) {
 // the aborted slot is discarded, so a later call (e.g. a resumed run)
 // recomputes instead of inheriting the cancellation error.
 func (f *Framework) RandomSummariesCtx(ctx context.Context, level vscale.VRLevel) (map[fpu.Op]*dta.Summary, error) {
-	return singleFlight(&f.mu, f.randomCalls, level.Name, func() (map[fpu.Op]*dta.Summary, error) {
+	return singleFlight(&f.mu, f.randomCalls, level.Name, f.memo, func() (map[fpu.Op]*dta.Summary, error) {
 		return f.randomSummaries(ctx, level)
 	})
 }
@@ -330,7 +354,7 @@ func (f *Framework) randomSummaries(ctx context.Context, level vscale.VRLevel) (
 // the full loop writes, so a prewarmed store makes the in-process loop a
 // pure cache read.
 func (f *Framework) RandomSummaryOpCtx(ctx context.Context, level vscale.VRLevel, op fpu.Op) (*dta.Summary, error) {
-	seed := f.Cfg.Seed ^ 0x1A5EED ^ hashString("random/"+op.String())
+	seed := f.Cfg.Seed ^ 0x1A5EED ^ prng.HashString("random/"+op.String())
 	// DTA reads only the low OperandWidth bits of each operand.
 	return f.characterize(ctx, level, op, "random", opOperands(op, f.Cfg.RandomOperands), seed, func(rs *prng.Source) dta.Pair {
 		return dta.Pair{A: rs.Uint64(), B: rs.Uint64()}
@@ -353,8 +377,7 @@ func opOperands(op fpu.Op, n int) int {
 func (f *Framework) characterize(ctx context.Context, level vscale.VRLevel, op fpu.Op, source string, n int, seed uint64, draw func(rs *prng.Source) dta.Pair) (*dta.Summary, error) {
 	scale := f.Volt.ScaleFor(level)
 	key := artifact.SummaryKey(source, op.String(), scale, seed, n, f.Cfg.Timing.Exact())
-	s := new(dta.Summary)
-	if !f.Cfg.Artifacts.Load(key, s) {
+	s, _, err := artifact.LoadOrCompute(f.Cfg.Artifacts, key, func() (*dta.Summary, error) {
 		pairs := make([]dta.Pair, n)
 		rs := prng.New(seed)
 		for i := range pairs {
@@ -364,17 +387,26 @@ func (f *Framework) characterize(ctx context.Context, level vscale.VRLevel, op f
 		if err != nil {
 			return nil, err
 		}
-		s = dta.Summarize(op, recs)
-		f.noteSaveErr(f.Cfg.Artifacts.Save(key, s))
-	}
-	return s, nil
+		return dta.Summarize(op, recs), nil
+	})
+	return s, err
 }
 
-// WorkloadSummariesCtx runs DTA over operands extracted from the
-// workload trace — the WA model's characterization and Figure 8's data.
-// The cache key folds in the trace's content fingerprint, so summaries
-// from a different workload scale or trace seed can never be confused.
+// WorkloadSummariesCtx runs (or returns cached) DTA over operands
+// extracted from the workload trace — the WA model's characterization and
+// Figure 8's data — once per (level, trace) with single-flight, like
+// RandomSummariesCtx. Both its in-process key and its artifact keys fold
+// in the trace's content fingerprint, so summaries from a different
+// workload scale or trace seed can never be confused. A canceled call is
+// not kept.
 func (f *Framework) WorkloadSummariesCtx(ctx context.Context, level vscale.VRLevel, tr *trace.Trace) (map[fpu.Op]*dta.Summary, error) {
+	key := waKey{level: level.Name, workload: tr.Workload, fingerprint: tr.Fingerprint()}
+	return singleFlight(&f.mu, f.waCalls, key, f.memo, func() (map[fpu.Op]*dta.Summary, error) {
+		return f.workloadSummaries(ctx, level, tr)
+	})
+}
+
+func (f *Framework) workloadSummaries(ctx context.Context, level vscale.VRLevel, tr *trace.Trace) (map[fpu.Op]*dta.Summary, error) {
 	out := make(map[fpu.Op]*dta.Summary, fpu.NumOps)
 	for _, op := range fpu.Ops() {
 		if len(tr.Pairs[op]) == 0 {
@@ -404,12 +436,16 @@ func (f *Framework) WorkloadSummaryOpCtx(ctx context.Context, level vscale.VRLev
 		return nil, nil
 	}
 	source := fmt.Sprintf("wl:%s:%#x", tr.Workload, tr.Fingerprint())
-	seed := f.Cfg.Seed ^ 0x3A5EED ^ hashString(tr.Workload+"/"+op.String())
+	seed := f.Cfg.Seed ^ 0x3A5EED ^ prng.HashString(tr.Workload+"/"+op.String())
 	n := max(opOperands(op, f.Cfg.WorkloadOperands), 1)
 	return f.characterize(ctx, level, op, source, n, seed, func(rs *prng.Source) dta.Pair {
 		return pool[rs.Intn(len(pool))]
 	})
 }
+
+// IntUnit returns the design's integer-side netlists through its memo,
+// shared by every framework on the design. Callers must not modify it.
+func (f *Framework) IntUnit() (*alu.Unit, error) { return f.design.IntUnit() }
 
 // Workloads returns the benchmark set at scale through the design's
 // memo, shared by every framework on the design. Callers must not modify
@@ -492,7 +528,7 @@ func (f *Framework) EvaluateSingleCtx(ctx context.Context, w *workloads.Workload
 }
 
 func (f *Framework) evaluate(ctx context.Context, w *workloads.Workload, m errmodel.Model, runs int, single bool) (*campaign.Result, error) {
-	g, err := singleFlight(&f.mu, f.goldens, w, func() (*campaign.Golden, error) {
+	g, err := singleFlight(&f.mu, f.goldens, w, f.memo, func() (*campaign.Golden, error) {
 		return campaign.NewGolden(w, f.Cfg.Metrics)
 	})
 	if err != nil {
@@ -503,21 +539,11 @@ func (f *Framework) evaluate(ctx context.Context, w *workloads.Workload, m errmo
 		Workload:        w,
 		Model:           m,
 		Runs:            runs,
-		Seed:            f.Cfg.Seed ^ hashString(w.Name) ^ hashString(string(m.Kind())+m.Level()),
+		Seed:            f.Cfg.Seed ^ prng.HashString(w.Name) ^ prng.HashString(string(m.Kind())+m.Level()),
 		Workers:         f.Cfg.Workers,
 		SingleInjection: single,
 		TimeoutFactor:   f.Cfg.TimeoutFactor,
 		Metrics:         f.Cfg.Metrics,
 		Context:         ctx,
 	})
-}
-
-// hashString is a small FNV-1a for seed derivation.
-func hashString(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
 }

@@ -355,7 +355,7 @@ func TestSingleFlightPanicIsNotKept(t *testing.T) {
 	go func() {
 		<-started
 		close(release)
-		v, err := singleFlight(&mu, calls, "k", func() (int, error) { return 2, nil })
+		v, err := singleFlight(&mu, calls, "k", tally{}, func() (int, error) { return 2, nil })
 		if err == nil && v != 2 {
 			err = fmt.Errorf("got %d with no error", v)
 		}
@@ -367,7 +367,7 @@ func TestSingleFlightPanicIsNotKept(t *testing.T) {
 				t.Error("the computing caller did not see the panic")
 			}
 		}()
-		singleFlight(&mu, calls, "k", func() (int, error) {
+		singleFlight(&mu, calls, "k", tally{}, func() (int, error) {
 			close(started)
 			<-release
 			panic("boom")
@@ -376,8 +376,60 @@ func TestSingleFlightPanicIsNotKept(t *testing.T) {
 	if err := <-waiter; err != nil && err != errFlightPanicked {
 		t.Fatalf("waiter: %v", err)
 	}
-	v, err := singleFlight(&mu, calls, "k", func() (int, error) { return 3, nil })
+	v, err := singleFlight(&mu, calls, "k", tally{}, func() (int, error) { return 3, nil })
 	if err != nil || (v != 3 && v != 2) {
 		t.Fatalf("after a panic: %d, %v; want a fresh value", v, err)
+	}
+}
+
+// TestWorkloadSummariesSingleFlightCancel: concurrent WorkloadSummariesCtx
+// calls on one (level, trace) analyze the trace once and share the
+// result, and a canceled call is not kept, so the next call characterizes
+// afresh. With no store, dta.pairs_analyzed counts every pass.
+func TestWorkloadSummariesSingleFlightCancel(t *testing.T) {
+	reg := obs.NewRegistry(nil)
+	f, err := NewOn(testFramework.design, Config{Seed: 0xF00D, WorkloadOperands: 300, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := isTrace(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := f.WorkloadSummariesCtx(ctx, vscale.VR20, tr); err != context.Canceled {
+		t.Fatalf("canceled call: %v, want context.Canceled", err)
+	}
+	const callers = 4
+	got := make([]map[fpu.Op]*dta.Summary, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sums, err := f.WorkloadSummariesCtx(context.Background(), vscale.VR20, tr)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = sums
+		}(i)
+	}
+	wg.Wait()
+	var onePass int64
+	for _, op := range fpu.Ops() {
+		if len(tr.Pairs[op]) > 0 {
+			onePass += int64(max(opOperands(op, f.Cfg.WorkloadOperands), 1))
+		}
+	}
+	for i, sums := range got {
+		if len(sums) == 0 || sums[fpu.DMul] == nil || sums[fpu.DMul] != got[0][fpu.DMul] {
+			t.Fatalf("caller %d got summaries %v, caller 0 %v", i, sums, got[0])
+		}
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counter(dta.MetricPairs); n != onePass {
+		t.Fatalf("%s = %d, want one pass of %d", dta.MetricPairs, n, onePass)
+	}
+	// The canceled call and the first concurrent one each created a slot.
+	if h, m := snap.Counter(MetricMemoHits), snap.Counter(MetricMemoMisses); h != callers-1 || m != 2 {
+		t.Fatalf("memo hits %d, misses %d; want %d and 2", h, m, callers-1)
 	}
 }

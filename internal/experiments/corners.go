@@ -110,7 +110,7 @@ func CornerSweep(e *Env, corners []cell.Corner) ([]CornerRow, error) {
 		co := corners[i]
 		ak := artifact.CornerKey("fpu", f.FPU.Seed, co.Label(),
 			co.Voltage, co.TempC, co.Process, f.FPU.Lib.ClockToQ, f.FPU.Lib.Setup)
-		row, hit, err := loadOrCompute(e, ak, func() (CornerRow, error) {
+		row, hit, err := artifact.LoadOrCompute(e.F.Cfg.Artifacts, ak, func() (CornerRow, error) {
 			runs.Inc()
 			reports := f.FPU.StageReportsCorner(co)
 			clk := f.FPU.CLK

@@ -107,8 +107,8 @@ func CSVFig6(dir string, r *Fig6Result) error {
 	return writeCSV(dir, "fig6_ber.csv", ber)
 }
 
-// csvProfiles flattens BER profiles.
-func csvProfiles(name string, dir string, r map[string][]BERProfile, withWorkload map[string]string) error {
+// CSVFig7 exports the IA characterization.
+func CSVFig7(dir string, r map[string][]BERProfile) error {
 	out := [][]string{{"level", "op", "er", "sign_ber", "exponent_ber", "mantissa_ber", "max_bit_ber", "max_bit"}}
 	for _, lv := range []string{"VR15", "VR20"} {
 		for _, p := range r[lv] {
@@ -119,13 +119,7 @@ func csvProfiles(name string, dir string, r map[string][]BERProfile, withWorkloa
 			})
 		}
 	}
-	_ = withWorkload
-	return writeCSV(dir, name, out)
-}
-
-// CSVFig7 exports the IA characterization.
-func CSVFig7(dir string, r map[string][]BERProfile) error {
-	return csvProfiles("fig7.csv", dir, r, nil)
+	return writeCSV(dir, "fig7.csv", out)
 }
 
 // CSVFig8 exports the WA characterization per benchmark.

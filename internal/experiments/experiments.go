@@ -18,28 +18,28 @@
 // pipeline-history and adder-architecture ablations, and the FPU design
 // report. Every experiment also exports machine-readable CSV series.
 //
-// Each experiment is a pure function of a shared lazily-populated
-// environment, so the campaign-heavy figures (9, 10, AVM) reuse one
-// campaign set.
+// Each experiment is a pure function of a shared environment (Env) whose
+// expensive inputs are computed once, in core, and RunSuite builds the
+// campaign matrix once for the figures that read it (9 and AVM).
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"teva/internal/alu"
 	"teva/internal/artifact"
 	"teva/internal/campaign"
 	"teva/internal/core"
 	"teva/internal/dta"
 	"teva/internal/errmodel"
 	"teva/internal/fpu"
+	"teva/internal/guard"
+	"teva/internal/obs"
 	"teva/internal/prng"
 	"teva/internal/trace"
 	"teva/internal/vscale"
@@ -75,14 +75,15 @@ func DefaultOptions() Options {
 	}
 }
 
-// Env materializes the shared artifacts (workloads, traces, models,
-// campaigns) the experiments draw from. Every lazily built artifact lives
-// behind a single-flight memo, so the environment is safe for concurrent
-// use and the parallel matrix build (RunCampaigns) never duplicates work:
-// Figures 9, 10 and the AVM analysis all reuse one campaign set, and
-// every DA cell at a level waits on one shared characterization instead
-// of racing it. When the framework carries an artifact store, campaign
-// cells are additionally persisted across process lifetimes.
+// Env is what the experiments draw from: the framework, the run's options
+// and its cancellation. It keeps no cache of its own. Each expensive
+// result has one in-process cache, in core: the design memoizes the
+// integer unit, benchmark sets and operand traces, and the framework
+// single-flights the DTA summaries and golden runs, so the parallel
+// matrix build (RunCampaigns) never duplicates a characterization. Models
+// are cheap folds over the summaries, rebuilt on each call. With an
+// artifact store, summaries, campaign cells and the netlist-only results
+// also persist across runs. An Env is safe for concurrent use.
 type Env struct {
 	F    *core.Framework
 	Opts Options
@@ -96,19 +97,9 @@ type Env struct {
 	// and reach the artifact cache, so a re-run resumes incrementally.
 	drain     chan struct{}
 	drainOnce sync.Once
-	// saveWarn rate-limits the non-fatal cache-write-failure warning to
-	// once per Env (the store counts every failure on
-	// artifact.write_errors regardless).
-	saveWarn sync.Once
-
-	traces  *memo[*trace.Trace]
-	waSums  *memo[map[fpu.Op]*dta.Summary] // key: level/workload
-	daBy    *memo[*errmodel.DAModel]
-	iaBy    *memo[*errmodel.IAModel]
-	waBy    *memo[*errmodel.WAModel] // key: level/workload
-	cells   *memo[*campaign.Result]  // key: workload/kind/level
-	streams *memo[*dta.Summary]      // ad-hoc characterization streams
-	intUnit *memo[*alu.Unit]
+	// panics counts panics recovered at the Env's barriers (a campaign
+	// cell, a suite stage) on experiments.panics_recovered.
+	panics *obs.Counter
 
 	cellsDone   atomic.Int64
 	cellsTotal  atomic.Int64
@@ -116,8 +107,7 @@ type Env struct {
 }
 
 // NewEnv creates the environment. When the framework's Config carries a
-// metrics registry, every memo reports its single-flight hit/miss tallies
-// under the experiments.* names.
+// metrics registry, recovered panics are counted on it.
 func NewEnv(f *core.Framework, opts Options) *Env {
 	return NewEnvContext(context.Background(), f, opts)
 }
@@ -130,20 +120,12 @@ func NewEnvContext(ctx context.Context, f *core.Framework, opts Options) *Env {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m := f.Cfg.Metrics
 	return &Env{
-		F:       f,
-		Opts:    opts,
-		ctx:     ctx,
-		drain:   make(chan struct{}),
-		traces:  newMemoObs[*trace.Trace](m),
-		waSums:  newMemoObs[map[fpu.Op]*dta.Summary](m),
-		daBy:    newMemoObs[*errmodel.DAModel](m),
-		iaBy:    newMemoObs[*errmodel.IAModel](m),
-		waBy:    newMemoObs[*errmodel.WAModel](m),
-		cells:   newMemoObs[*campaign.Result](m),
-		streams: newMemoObs[*dta.Summary](m),
-		intUnit: newMemoObs[*alu.Unit](m),
+		F:      f,
+		Opts:   opts,
+		ctx:    ctx,
+		drain:  make(chan struct{}),
+		panics: f.Cfg.Metrics.Counter(MetricPanicsRecovered),
 	}
 }
 
@@ -165,21 +147,6 @@ func (e *Env) Draining() bool {
 	}
 }
 
-// noteSaveError surfaces a non-fatal artifact cache write failure exactly
-// once per Env on stderr; every failure is counted by the store on
-// artifact.write_errors either way. Losing a cache write costs only
-// recomputation on the next run, so it must not fail the experiment — but
-// a silently read-only cache directory should not be silent.
-func (e *Env) noteSaveError(err error) {
-	if err == nil {
-		return
-	}
-	e.saveWarn.Do(func() {
-		fmt.Fprintf(os.Stderr, "teva: artifact cache write failed (non-fatal, counted on %s): %v\n",
-			artifact.MetricWriteErrors, err)
-	})
-}
-
 // Levels returns the evaluated voltage-reduction levels.
 func (e *Env) Levels() []vscale.VRLevel { return vscale.PaperLevels() }
 
@@ -189,65 +156,58 @@ func (e *Env) Workloads() ([]*workloads.Workload, error) {
 	return e.F.Workloads(e.Opts.Scale)
 }
 
-// Trace returns (capturing once) a workload's operand trace.
+// Trace returns a workload's operand trace, captured once per design
+// (see core.Design.Trace). Callers must not modify it.
 func (e *Env) Trace(w *workloads.Workload) (*trace.Trace, error) {
-	return e.traces.do(w.Name, func() (*trace.Trace, error) {
-		return e.F.CaptureTrace(w)
-	})
+	return e.F.CaptureTrace(w)
 }
 
-// WASummaries returns (computing once) the workload-aware DTA summaries.
+// WASummaries returns the workload-aware DTA summaries of w at a level,
+// characterized once per framework (see core.Framework.WorkloadSummariesCtx).
 func (e *Env) WASummaries(level vscale.VRLevel, w *workloads.Workload) (map[fpu.Op]*dta.Summary, error) {
-	return e.waSums.do(level.Name+"/"+w.Name, func() (map[fpu.Op]*dta.Summary, error) {
-		tr, err := e.Trace(w)
-		if err != nil {
-			return nil, err
-		}
-		return e.F.WorkloadSummariesCtx(e.ctx, level, tr)
-	})
+	tr, err := e.Trace(w)
+	if err != nil {
+		return nil, err
+	}
+	return e.F.WorkloadSummariesCtx(e.ctx, level, tr)
 }
 
-// DAModel returns (building once) the data-agnostic model at a level.
+// DAModel builds the data-agnostic model at a level from the cached
+// random summaries and every workload's trace.
 func (e *Env) DAModel(level vscale.VRLevel) (*errmodel.DAModel, error) {
-	return e.daBy.do(level.Name, func() (*errmodel.DAModel, error) {
-		ws, err := e.Workloads()
-		if err != nil {
+	ws, err := e.Workloads()
+	if err != nil {
+		return nil, err
+	}
+	trs := make([]*trace.Trace, len(ws))
+	for i, w := range ws {
+		if trs[i], err = e.Trace(w); err != nil {
 			return nil, err
 		}
-		var trs []*trace.Trace
-		for _, w := range ws {
-			tr, err := e.Trace(w)
-			if err != nil {
-				return nil, err
-			}
-			trs = append(trs, tr)
-		}
-		return e.F.DevelopDACtx(e.ctx, level, trs)
-	})
+	}
+	return e.F.DevelopDACtx(e.ctx, level, trs)
 }
 
-// IAModelErr returns (building once) the instruction-aware model at a
-// level, or the build error (a canceled or panicking characterization).
+// IAModelErr builds the instruction-aware model at a level from the
+// cached random summaries, or returns the characterization's error (a
+// canceled context).
 func (e *Env) IAModelErr(level vscale.VRLevel) (*errmodel.IAModel, error) {
-	return e.iaBy.do(level.Name, func() (*errmodel.IAModel, error) {
-		return e.F.DevelopIACtx(e.ctx, level)
-	})
+	return e.F.DevelopIACtx(e.ctx, level)
 }
 
-// WAModel returns (building once) the workload-aware model for a cell.
+// WAModel builds the workload-aware model for a cell from the cached
+// workload summaries.
 func (e *Env) WAModel(level vscale.VRLevel, w *workloads.Workload) (*errmodel.WAModel, error) {
-	return e.waBy.do(level.Name+"/"+w.Name, func() (*errmodel.WAModel, error) {
-		sums, err := e.WASummaries(level, w)
-		if err != nil {
-			return nil, err
-		}
-		return errmodel.BuildWA(level.Name, w.Name, sums), nil
-	})
+	sums, err := e.WASummaries(level, w)
+	if err != nil {
+		return nil, err
+	}
+	return errmodel.BuildWA(level.Name, w.Name, sums), nil
 }
 
-// Model returns (building once) the error model of one family at a
-// level: DA characterizes against every workload's trace, IA is shared
-// by all workloads, and WA is specific to w.
+// Model builds the error model of one family at a level: DA
+// characterizes against every workload's trace, IA is shared by all
+// workloads, and WA is specific to w.
 func (e *Env) Model(kind errmodel.Kind, level vscale.VRLevel, w *workloads.Workload) (errmodel.Model, error) {
 	switch kind {
 	case errmodel.DA:
@@ -260,19 +220,22 @@ func (e *Env) Model(kind errmodel.Kind, level vscale.VRLevel, w *workloads.Workl
 	return nil, fmt.Errorf("experiments: unknown model kind %q", kind)
 }
 
-// CellCtx runs (once) the injection campaign for one (workload, model
-// family, level) under ctx (RunCampaigns passes its fail-fast inner
-// context so in-flight cells abort promptly once another cell
-// hard-fails). A cell found in the artifact store is reloaded without
-// building its model at all — on a warm cache the whole matrix resolves
-// without a single simulation. A panic anywhere in the cell's model build
-// or campaign is recovered into an error labeled with the cell key.
+// CellCtx runs the injection campaign for one (workload, model family,
+// level) under ctx (RunCampaigns passes its fail-fast inner context so
+// in-flight cells abort promptly once another cell hard-fails). A cell
+// found in the artifact store is reloaded without building its model at
+// all — on a warm cache the whole matrix resolves without a single
+// simulation. A panic anywhere in the cell's model build or campaign is
+// recovered into an error labeled with the cell key.
 func (e *Env) CellCtx(ctx context.Context, w *workloads.Workload, kind errmodel.Kind, level vscale.VRLevel) (*campaign.Result, error) {
-	key := fmt.Sprintf("%s/%s/%s", w.Name, kind, level.Name)
-	return e.cells.do(key, func() (*campaign.Result, error) {
-		ak := artifact.CampaignKey(w.Name, string(kind), level.Name,
-			e.Opts.Runs, e.F.Cfg.Seed, true, e.cfgTag())
-		r, hit, err := loadOrCompute(e, ak, func() (*campaign.Result, error) {
+	ak := artifact.CampaignKey(w.Name, string(kind), level.Name,
+		e.Opts.Runs, e.F.Cfg.Seed, true, e.cfgTag())
+	var (
+		r   *campaign.Result
+		hit bool
+	)
+	err := e.recovered(cellKey(w.Name, kind, level.Name), func() (err error) {
+		r, hit, err = artifact.LoadOrCompute(e.F.Cfg.Artifacts, ak, func() (*campaign.Result, error) {
 			m, err := e.Model(kind, level, w)
 			if err != nil {
 				return nil, err
@@ -283,22 +246,32 @@ func (e *Env) CellCtx(ctx context.Context, w *workloads.Workload, kind errmodel.
 			// partial results), so only complete cells are stored.
 			return e.F.EvaluateSingleCtx(ctx, w, m, e.Opts.Runs)
 		})
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			e.cellsCached.Add(1)
-		}
-		e.cellsDone.Add(1)
-		return r, nil
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		e.cellsCached.Add(1)
+	}
+	e.cellsDone.Add(1)
+	return r, nil
 }
 
-// IntUnit returns (building once) the integer-side netlists for Figure 4.
-func (e *Env) IntUnit() (*alu.Unit, error) {
-	return e.intUnit.do("int", func() (*alu.Unit, error) {
-		return alu.New(e.F.FPU.Lib, e.F.Cfg.Seed+0xA10)
+// recovered runs fn under a panic barrier labeled with the unit's name (a
+// campaign cell, a suite stage): a panic becomes a *guard.PanicError
+// carrying the label and is counted on experiments.panics_recovered.
+func (e *Env) recovered(label string, fn func() error) error {
+	panicked := true
+	err := guard.Recovered(label, func() error {
+		err := fn()
+		panicked = false
+		return err
 	})
+	if panicked {
+		e.panics.Inc()
+	}
+	return err
 }
 
 // ModelKinds returns the three compared families in presentation order.
@@ -315,7 +288,10 @@ func opShares(tr *trace.Trace) [fpu.NumOps]float64 {
 	return shares
 }
 
-// rng returns a derived deterministic source.
+// rng returns a derived deterministic source. The fold is FNV-1a, but
+// from 1469598103934665603, FNV's offset basis with one digit dropped
+// (not prng.HashString): changing it would change every stream derived
+// here, so it stays.
 func (e *Env) rng(tag string) *prng.Source {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(tag); i++ {

@@ -107,7 +107,7 @@ type PowerResult struct {
 // Power runs the Voltus-substitute analysis: per-op switching energies
 // and per-workload FPU energy shares.
 func Power(e *Env) (*PowerResult, error) {
-	intU, err := e.IntUnit()
+	intU, err := e.F.IntUnit()
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +448,7 @@ func AdderAblation(e *Env) ([]AdderRow, error) {
 	lib := e.F.FPU.Lib
 	n := min(e.F.Cfg.RandomOperands, 4000)
 	ak := artifact.AdderKey(e.F.Cfg.Seed, n, lib.ClockToQ, lib.Setup)
-	rows, _, err := loadOrCompute(e, ak, func() ([]AdderRow, error) {
+	rows, _, err := artifact.LoadOrCompute(e.F.Cfg.Artifacts, ak, func() ([]AdderRow, error) {
 		return adderAblation(e, n)
 	})
 	return rows, err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"teva/internal/core"
 	"teva/internal/errmodel"
 	"teva/internal/guard"
+	"teva/internal/obs"
 	"teva/internal/workloads"
 )
 
@@ -207,6 +209,46 @@ func TestChaosPanickingCellsAreIsolated(t *testing.T) {
 	}
 	if named != 7*2*3-len(cs.Cells) {
 		t.Fatalf("%d cells missing but %d named in the error:\n%v", 7*2*3-len(cs.Cells), named, err)
+	}
+}
+
+// TestChaosSummaryPanicNamesExperiment: a panic while reading a DTA
+// summary from the store (fig7 reads the random summaries through core,
+// fig8 the workload summaries) fails RunSuite with a *guard.PanicError
+// labeled with the experiment, counted once, instead of killing the
+// process.
+func TestChaosSummaryPanicNamesExperiment(t *testing.T) {
+	for _, name := range []string{"fig7", "fig8"} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry(nil)
+			store, err := chaos.OpenStore(t.TempDir(), reg, chaos.Options{Seed: 1, Panic: 1, PanicOn: "dta-summary-"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := core.New(core.Config{
+				Seed:             0xF00D,
+				RandomOperands:   600,
+				WorkloadOperands: 400,
+				DASample:         50000,
+				Artifacts:        store,
+				Metrics:          reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEnv(f, Options{Scale: workloads.Tiny, Runs: 8})
+			err = RunSuite(e, SuiteConfig{Experiments: []string{name}, OmitBanner: true}, io.Discard)
+			var pe *guard.PanicError
+			if !errors.As(err, &pe) || pe.Label != name {
+				t.Fatalf("want a PanicError labeled %q, got %v", name, err)
+			}
+			if !strings.Contains(fmt.Sprint(pe.Value), chaos.PanicValue) {
+				t.Fatalf("panic value %v is not the injected one", pe.Value)
+			}
+			if n := reg.Snapshot().Counter(MetricPanicsRecovered); n != 1 {
+				t.Fatalf("%s = %d, want 1", MetricPanicsRecovered, n)
+			}
+		})
 	}
 }
 

@@ -95,7 +95,7 @@ type Fig4Result struct {
 func Fig4(e *Env) (*Fig4Result, error) {
 	lib := e.F.FPU.Lib
 	ak := artifact.Fig4Key(e.F.FPU.Seed, e.Opts.Fig4Paths, lib.ClockToQ, lib.Setup)
-	res, _, err := loadOrCompute(e, ak, func() (*Fig4Result, error) {
+	res, _, err := artifact.LoadOrCompute(e.F.Cfg.Artifacts, ak, func() (*Fig4Result, error) {
 		if err := e.ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func Fig4(e *Env) (*Fig4Result, error) {
 
 // fig4 is Fig4's analysis.
 func fig4(e *Env) (*Fig4Result, error) {
-	intU, err := e.IntUnit()
+	intU, err := e.F.IntUnit()
 	if err != nil {
 		return nil, err
 	}

@@ -59,9 +59,9 @@ func (e *Env) cellMatrix() ([]cellSpec, error) {
 
 // RunCampaigns executes (or reuses) every campaign cell. The full
 // workload × model × level matrix is fanned out over a bounded worker
-// pool; per-cell single-flight inside Env deduplicates the shared model
-// builds, so the matrix scales with cores on a cold cache and resolves
-// without any simulation on a warm one. The assembled set is identical
+// pool; core's single-flight deduplicates the characterizations the
+// cells' models share, so the matrix scales with cores on a cold cache
+// and resolves without any simulation on a warm one. The assembled set is identical
 // to a serial build: every cell's campaign derives its own seed from
 // (workload, kind, level), independent of scheduling order.
 //

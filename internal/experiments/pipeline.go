@@ -9,21 +9,21 @@ import (
 	"sync/atomic"
 
 	"teva/internal/artifact"
+	"teva/internal/core"
 	"teva/internal/dta"
 	"teva/internal/fpu"
 	"teva/internal/guard"
-	"teva/internal/obs"
 )
 
-// Metric names published by the experiment pipeline. A memo "hit" is a
-// do() call that found an existing entry (the single-flight dedup saved a
-// model build or campaign cell); a "miss" created the entry. Panics
-// recovered counts worker panics the memo barrier converted into labeled
-// per-cell errors; cells aborted counts matrix cells that ended in an
-// error instead of a result.
+// Metric names published by the experiment pipeline. Memo hits and
+// misses are the framework's single-flight lookups (core.MetricMemoHits):
+// a hit found a characterization or golden run already computed or in
+// flight. Panics recovered counts panics the Env's barriers (a campaign
+// cell, a suite stage) converted into labeled errors; cells aborted counts
+// matrix cells that ended in an error instead of a result.
 const (
-	MetricMemoHits        = "experiments.memo_hits"
-	MetricMemoMisses      = "experiments.memo_misses"
+	MetricMemoHits        = core.MetricMemoHits
+	MetricMemoMisses      = core.MetricMemoMisses
 	MetricPanicsRecovered = "experiments.panics_recovered"
 	MetricCellsAborted    = "experiments.cells_aborted"
 )
@@ -32,72 +32,6 @@ const (
 // matrix build before every cell was dispatched. The cells that finished
 // were cached as usual, so a re-run resumes from where the drain cut off.
 var ErrDrained = errors.New("experiments: run drained before completing the matrix")
-
-// memo is a generic single-flight lazy map: the first caller of a key
-// computes the value while concurrent callers of the same key block until
-// it is ready, so the parallel experiment pipeline never duplicates a
-// model build, trace capture, or campaign cell. Values (and errors) are
-// retained for the life of the Env. A compute that panics is converted by
-// the guard barrier into an error labeled with the memo key (the cell
-// identity), so one poisoned cell reports itself instead of killing the
-// process — and instead of leaving waiters of the same key deadlocked on
-// a half-initialized entry.
-type memo[V any] struct {
-	mu      sync.Mutex
-	entries map[string]*memoEntry[V]
-	// hits/misses/panics, when non-nil, tally do() lookups and recovered
-	// compute panics on the Env's registry.
-	hits, misses, panics *obs.Counter
-}
-
-type memoEntry[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
-func newMemo[V any]() *memo[V] {
-	return &memo[V]{entries: make(map[string]*memoEntry[V])}
-}
-
-// newMemoObs is newMemo with hit/miss counters attached (nil counters are
-// valid no-ops, so a metrics-free Env costs nothing extra).
-func newMemoObs[V any](m *obs.Registry) *memo[V] {
-	mm := newMemo[V]()
-	mm.hits = m.Counter(MetricMemoHits)
-	mm.misses = m.Counter(MetricMemoMisses)
-	mm.panics = m.Counter(MetricPanicsRecovered)
-	return mm
-}
-
-// do returns the memoized value for key, computing it with fn exactly
-// once across all goroutines. A panicking fn is recorded as the entry's
-// error (a *guard.PanicError carrying the key and stack), never re-raised.
-func (m *memo[V]) do(key string, fn func() (V, error)) (V, error) {
-	m.mu.Lock()
-	e, ok := m.entries[key]
-	if !ok {
-		e = &memoEntry[V]{}
-		m.entries[key] = e
-	}
-	m.mu.Unlock()
-	if ok {
-		m.hits.Inc()
-	} else {
-		m.misses.Inc()
-	}
-	e.once.Do(func() {
-		e.err = guard.Recovered(key, func() error {
-			var err error
-			e.val, err = fn()
-			return err
-		})
-		if guard.IsPanic(e.err) {
-			m.panics.Inc()
-		}
-	})
-	return e.val, e.err
-}
 
 // forEachLimit runs fn for every index in [0, n) on at most workers
 // goroutines, with the failure semantics the matrix build needs:
@@ -222,42 +156,20 @@ func (e *Env) cfgTag() string {
 		c.TimeoutFactor)
 }
 
-// cachedSummary memoizes (in-process and, when a store is configured,
-// on-disk) one ad-hoc DTA characterization stream: the Figure 6
-// convergence draws, the Section VI stress corners, the validation
-// re-measurements, the history ablation, and the process-variation dies
-// all flow through here, so a re-run with the same seed reloads them
-// instead of re-simulating. The tag must uniquely name the stream's
-// provenance (which rng draw, which die, ...); compute performs the
-// actual analysis on a miss. A compute error (a canceled Env) is returned
-// and nothing is cached, so a truncated stream never reaches the store.
+// cachedSummary loads (when a store is configured) or computes one ad-hoc
+// DTA characterization stream: the Figure 6 convergence draws, the
+// Section VI stress corners, the validation re-measurements, the history
+// ablation, and the process-variation dies all flow through here, so a
+// re-run with the same seed reloads them instead of re-simulating. The
+// tag must uniquely name the stream's provenance (which rng draw, which
+// die, ...); compute performs the actual analysis on a miss. A compute
+// error (a canceled Env) is returned and nothing is stored, so a
+// truncated stream never reaches the store.
 func (e *Env) cachedSummary(tag string, op fpu.Op, scale float64, samples int, compute func() (*dta.Summary, error)) (*dta.Summary, error) {
-	key := fmt.Sprintf("%s|%s|%v|%d", tag, op, scale, samples)
-	return e.streams.do(key, func() (*dta.Summary, error) {
-		ak := artifact.SummaryKey(tag+","+e.cfgTag(), op.String(), scale,
-			e.F.Cfg.Seed, samples, e.F.Cfg.Timing.Exact())
-		sum, _, err := loadOrCompute(e, ak, compute)
-		return sum, err
-	})
-}
-
-// loadOrCompute returns the artifact stored under k, or computes it and
-// stores the result; hit reports a reload. A compute error (a canceled
-// Env) is returned and nothing is stored, so the store only ever sees
-// complete results. Write failures are non-fatal (the value is recomputed
-// next run): the store counts them on artifact.write_errors and the Env
-// warns once.
-func loadOrCompute[T any](e *Env, k artifact.Key, compute func() (T, error)) (v T, hit bool, err error) {
-	store := e.F.Cfg.Artifacts
-	if store.Load(k, &v) {
-		return v, true, nil
-	}
-	if v, err = compute(); err != nil {
-		var zero T
-		return zero, false, err
-	}
-	e.noteSaveError(store.Save(k, v))
-	return v, false, nil
+	ak := artifact.SummaryKey(tag+","+e.cfgTag(), op.String(), scale,
+		e.F.Cfg.Seed, samples, e.F.Cfg.Timing.Exact())
+	sum, _, err := artifact.LoadOrCompute(e.F.Cfg.Artifacts, ak, compute)
+	return sum, err
 }
 
 // summarize is cachedSummary's usual compute: one DTA stream under the

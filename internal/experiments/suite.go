@@ -296,7 +296,8 @@ type SuiteConfig struct {
 // order, writing the deterministic report to out. It returns nil when
 // every selected experiment completed, an IsInterrupt error when a
 // drain/cancel stopped the run early (completed cells are cached), or
-// the first hard failure wrapped with its experiment name.
+// the first hard failure wrapped with its experiment name (a panic as a
+// *guard.PanicError labeled with it).
 func RunSuite(env *Env, cfg SuiteConfig, out io.Writer) error {
 	if cfg.Diag == nil {
 		cfg.Diag = io.Discard
@@ -317,7 +318,9 @@ func RunSuite(env *Env, cfg SuiteConfig, out io.Writer) error {
 	}
 
 	// step runs one named stage, the campaign matrix build or a table
-	// row, and returns the error that ends the suite, if any.
+	// row, and returns the error that ends the suite, if any. A panic in
+	// the stage is recovered into a *guard.PanicError labeled with its
+	// name, so it fails the suite instead of the process.
 	step := func(name string, fn func() error) error {
 		if env.Draining() {
 			return stopped()
@@ -326,7 +329,7 @@ func RunSuite(env *Env, cfg SuiteConfig, out io.Writer) error {
 			cfg.OnStart(name)
 		}
 		sp := reg.Phase("exp/" + name)
-		err := fn()
+		err := env.recovered(name, fn)
 		if cfg.OnExperiment != nil {
 			cfg.OnExperiment(name, err)
 		}

@@ -28,6 +28,17 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// HashString is the 64-bit FNV-1a hash of s, the repository's way of
+// deriving a stream seed from a name.
+func HashString(s string) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 0x100000001b3
+	}
+	return h
+}
+
 // New returns a Source seeded from the given seed. Distinct seeds yield
 // independent streams.
 func New(seed uint64) *Source {

@@ -268,3 +268,17 @@ func TestUint64nSmallBoundsExhaustive(t *testing.T) {
 		}
 	}
 }
+
+// TestHashStringIsFNV1a pins HashString to 64-bit FNV-1a: every seed
+// derived from a name depends on it.
+func TestHashStringIsFNV1a(t *testing.T) {
+	for s, want := range map[string]uint64{
+		"":       0xcbf29ce484222325,
+		"a":      0xaf63dc4c8601ec8c,
+		"foobar": 0x85944171f73967e8,
+	} {
+		if got := HashString(s); got != want {
+			t.Errorf("HashString(%q) = %#x, want %#x", s, got, want)
+		}
+	}
+}

@@ -160,7 +160,7 @@ func (s *Server) SubmitAs(sp Spec, client string) (*Job, bool, error) {
 	return j, false, nil
 }
 
-// sharedDesign is one seed's substrate and trace memo, shared by every
+// sharedDesign is one seed's substrate and its memos, shared by every
 // admitted (queued or running) job with that design seed. The server
 // drops it when the last of them returns, so an idle server pins no
 // design.
