@@ -93,7 +93,7 @@ func BenchmarkFig4STA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(r.Paths) == 0 {
+		if r.NumPaths == 0 {
 			b.Fatal("no paths")
 		}
 	}

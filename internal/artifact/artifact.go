@@ -2,7 +2,7 @@
 // expensive intermediate products of the experiment pipeline: DTA
 // characterization summaries, injection-campaign results and the whole
 // results of the netlist-only experiments (corner reports, Figure 4, the
-// adder ablation). A store maps
+// adder ablation) and the power study's energy profile. A store maps
 // a canonical key (the full set of inputs that determine an artifact —
 // op, delay scale, seed, sample count for DTA summaries; workload, model
 // kind, voltage level, run count, seed for campaign cells) to a JSON
@@ -105,11 +105,27 @@ func AdderKey(seed uint64, n int, clkToQ, setup float64) Key {
 
 // Fig4Key builds the key for Figure 4's longest-path census: the design
 // seed fixes every netlist and the calibrated clock, paths is the number
-// of paths kept, and the register parameters bound every path delay.
+// of paths searched, and the register parameters bound every path delay.
+// The entry holds the census only, not the paths' net lists; its kind,
+// "fig4-census", differs from the whole-result "fig4" entries older
+// stores hold, so those are never read as a census.
 func Fig4Key(seed uint64, paths int, clkToQ, setup float64) Key {
 	return Key{
-		Kind: "fig4",
+		Kind: "fig4-census",
 		ID:   fmt.Sprintf("seed=%#x|paths=%d|clk2q=%s|setup=%s", seed, paths, hexFloat(clkToQ), hexFloat(setup)),
+	}
+}
+
+// PowerKey builds the key for the power study's per-op energy profile:
+// the design seed fixes every netlist, the calibrated clock and the
+// operand streams, samples is the per-op pair count, and the register
+// parameters place every nominal-corner transition. Cell energies and the
+// timing engine's energy accounting are not in the key: a change to
+// either must bump SchemaVersion.
+func PowerKey(seed uint64, samples int, clkToQ, setup float64) Key {
+	return Key{
+		Kind: "power",
+		ID:   fmt.Sprintf("seed=%#x|samples=%d|clk2q=%s|setup=%s", seed, samples, hexFloat(clkToQ), hexFloat(setup)),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -77,8 +78,8 @@ func TestFig4OnlyFPUPathsInTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Paths) != testEnv.Opts.Fig4Paths {
-		t.Fatalf("got %d paths", len(r.Paths))
+	if r.NumPaths != testEnv.Opts.Fig4Paths {
+		t.Fatalf("got %d paths", r.NumPaths)
 	}
 	// The paper's Figure 4 message: the low-slack tail is entirely FPU.
 	if r.ByGroup["alu"] != 0 {
@@ -90,7 +91,7 @@ func TestFig4OnlyFPUPathsInTail(t *testing.T) {
 			fpuPaths += c
 		}
 	}
-	if fpuPaths != len(r.Paths) {
+	if fpuPaths != r.NumPaths {
 		t.Fatalf("non-FPU paths present: %v", r.ByGroup)
 	}
 	if r.ByGroup["fpu/fp-mul.d"] == 0 {
@@ -538,6 +539,33 @@ func TestDesignReport(t *testing.T) {
 	RenderDesign(&buf, testEnv, rows)
 	if !strings.Contains(buf.String(), "s4-cpa") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// TestDesignRowsMatchSTA: the design report, which reads the stage
+// delays the FPU kept from calibration, gives the rows a fresh STA and
+// netlist statistics of every stage give, bit for bit.
+func TestDesignRowsMatchSTA(t *testing.T) {
+	rows, err := Design(testEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []DesignRow
+	clk := testEnv.F.FPU.CLK
+	for _, op := range fpu.Ops() {
+		p := testEnv.F.FPU.Pipeline(op)
+		reports := p.STA()
+		for i, s := range p.Stages {
+			st := s.N.Stats()
+			want = append(want, DesignRow{
+				Op: op, Stage: s.Name, Repeat: s.Repeat,
+				Gates: st.Gates, Depth: st.MaxDepth,
+				DelayPS: reports[i].WorstDelay, CLKShare: reports[i].WorstDelay / clk,
+			})
+		}
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("design rows differ from the STA-derived ones:\n%+v\nwant\n%+v", rows, want)
 	}
 }
 

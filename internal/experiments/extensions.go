@@ -105,17 +105,21 @@ type PowerResult struct {
 }
 
 // Power runs the Voltus-substitute analysis: per-op switching energies
-// and per-workload FPU energy shares.
+// and per-workload FPU energy shares. The energy profile reads only the
+// design and the per-op sample count, so it is stored under the artifact
+// key of exactly those and reloaded on a warm store; the breakdowns are
+// folded from the workload traces on every call.
 func Power(e *Env) (*PowerResult, error) {
-	intU, err := e.F.IntUnit()
-	if err != nil {
-		return nil, err
-	}
-	samples := e.F.Cfg.RandomOperands / 20
-	if samples < 40 {
-		samples = 40
-	}
-	prof, err := power.Characterize(e.ctx, e.F.FPU, intU, samples, e.F.Cfg.Seed^0x90AE, e.F.Cfg.Workers)
+	samples := max(e.F.Cfg.RandomOperands/20, 40)
+	lib := e.F.FPU.Lib
+	ak := artifact.PowerKey(e.F.FPU.Seed, samples, lib.ClockToQ, lib.Setup)
+	prof, _, err := artifact.LoadOrCompute(e.F.Cfg.Artifacts, ak, func() (*power.Profile, error) {
+		intU, err := e.F.IntUnit()
+		if err != nil {
+			return nil, err
+		}
+		return power.Characterize(e.ctx, e.F.FPU, intU, samples, e.F.FPU.Seed^0x90AE, e.F.Cfg.Workers)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -383,23 +387,23 @@ type DesignRow struct {
 
 // Design reports the generated FPU's structure: the Figure 3 view of each
 // pipeline (stages, gate counts, logic depth) annotated with static
-// timing — the "design report" a signoff flow prints.
+// timing — the "design report" a signoff flow prints. The delays are the
+// ones the FPU's calibration measured, so no stage is re-analyzed.
 func Design(e *Env) ([]DesignRow, error) {
 	var rows []DesignRow
 	clk := e.F.FPU.CLK
 	for _, op := range fpu.Ops() {
 		p := e.F.FPU.Pipeline(op)
-		reports := p.STA()
+		delays := p.StageDelays()
 		for i, s := range p.Stages {
-			st := s.N.Stats()
 			rows = append(rows, DesignRow{
 				Op:       op,
 				Stage:    s.Name,
 				Repeat:   s.Repeat,
-				Gates:    st.Gates,
-				Depth:    st.MaxDepth,
-				DelayPS:  reports[i].WorstDelay,
-				CLKShare: reports[i].WorstDelay / clk,
+				Gates:    s.N.NumGates(),
+				Depth:    s.N.Compiled().NumLevels,
+				DelayPS:  delays[i],
+				CLKShare: delays[i] / clk,
 			})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -348,9 +349,10 @@ func TestFig7HonorsCanceledContext(t *testing.T) {
 }
 
 // TestExtensionExperimentsHonorCanceledContext: the ad-hoc DTA streams
-// behind the extension experiments, and the netlist-only Figure 4 and
-// adder ablation, stop with the Env's context, and work cut short is
-// never written to the artifact store.
+// behind the extension experiments, the netlist-only Figure 4 and adder
+// ablation, and the power study's stored profile stop with the Env's
+// context, and work cut short is never written to the artifact store:
+// the store directory holds no entry afterwards.
 func TestExtensionExperimentsHonorCanceledContext(t *testing.T) {
 	for name, run := range map[string]func(*Env) error{
 		"fig4":    func(e *Env) error { _, err := Fig4(e); return err },
@@ -372,6 +374,9 @@ func TestExtensionExperimentsHonorCanceledContext(t *testing.T) {
 			}
 			if st := store.Stats(); st.Writes != 0 {
 				t.Fatalf("canceled run cached %d artifacts", st.Writes)
+			}
+			if left, _ := filepath.Glob(filepath.Join(store.Dir(), "*.json")); len(left) != 0 {
+				t.Fatalf("canceled run left store entries %v", left)
 			}
 		})
 	}

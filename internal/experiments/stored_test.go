@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,17 +14,18 @@ import (
 	"teva/internal/core"
 )
 
-// netlistExperiment is one of the experiments that read only the design
-// and are stored whole: how to run it and how to render it.
-type netlistExperiment struct {
+// storedExperiment is one of the experiments whose analysis reads only
+// the design and is stored under an input key: how to run it and how to
+// render it.
+type storedExperiment struct {
 	name, kind string
 	run        func(e *Env) (any, error)
 	render     func(w io.Writer, csvDir string, r any) error
 }
 
-func netlistExperiments() []netlistExperiment {
-	return []netlistExperiment{
-		{"fig4", "fig4",
+func storedExperiments() []storedExperiment {
+	return []storedExperiment{
+		{"fig4", "fig4-census",
 			func(e *Env) (any, error) { r, err := Fig4(e); return r, err },
 			func(w io.Writer, dir string, r any) error {
 				RenderFig4(w, r.(*Fig4Result))
@@ -33,6 +36,12 @@ func netlistExperiments() []netlistExperiment {
 			func(w io.Writer, dir string, r any) error {
 				RenderAdders(w, r.([]AdderRow))
 				return CSVAdders(dir, r.([]AdderRow))
+			}},
+		{"power", "power",
+			func(e *Env) (any, error) { r, err := Power(e); return r, err },
+			func(w io.Writer, dir string, r any) error {
+				RenderPower(w, r.(*PowerResult))
+				return CSVPower(dir, r.(*PowerResult))
 			}},
 	}
 }
@@ -47,7 +56,7 @@ type storedRun struct {
 
 // runStored runs x on a quick Env over d and store, with mod applied to
 // the options and configuration, and renders the result.
-func runStored(t *testing.T, d *core.Design, store *artifact.Store, x netlistExperiment, mod func(*Options, *core.Config)) storedRun {
+func runStored(t *testing.T, d *core.Design, store *artifact.Store, x storedExperiment, mod func(*Options, *core.Config)) storedRun {
 	t.Helper()
 	opts, cfg := effective(t, Spec{Quick: true, Seed: d.Seed})
 	if mod != nil {
@@ -84,6 +93,17 @@ func sameStored(t *testing.T, label string, got, want storedRun) {
 	if !reflect.DeepEqual(got.res, want.res) {
 		t.Fatalf("%s: result differs from the computed one", label)
 	}
+	if p, ok := got.res.(*PowerResult); ok {
+		g, w := p.Profile, want.res.(*PowerResult).Profile
+		for i := range g.PerOp {
+			if math.Float64bits(g.PerOp[i]) != math.Float64bits(w.PerOp[i]) {
+				t.Fatalf("%s: op %d energy %v, want %v bit for bit", label, i, g.PerOp[i], w.PerOp[i])
+			}
+		}
+		if math.Float64bits(g.IntOp) != math.Float64bits(w.IntOp) {
+			t.Fatalf("%s: int-op energy %v, want %v bit for bit", label, g.IntOp, w.IntOp)
+		}
+	}
 	if !bytes.Equal(got.report, want.report) {
 		t.Fatalf("%s: rendered section differs:\n%s\nvs computed\n%s", label, got.report, want.report)
 	}
@@ -108,17 +128,17 @@ func wantStats(t *testing.T, label string, got artifact.Stats, hits, misses, cor
 	}
 }
 
-// TestNetlistExperimentsStoredEqualComputed: Figure 4 and the adder
-// ablation give the same result, section and CSV bytes computed without
-// a store, computed into an empty store, reloaded from it, and recomputed
-// over a corrupted entry; their keys change with every input they read
-// and with nothing else.
+// TestNetlistExperimentsStoredEqualComputed: Figure 4, the adder
+// ablation and the power study give the same result, section and CSV
+// bytes computed without a store, computed into an empty store, reloaded
+// from it, and recomputed over a corrupted entry; their keys change with
+// every input they read and with nothing else.
 func TestNetlistExperimentsStoredEqualComputed(t *testing.T) {
 	d, err := core.NewDesign(core.DefaultConfig().Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range netlistExperiments() {
+	for _, x := range storedExperiments() {
 		t.Run(x.name, func(t *testing.T) {
 			computed := runStored(t, d, nil, x, nil)
 
@@ -154,7 +174,8 @@ func TestNetlistExperimentsStoredEqualComputed(t *testing.T) {
 	}
 
 	// The adder key holds the transition count after the 4,000 cap.
-	adders, fig4 := netlistExperiments()[1], netlistExperiments()[0]
+	xs := storedExperiments()
+	fig4, adders, pow := xs[0], xs[1], xs[2]
 	dir := t.TempDir()
 	quick := runStored(t, d, openStore(t, dir), adders, nil) // 4,000 operands
 	s := openStore(t, dir)
@@ -170,18 +191,27 @@ func TestNetlistExperimentsStoredEqualComputed(t *testing.T) {
 	runStored(t, d, s, fig4, nil) // 300 paths
 	more := runStored(t, d, s, fig4, func(o *Options, _ *core.Config) { o.Fig4Paths = 400 })
 	wantStats(t, "400 paths", s.Stats(), 1, 3, 0, 3)
-	if n := len(more.res.(*Fig4Result).Paths); n != 400 {
+	if n := more.res.(*Fig4Result).NumPaths; n != 400 {
 		t.Fatalf("Fig4Paths 400 gave %d paths", n)
 	}
 
-	// Both keys hold the seed: another design misses both.
+	// The power key holds the per-op sample count, RandomOperands/20.
+	quickPow := runStored(t, d, s, pow, nil) // 200 samples
+	morePow := runStored(t, d, s, pow, func(_ *Options, c *core.Config) { c.RandomOperands = 8000 })
+	wantStats(t, "400 samples", s.Stats(), 1, 5, 0, 5)
+	if reflect.DeepEqual(morePow.res, quickPow.res) {
+		t.Fatal("400 samples reloaded the 200-sample profile")
+	}
+
+	// Every key holds the seed: another design misses all three.
 	d7, err := core.NewDesign(7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runStored(t, d7, s, adders, nil)
 	runStored(t, d7, s, fig4, nil)
-	wantStats(t, "seed 7", s.Stats(), 1, 5, 0, 5)
+	runStored(t, d7, s, pow, nil)
+	wantStats(t, "seed 7", s.Stats(), 1, 8, 0, 8)
 
 	// And the register parameters.
 	lib := d.FPU.Lib
@@ -190,10 +220,48 @@ func TestNetlistExperimentsStoredEqualComputed(t *testing.T) {
 		{artifact.AdderKey(1, 4000, lib.ClockToQ, lib.Setup), artifact.AdderKey(1, 4000, lib.ClockToQ, lib.Setup+1)},
 		{artifact.Fig4Key(1, 300, lib.ClockToQ, lib.Setup), artifact.Fig4Key(1, 300, lib.ClockToQ+1, lib.Setup)},
 		{artifact.Fig4Key(1, 300, lib.ClockToQ, lib.Setup), artifact.Fig4Key(1, 300, lib.ClockToQ, lib.Setup+1)},
+		{artifact.PowerKey(1, 200, lib.ClockToQ, lib.Setup), artifact.PowerKey(1, 200, lib.ClockToQ+1, lib.Setup)},
+		{artifact.PowerKey(1, 200, lib.ClockToQ, lib.Setup), artifact.PowerKey(1, 200, lib.ClockToQ, lib.Setup+1)},
 		{artifact.AdderKey(1, 300, lib.ClockToQ, lib.Setup), artifact.Fig4Key(1, 300, lib.ClockToQ, lib.Setup)},
+		{artifact.AdderKey(1, 300, lib.ClockToQ, lib.Setup), artifact.PowerKey(1, 300, lib.ClockToQ, lib.Setup)},
+		{artifact.Fig4Key(1, 300, lib.ClockToQ, lib.Setup), artifact.PowerKey(1, 300, lib.ClockToQ, lib.Setup)},
 	} {
 		if pair[0] == pair[1] {
 			t.Fatalf("keys alias: %+v", pair[0])
 		}
 	}
+}
+
+// TestFig4CensusIgnoresOlderEntries: an older store holds Figure 4 whole,
+// its paths included and without a path count, under kind "fig4". The
+// census is stored under its own kind, so such an entry is a miss, never
+// a census with no paths.
+func TestFig4CensusIgnoresOlderEntries(t *testing.T) {
+	d, err := core.NewDesign(core.DefaultConfig().Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig4 := storedExperiments()[0]
+	computed := runStored(t, d, nil, fig4, nil)
+
+	// The older layout: every census field but the count, plus the paths.
+	b, err := json.Marshal(computed.res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(b, &old); err != nil {
+		t.Fatal(err)
+	}
+	delete(old, "NumPaths")
+	old["Paths"] = []any{}
+	opts, _ := effective(t, Spec{Quick: true, Seed: d.Seed})
+	lib := d.FPU.Lib
+	k := artifact.Fig4Key(d.Seed, opts.Fig4Paths, lib.ClockToQ, lib.Setup)
+	s := openStore(t, t.TempDir())
+	if err := s.Save(artifact.Key{Kind: "fig4", ID: k.ID}, old); err != nil {
+		t.Fatal(err)
+	}
+	sameStored(t, "older store", runStored(t, d, s, fig4, nil), computed)
+	wantStats(t, "older store", s.Stats(), 0, 1, 0, 2)
 }

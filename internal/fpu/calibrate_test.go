@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"teva/internal/cell"
+	"teva/internal/sta"
 )
 
 // rebuildCalibrated is the whole-op calibration New replaced, kept as the
@@ -77,6 +78,55 @@ func TestStagedCalibrationMatchesRebuild(t *testing.T) {
 				if g, w := math.Float64bits(gr[i].WorstDelay), math.Float64bits(wr[i].WorstDelay); g != w {
 					t.Errorf("seed %#x %s stage %s: WorstDelay %v, want %v", seed, op, s.Name, gr[i].WorstDelay, wr[i].WorstDelay)
 				}
+			}
+		}
+	}
+}
+
+// TestKeptStageDelaysMatchSTA checks the stage delays New keeps: each one
+// equals a fresh nominal STA of its stage bit for bit, the rebuilt padded
+// stages included. A Vary'd die keeps none, so its StageDelays and
+// WorstStageDelay come from STA over its own netlists.
+func TestKeptStageDelaysMatchSTA(t *testing.T) {
+	lib := cell.Default()
+	seeds := []uint64{0xF00D, 1, 7}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		f, err := New(lib, seed)
+		if err != nil {
+			t.Fatalf("seed %#x: %v", seed, err)
+		}
+		for _, op := range Ops() {
+			p := f.Pipeline(op)
+			if len(p.delays) != len(p.Stages) {
+				t.Fatalf("seed %#x %s: %d kept delays for %d stages", seed, op, len(p.delays), len(p.Stages))
+			}
+			for i, s := range p.Stages {
+				want := sta.Analyze(s.N.Compiled(), lib.ClockToQ, lib.Setup).WorstDelay
+				if got := p.StageDelays()[i]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("seed %#x %s stage %s: kept delay %v, STA %v", seed, op, s.Name, got, want)
+				}
+			}
+		}
+
+		die := f.Vary(0.05, 3)
+		for _, op := range Ops() {
+			p := die.Pipeline(op)
+			if p.delays != nil {
+				t.Fatalf("seed %#x %s: varied die inherited nominal delays", seed, op)
+			}
+			var worst float64
+			for i, s := range p.Stages {
+				want := sta.Analyze(s.N.Compiled(), lib.ClockToQ, lib.Setup).WorstDelay
+				if got := p.StageDelays()[i]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("seed %#x die %s stage %s: delay %v, STA %v", seed, op, s.Name, got, want)
+				}
+				worst = max(worst, want)
+			}
+			if got, _ := p.WorstStageDelay(); math.Float64bits(got) != math.Float64bits(worst) {
+				t.Errorf("seed %#x die %s: WorstStageDelay %v, STA %v", seed, op, got, worst)
 			}
 		}
 	}

@@ -63,7 +63,8 @@ type FPU struct {
 func (f *FPU) Scratch() *sync.Map { return &f.scratch }
 
 // New generates and calibrates the FPU. The same seed reproduces the
-// identical design, including interconnect annotation.
+// identical design, including interconnect annotation. Every pipeline
+// keeps the nominal stage delays calibration measured (StageDelays).
 func New(lib *cell.Library, seed uint64) (*FPU, error) {
 	f := &FPU{Lib: lib, CLK: DefaultCLK, Seed: seed}
 	var clk float64
@@ -86,6 +87,7 @@ func New(lib *cell.Library, seed uint64) (*FPU, error) {
 		for _, d := range delays {
 			clk = max(clk, d)
 		}
+		p.delays = delays
 		f.pipelines[op] = p
 	}
 	// The multiplier's CPA stage must set the clock (Eq. 1): clk is
@@ -198,7 +200,8 @@ func (f *FPU) ClockPeriod() float64 {
 // Vary returns a process-variation instance of the FPU: the same design
 // with per-gate lognormal delay factors (sigma, seed select the die).
 // The clock period is unchanged — variation eats into the signoff margin,
-// which is exactly how silicon experiences it.
+// which is exactly how silicon experiences it. The die keeps no stage
+// delays of the design's: its StageDelays run STA over its own netlists.
 func (f *FPU) Vary(sigma float64, seed uint64) *FPU {
 	die := &FPU{Lib: f.Lib, CLK: f.CLK, Seed: f.Seed}
 	for op, p := range f.pipelines {

@@ -35,6 +35,9 @@ type Pipeline struct {
 	// Stages in execution order.
 	Stages []*Stage
 	lib    libT
+	// delays are the stages' nominal STA worst delays, measured by New
+	// while it calibrated the design; nil on a Vary'd die.
+	delays []float64
 }
 
 // Latency returns the pipeline's total cycle count.
@@ -204,13 +207,27 @@ func (p *Pipeline) STACorner(corner cell.Corner) []*sta.Report {
 	return reports
 }
 
+// StageDelays returns every stage's nominal STA worst delay, in stage
+// order: the delays New measured, or one STA per stage on a pipeline
+// without them (a Vary'd die). Callers must not modify the slice.
+func (p *Pipeline) StageDelays() []float64 {
+	if p.delays != nil {
+		return p.delays
+	}
+	delays := make([]float64, len(p.Stages))
+	for i, r := range p.STA() {
+		delays[i] = r.WorstDelay
+	}
+	return delays
+}
+
 // WorstStageDelay returns the slowest stage's STA delay and its index.
 func (p *Pipeline) WorstStageDelay() (float64, int) {
 	var worst float64
 	idx := 0
-	for i, r := range p.STA() {
-		if r.WorstDelay > worst {
-			worst = r.WorstDelay
+	for i, d := range p.StageDelays() {
+		if d > worst {
+			worst = d
 			idx = i
 		}
 	}
