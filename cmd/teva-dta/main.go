@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,9 +36,17 @@ func main() {
 	timing := flag.String("timing", "wide", "timing engine: wide (64-lane, default), exact (event-driven, slow)")
 	flag.Parse()
 
+	// Every flag is checked before any work: a bad one exits 2.
 	level, err := vscale.ParseLevel(*levelName)
 	if err != nil {
-		fatal(err)
+		usage(err)
+	}
+	kind, err := errmodel.ParseKind(*modelName)
+	if err != nil {
+		usage(err)
+	}
+	if kind == errmodel.WA && !slices.Contains(workloads.Names(), *workloadName) {
+		usage(fmt.Errorf("-model wa needs -workload, one of %v (got %q)", workloads.Names(), *workloadName))
 	}
 	// The flags fill the same Spec teva-experiments and teva-serve
 	// validate and resolve; -operands then sizes both DTA samples.
@@ -45,27 +54,22 @@ func main() {
 		Scale: strings.ToLower(*scaleName), Seed: *seed, Timing: *timing,
 	}
 	if err := sp.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "teva-dta:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	opts, cfg, err := sp.Effective()
 	if err != nil {
 		fatal(err)
 	}
 	cfg.RandomOperands, cfg.WorkloadOperands = *operands, *operands
-	f, err := core.New(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	kind := errmodel.Kind(strings.ToUpper(*modelName))
 	var w *workloads.Workload
 	if kind == errmodel.WA {
-		if *workloadName == "" {
-			fatal(fmt.Errorf("-model wa requires -workload"))
-		}
 		if w, err = workloads.ByName(*workloadName, opts.Scale); err != nil {
 			fatal(err)
 		}
+	}
+	f, err := core.New(cfg)
+	if err != nil {
+		fatal(err)
 	}
 	env := experiments.NewEnvContext(context.Background(), f, opts)
 	start := time.Now()
@@ -85,6 +89,12 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "teva-dta: %s (developed in %s)\n",
 		model.Describe(), time.Since(start).Round(time.Millisecond))
+}
+
+// usage rejects a bad flag value before any work.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "teva-dta:", err)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -20,8 +20,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestNegativeGuardbandExits2 pins that the removed STA-screen options,
-// a negative -screen-guardband among them, and the removed fast engine
-// exit 2 before any work, naming the flag or engine on stderr.
+// a negative -screen-guardband among them, the removed fast engine, and
+// an unknown model, level or WA workload exit 2 before any work, naming
+// the flag or value on stderr.
 func TestNegativeGuardbandExits2(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
@@ -32,6 +33,9 @@ func TestNegativeGuardbandExits2(t *testing.T) {
 		{[]string{"-screen-guardband", "1"}, "-screen-guardband"},
 		{[]string{"-screen-validate"}, "-screen-validate"},
 		{[]string{"-timing", "fast"}, `unknown timing engine "fast"`},
+		{[]string{"-model", "xx"}, `unknown model "xx"`},
+		{[]string{"-level", "VR99"}, `unknown level "VR99"`},
+		{[]string{"-model", "wa", "-workload", "nope"}, `(got "nope")`},
 	} {
 		args := append([]string{"-model", "ia", "-level", "VR20", "-operands", "64"}, tc.args...)
 		cmd := exec.Command(os.Args[0], args...)

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,6 +58,35 @@ func main() {
 	maxDuration := flag.Duration("max-duration", 0, "wall-clock budget; when exceeded, the campaign is canceled and the run exits 124 (0: unlimited)")
 	flag.Parse()
 
+	// The flags fill the same Spec teva-experiments and teva-serve
+	// validate and resolve. Every flag is checked before any work: a bad
+	// one exits 2.
+	sp := experiments.Spec{Scale: strings.ToLower(*scaleName), Seed: *seed, Runs: *runs}
+	if *paper {
+		sp.Runs = stats.SampleSize(stats.Z95, 0.03)
+	} else if *runs < 1 {
+		usage(fmt.Errorf("-runs %d: need at least one injected run", *runs))
+	}
+	if err := sp.Validate(); err != nil {
+		usage(err)
+	}
+	if !slices.Contains(workloads.Names(), *workloadName) {
+		usage(fmt.Errorf("-workload %q: want one of %v", *workloadName, workloads.Names()))
+	}
+	var (
+		kind  errmodel.Kind
+		level vscale.VRLevel
+		err   error
+	)
+	if *modelFile == "" {
+		if kind, err = errmodel.ParseKind(*modelName); err != nil {
+			usage(err)
+		}
+		if level, err = vscale.ParseLevel(*levelName); err != nil {
+			usage(err)
+		}
+	}
+
 	reg := newMetrics()
 	stopProfiles := cli.StartProfiles("teva-inject", *pprofCPU, *pprofMem)
 
@@ -73,16 +103,6 @@ func main() {
 	// hard-exits without waiting.
 	cli.OnInterrupt("teva-inject", "canceling the campaign", cancel)
 
-	if *workloadName == "" {
-		fatal(fmt.Errorf("-workload is required (one of %v)", workloads.Names()))
-	}
-	// The flags fill the same Spec teva-experiments and teva-serve
-	// validate and resolve.
-	sp := experiments.Spec{Scale: strings.ToLower(*scaleName), Seed: *seed}
-	if err := sp.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "teva-inject:", err)
-		os.Exit(2)
-	}
 	opts, cfg, err := sp.Effective()
 	if err != nil {
 		fatal(err)
@@ -108,21 +128,14 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		level, err := vscale.ParseLevel(*levelName)
-		if err != nil {
-			fatal(err)
-		}
 		env := experiments.NewEnvContext(ctx, f, opts)
-		model, err = env.Model(errmodel.Kind(strings.ToUpper(*modelName)), level, w)
+		model, err = env.Model(kind, level, w)
 		if err != nil {
 			exitOnErr(err, reg, *metricsOut, *maxDuration)
 		}
 	}
 
-	n := *runs
-	if *paper {
-		n = stats.SampleSize(stats.Z95, 0.03)
-	}
+	n := opts.Runs
 	fmt.Printf("injecting: %s into %s (%s scale), %d runs\n",
 		model.Describe(), w.Name, opts.Scale, n)
 	start := time.Now()
@@ -183,6 +196,12 @@ func exitOnErr(err error, reg *obs.Registry, metricsOut string, maxDuration time
 	}
 	fmt.Fprintf(os.Stderr, "teva-inject: campaign stopped early (%s)\n", reason)
 	os.Exit(code)
+}
+
+// usage rejects a bad flag value before any work.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "teva-inject:", err)
+	os.Exit(2)
 }
 
 func fatal(err error) {

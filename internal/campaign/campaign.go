@@ -248,15 +248,6 @@ func (r *Result) AVM() float64 {
 	return float64(bad) / float64(r.RunsWithInjection)
 }
 
-// NonMaskedFraction is the share of all runs that were disturbed.
-func (r *Result) NonMaskedFraction() float64 {
-	if r.Runs == 0 {
-		return 0
-	}
-	bad := r.Outcomes[SDC] + r.Outcomes[Crash] + r.Outcomes[Timeout]
-	return float64(bad) / float64(r.Runs)
-}
-
 // Wilson returns the 95% confidence interval for an outcome's fraction.
 func (r *Result) Wilson(o Outcome) (lo, hi float64) {
 	p := stats.Proportion{Successes: r.Outcomes[o], Trials: r.Runs}

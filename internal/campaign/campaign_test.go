@@ -144,9 +144,6 @@ func TestResultAccessors(t *testing.T) {
 	if r.AVM() != 0.5 {
 		t.Fatalf("AVM %v", r.AVM())
 	}
-	if r.NonMaskedFraction() != 0.4 {
-		t.Fatal("non-masked")
-	}
 	if r.ErrorRatio() != 40.0/10/1000 {
 		t.Fatalf("ER %v", r.ErrorRatio())
 	}
@@ -181,8 +178,8 @@ func TestSingleInjectionMode(t *testing.T) {
 		t.Fatalf("single-injection accounting wrong: %+v", res)
 	}
 	// AVM equals the non-masked fraction when every run injects once.
-	if res.AVM() != res.NonMaskedFraction() {
-		t.Fatalf("AVM %v != non-masked %v", res.AVM(), res.NonMaskedFraction())
+	if nonMasked := 1 - res.Fraction(Masked); math.Abs(res.AVM()-nonMasked) > 1e-12 {
+		t.Fatalf("AVM %v != non-masked %v", res.AVM(), nonMasked)
 	}
 }
 

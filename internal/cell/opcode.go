@@ -117,46 +117,3 @@ func (op OpCode) EvalSlice(in []bool) bool {
 	}
 	return op.Eval(a, b, c)
 }
-
-// EvalWord computes the function bitwise over 64 independent lanes: bit L
-// of each word is input/output lane L (LSB = lane 0). This is the kernel
-// of the 64-wide bit-parallel golden engine.
-func (op OpCode) EvalWord(a, b, c uint64) uint64 {
-	switch op {
-	case OpBuf:
-		return a
-	case OpInv:
-		return ^a
-	case OpAnd2:
-		return a & b
-	case OpOr2:
-		return a | b
-	case OpNand2:
-		return ^(a & b)
-	case OpNor2:
-		return ^(a | b)
-	case OpXor2:
-		return a ^ b
-	case OpXnor2:
-		return ^(a ^ b)
-	case OpMux2:
-		return (a &^ c) | (b & c)
-	case OpAoi21:
-		return ^((a & b) | c)
-	case OpOai21:
-		return ^((a | b) & c)
-	case OpAnd3:
-		return a & b & c
-	case OpOr3:
-		return a | b | c
-	case OpNand3:
-		return ^(a & b & c)
-	case OpNor3:
-		return ^(a | b | c)
-	case OpXor3:
-		return a ^ b ^ c
-	case OpMaj3:
-		return (a & b) | (c & (a ^ b))
-	}
-	panic(fmt.Sprintf("cell: EvalWord on %v", op))
-}

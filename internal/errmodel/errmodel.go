@@ -18,6 +18,7 @@ package errmodel
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"teva/internal/cpu"
 	"teva/internal/dta"
@@ -34,6 +35,16 @@ const (
 	IA Kind = "IA"
 	WA Kind = "WA"
 )
+
+// ParseKind maps a model family name to its Kind, ignoring case ("wa" is
+// WA).
+func ParseKind(name string) (Kind, error) {
+	switch k := Kind(strings.ToUpper(name)); k {
+	case DA, IA, WA:
+		return k, nil
+	}
+	return "", fmt.Errorf("errmodel: unknown model %q (da, ia, wa)", name)
+}
 
 // Model is a timing-error injection model bound to one voltage level.
 type Model interface {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"teva/internal/artifact"
@@ -345,13 +346,7 @@ func Validate(e *Env, level vscale.VRLevel) ([]ValidationRow, float64, error) {
 			}
 			obs := sum.ErrorRatio()
 			rows = append(rows, ValidationRow{Workload: w.Name, Op: op, Predicted: pred, Observed: obs})
-			if pred > 0 {
-				d := (obs - pred) / pred
-				if d < 0 {
-					d = -d
-				}
-				errs = append(errs, d)
-			}
+			errs = append(errs, math.Abs(obs-pred)/pred)
 		}
 	}
 	var mean float64

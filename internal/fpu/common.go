@@ -90,21 +90,6 @@ func shiftLeftFixed(bus netlist.Bus, s, w int) netlist.Bus {
 	return out
 }
 
-// roundFields is the schema every datapath feeds into the shared
-// round/pack stage: a normalized significand with GRS, a signed exponent,
-// and the resolved special-case flags.
-func roundFields(w widths) []fieldSpec {
-	return []fieldSpec{
-		{"n", w.SW},    // mantissa with leading 1 at SW-1 and GRS in bits 2..0
-		{"exp", w.EW},  // signed biased exponent of the leading-one position
-		{"sign", 1},    // result sign for the numeric path
-		{"zero", 1},    // result is (signed) zero
-		{"inf", 1},     // result is infinity (propagated operand infinity)
-		{"infsign", 1}, // sign of that infinity
-		{"nan", 1},     // result is NaN
-	}
-}
-
 // buildRoundStage emits the shared final stage: round-to-nearest-even on
 // the GRS bits, exponent overflow/underflow resolution (overflow to
 // infinity, underflow flushed to zero), and the special-case result muxes

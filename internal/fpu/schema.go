@@ -41,15 +41,6 @@ func (s *schema) add(name string, width int) {
 	s.total += width
 }
 
-func (s *schema) width(name string) int {
-	for _, f := range s.fields {
-		if f.name == name {
-			return f.width
-		}
-	}
-	panic(fmt.Sprintf("fpu: unknown field %q", name))
-}
-
 // equal reports whether two schemas have identical field sequences.
 func (s *schema) equal(o *schema) bool {
 	if len(s.fields) != len(o.fields) {

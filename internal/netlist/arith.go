@@ -27,16 +27,6 @@ func (b *Builder) RippleSub(x, y Bus) (Bus, NetID) {
 	return b.RippleAdder(x, b.FNotBus(y), Const1)
 }
 
-// AddSub computes x + y when sub is low and x - y when sub is high. The
-// second output is carry-out (add) / no-borrow (sub).
-func (b *Builder) AddSub(x, y Bus, sub NetID) (Bus, NetID) {
-	ymod := make(Bus, len(y))
-	for i := range y {
-		ymod[i] = b.FXor(y[i], sub)
-	}
-	return b.RippleAdder(x, ymod, sub)
-}
-
 // Increment returns x + cin using a half-adder chain.
 func (b *Builder) Increment(x Bus, cin NetID) (Bus, NetID) {
 	sum := make(Bus, len(x))
@@ -124,20 +114,6 @@ func (b *Builder) CompressAddends(addends []Bus, target int) []Bus {
 		addends = next
 	}
 	return addends
-}
-
-// ArrayMultiplier returns the full 2w-bit product of two w-bit unsigned
-// buses: partial products, a carry-save reduction tree, and a final ripple
-// carry-propagate adder whose long data-dependent carry chains make it the
-// natural critical path of a datapath — the paper's fp-mul critical stage.
-func (b *Builder) ArrayMultiplier(x, y Bus) Bus {
-	addends := b.CompressAddends(b.PartialProducts(x, y), 2)
-	if len(addends) == 1 {
-		return addends[0]
-	}
-	// The 2w-bit product cannot carry out of the final adder, so its
-	// carry-out net is structurally dead.
-	return b.Sum(b.RippleAdder(addends[0], addends[1], Const0))
 }
 
 // HybridAdder returns sum and carry-out of x + y + cin using ripple blocks
@@ -340,25 +316,6 @@ func (b *Builder) LessUnsigned(x, y Bus) NetID {
 	diff, noBorrow := b.RippleSub(x, y)
 	b.DiscardBus(diff)
 	return b.FNot(noBorrow)
-}
-
-// Decoder returns the one-hot decode of sel (width 2^len(sel)).
-func (b *Builder) Decoder(sel Bus) Bus {
-	out := Bus{Const1}
-	for _, s := range sel {
-		ns := b.FNot(s)
-		next := make(Bus, 0, len(out)*2)
-		low := make(Bus, len(out))
-		high := make(Bus, len(out))
-		for i, o := range out {
-			low[i] = b.FAnd(o, ns)
-			high[i] = b.FAnd(o, s)
-		}
-		next = append(next, low...)
-		next = append(next, high...)
-		out = next
-	}
-	return out
 }
 
 // PrefixAdder returns sum and carry-out of x + y + cin using a

@@ -249,25 +249,6 @@ func (b *Builder) XorBus(x, y Bus) Bus {
 	return out
 }
 
-// MuxBus selects d1 when sel is high, d0 otherwise, bitwise.
-func (b *Builder) MuxBus(sel NetID, d0, d1 Bus) Bus {
-	b.checkWidths("MuxBus", d0, d1)
-	out := make(Bus, len(d0))
-	for i := range d0 {
-		out[i] = b.Mux(sel, d0[i], d1[i])
-	}
-	return out
-}
-
-// AndWith masks every bit of x with the single net m.
-func (b *Builder) AndWith(x Bus, m NetID) Bus {
-	out := make(Bus, len(x))
-	for i := range x {
-		out[i] = b.And(x[i], m)
-	}
-	return out
-}
-
 // Constant returns a bus holding the given unsigned constant.
 func (b *Builder) Constant(value uint64, width int) Bus {
 	out := make(Bus, width)
@@ -341,15 +322,6 @@ func (b *Builder) BufChain(a NetID, n int) NetID {
 		a = b.Buf(a)
 	}
 	return a
-}
-
-// BufBus buffers every bit of a bus through n buffers.
-func (b *Builder) BufBus(x Bus, n int) Bus {
-	out := make(Bus, len(x))
-	for i := range x {
-		out[i] = b.BufChain(x[i], n)
-	}
-	return out
 }
 
 // Build validates and finalizes the netlist. The builder must not be used

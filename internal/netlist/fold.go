@@ -181,16 +181,6 @@ func (b *Builder) FAndWith(x Bus, m NetID) Bus {
 	return out
 }
 
-// FXorBus applies FXor bitwise.
-func (b *Builder) FXorBus(x, y Bus) Bus {
-	b.checkWidths("FXorBus", x, y)
-	out := make(Bus, len(x))
-	for i := range x {
-		out[i] = b.FXor(x[i], y[i])
-	}
-	return out
-}
-
 // FNotBus complements every bit with folding.
 func (b *Builder) FNotBus(x Bus) Bus {
 	out := make(Bus, len(x))

@@ -39,6 +39,14 @@ func (h *harness) run() { h.sim.Run(h.in) }
 
 func (h *harness) bus(b netlist.Bus) uint64 { return h.sim.ReadBus(b) }
 
+// arrayMultiplier returns the full 2w-bit product of two w-bit unsigned
+// buses: partial products, a carry-save reduction tree and a final ripple
+// carry-propagate adder (the 2w-bit product cannot carry out of it).
+func arrayMultiplier(b *netlist.Builder, x, y netlist.Bus) netlist.Bus {
+	addends := b.CompressAddends(b.PartialProducts(x, y), 2)
+	return b.Sum(b.RippleAdder(addends[0], addends[1], netlist.Const0))
+}
+
 func TestBuilderConstants(t *testing.T) {
 	b := netlist.NewBuilder("const", lib, 1)
 	c := b.Constant(0b1011, 6)
@@ -151,43 +159,6 @@ func TestRippleAdder(t *testing.T) {
 	}
 }
 
-func TestAddSub(t *testing.T) {
-	const w = 12
-	b := netlist.NewBuilder("addsub", lib, 3)
-	x := b.Input(w)
-	y := b.Input(w)
-	sub := b.InputNet()
-	res, flag := b.AddSub(x, y, sub)
-	b.Output(append(append(netlist.Bus{}, res...), flag))
-	h := newHarness(t, b)
-	src := prng.New(5)
-	mask := uint64(1<<w - 1)
-	for i := 0; i < 2000; i++ {
-		a := src.Uint64() & mask
-		c := src.Uint64() & mask
-		doSub := src.Bool()
-		h.setBus(0, w, a)
-		h.setBus(w, w, c)
-		h.in[2*w] = doSub
-		h.run()
-		var want uint64
-		if doSub {
-			want = (a - c) & mask
-			if noBorrow := a >= c; h.sim.Value(flag) != noBorrow {
-				t.Fatalf("sub flag wrong for %d-%d", a, c)
-			}
-		} else {
-			want = (a + c) & mask
-			if carry := (a+c)>>w == 1; h.sim.Value(flag) != carry {
-				t.Fatalf("add carry wrong for %d+%d", a, c)
-			}
-		}
-		if got := h.bus(res); got != want {
-			t.Fatalf("addsub(%d,%d,%v) = %d want %d", a, c, doSub, got, want)
-		}
-	}
-}
-
 func TestIncrementAndNegate(t *testing.T) {
 	const w = 10
 	b := netlist.NewBuilder("inc", lib, 4)
@@ -209,32 +180,6 @@ func TestIncrementAndNegate(t *testing.T) {
 			}
 			if got := h.bus(neg); got != (-a)&mask {
 				t.Fatalf("neg(%d) = %d", a, got)
-			}
-		}
-	}
-}
-
-func TestArrayMultiplier(t *testing.T) {
-	for _, w := range []int{4, 8, 13} {
-		b := netlist.NewBuilder("mul", lib, 6)
-		x := b.Input(w)
-		y := b.Input(w)
-		p := b.ArrayMultiplier(x, y)
-		if len(p) != 2*w {
-			t.Fatalf("product width %d, want %d", len(p), 2*w)
-		}
-		b.Output(p)
-		h := newHarness(t, b)
-		src := prng.New(uint64(w))
-		mask := uint64(1<<w - 1)
-		for i := 0; i < 1500; i++ {
-			a := src.Uint64() & mask
-			c := src.Uint64() & mask
-			h.setBus(0, w, a)
-			h.setBus(w, w, c)
-			h.run()
-			if got := h.bus(p); got != a*c {
-				t.Fatalf("w=%d: %d*%d = %d want %d", w, a, c, got, a*c)
 			}
 		}
 	}
@@ -379,24 +324,6 @@ func TestComparators(t *testing.T) {
 	}
 }
 
-func TestDecoder(t *testing.T) {
-	b := netlist.NewBuilder("dec", lib, 13)
-	sel := b.Input(3)
-	out := b.Decoder(sel)
-	if len(out) != 8 {
-		t.Fatalf("decoder width %d", len(out))
-	}
-	b.Output(out)
-	h := newHarness(t, b)
-	for v := uint64(0); v < 8; v++ {
-		h.setBus(0, 3, v)
-		h.run()
-		if got := h.bus(out); got != 1<<v {
-			t.Fatalf("decode(%d) = %b", v, got)
-		}
-	}
-}
-
 func TestReduceOps(t *testing.T) {
 	const w = 7
 	b := netlist.NewBuilder("reduce", lib, 14)
@@ -425,7 +352,7 @@ func TestTopologicalOrder(t *testing.T) {
 	b := netlist.NewBuilder("topo", lib, 15)
 	x := b.Input(8)
 	y := b.Input(8)
-	p := b.ArrayMultiplier(x, y)
+	p := arrayMultiplier(b, x, y)
 	b.Output(p)
 	h := newHarness(t, b)
 	n := h.n
@@ -671,7 +598,7 @@ func TestQuickMultiplierMatchesNative(t *testing.T) {
 	b := netlist.NewBuilder("qm", lib, 34)
 	x := b.Input(w)
 	y := b.Input(w)
-	p := b.ArrayMultiplier(x, y)
+	p := arrayMultiplier(b, x, y)
 	b.Output(p)
 	h := newHarness(t, b)
 	if err := quick.Check(func(a, c uint16) bool {

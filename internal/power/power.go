@@ -21,7 +21,6 @@ import (
 	"teva/internal/prng"
 	"teva/internal/timingsim"
 	"teva/internal/trace"
-	"teva/internal/vscale"
 )
 
 // Profile holds the characterized per-operation dynamic energies at the
@@ -139,10 +138,4 @@ func (p *Profile) WorkloadBreakdown(tr *trace.Trace) Breakdown {
 		b.FPUShare = b.FPUEnergyFJ / b.TotalFJ
 	}
 	return b
-}
-
-// AtVoltage scales a nominal-corner energy to a reduced supply using the
-// quadratic dynamic-energy law.
-func AtVoltage(energyFJ float64, m vscale.Model, supply float64) float64 {
-	return energyFJ * m.DynamicPowerRatio(supply)
 }

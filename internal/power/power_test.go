@@ -11,7 +11,6 @@ import (
 	"teva/internal/prng"
 	"teva/internal/timingsim"
 	"teva/internal/trace"
-	"teva/internal/vscale"
 	"teva/internal/workloads"
 )
 
@@ -92,18 +91,6 @@ func TestWorkloadBreakdownFPShare(t *testing.T) {
 	}
 	if b.FPUShare >= 1 {
 		t.Fatalf("FPU share %v must be a fraction", b.FPUShare)
-	}
-}
-
-func TestAtVoltageQuadratic(t *testing.T) {
-	m := vscale.Default45nm()
-	e := AtVoltage(100, m, m.VddNominal)
-	if e != 100 {
-		t.Fatalf("nominal scaling %v", e)
-	}
-	e = AtVoltage(100, m, 0.88)
-	if e <= 50 || e >= 100 {
-		t.Fatalf("VR20 energy %v out of band", e)
 	}
 }
 

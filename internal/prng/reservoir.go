@@ -39,6 +39,3 @@ func (r *Reservoir[T]) Offer(v T) {
 // Items returns the current sample. The returned slice is owned by the
 // reservoir; callers must not mutate it while offering more elements.
 func (r *Reservoir[T]) Items() []T { return r.items }
-
-// Seen reports how many elements have been offered in total.
-func (r *Reservoir[T]) Seen() int64 { return r.seen }

@@ -120,18 +120,17 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Submit accepts a validated spec, returning the job handling it and
+// SubmitAs accepts a validated spec, returning the job handling it and
 // whether the submission joined an existing one. Identical in-flight or
 // completed specs dedupe onto the live job; a failed or canceled job is
 // retried with a fresh attempt under the same content-addressed ID.
-func (s *Server) Submit(sp Spec) (*Job, bool, error) { return s.SubmitAs(sp, "") }
-
-// SubmitAs is Submit attributed to a client, which is the unit of the
-// run-slot fairness scheduler: when jobs queue behind MaxConcurrent,
-// free slots rotate round-robin across clients instead of draining one
-// client's backlog first. The client string is advisory (any stable
-// identifier works; the HTTP layer uses a header or the peer address)
-// and never affects job identity or results — only queueing order.
+//
+// The client is the unit of the run-slot fairness scheduler: when jobs
+// queue behind MaxConcurrent, free slots rotate round-robin across
+// clients instead of draining one client's backlog first. The client
+// string is advisory (any stable identifier works; the HTTP layer uses a
+// header or the peer address) and never affects job identity or results
+// — only queueing order.
 func (s *Server) SubmitAs(sp Spec, client string) (*Job, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -129,7 +129,7 @@ func collect(j *Job) served {
 func alone(t *testing.T, body string) served {
 	t.Helper()
 	s := New(Config{})
-	j, _, err := s.Submit(decode(t, body))
+	j, _, err := s.SubmitAs(decode(t, body), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestConcurrentSharedJobsMatchSequential(t *testing.T) {
 	seq := New(Config{})
 	seqBuilds := hookBuilds(seq, nil)
 	for i, b := range bodies {
-		j, _, err := seq.Submit(decode(t, b))
+		j, _, err := seq.SubmitAs(decode(t, b), "")
 		if err != nil {
 			t.Fatal(err)
 		}

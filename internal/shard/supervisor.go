@@ -143,10 +143,6 @@ func NewSupervisor(units []Unit, plan json.RawMessage, cfg SupervisorConfig) (*S
 // Addr returns the coordinator's dial address.
 func (s *Supervisor) Addr() string { return s.coord.Addr() }
 
-// Tracker exposes the lease state machine (tests and the degradation
-// path inspect it).
-func (s *Supervisor) Tracker() *Tracker { return s.tracker }
-
 func (s *Supervisor) diagf(format string, args ...any) {
 	s.diagMu.Lock()
 	defer s.diagMu.Unlock()

@@ -50,7 +50,6 @@ func (f Format) Width() uint { return 1 + f.ExpBits + f.FracBits }
 func (f Format) bias() int        { return 1<<(f.ExpBits-1) - 1 }
 func (f Format) expMax() int      { return 1<<f.ExpBits - 1 }
 func (f Format) fracMask() uint64 { return 1<<f.FracBits - 1 }
-func (f Format) signMask() uint64 { return 1 << (f.ExpBits + f.FracBits) }
 
 // QNaN returns the canonical quiet NaN encoding.
 func (f Format) QNaN() uint64 {
@@ -393,16 +392,6 @@ func (f Format) ToInt32(a uint64) (int32, Flags) {
 		return int32(-int64(mag)), flags
 	}
 	return int32(mag), flags
-}
-
-// FlushInput returns the operand with denormals flushed to zero, the form
-// in which the FPU datapath observes it.
-func (f Format) FlushInput(a uint64) uint64 {
-	u := f.unpack(a)
-	if u.exp == 0 && u.frac != 0 {
-		return f.Zero(u.sign)
-	}
-	return a
 }
 
 // IsNaNBits reports whether the encoding is any NaN.

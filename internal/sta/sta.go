@@ -3,15 +3,12 @@
 // launching registers, and a backward pass propagates required times from
 // the capturing registers, so every net carries a real slack
 // (Slack = Required − Arrival), not just the endpoints. On top of the two
-// passes sit clock-period determination (Eq. 1 of the paper), slack
-// histograms, and enumeration of the K longest register-to-register paths
-// (the analysis behind the paper's Figure 4). Analysis runs on the
-// compiled flat IR (netlist.Compiled), the same substrate the simulation
-// engines use, and schedules by the IR's precomputed topological levels:
-// gates within a level are independent, so both passes fan wide levels
-// out over a bounded worker pool. Each gate's value is computed by
-// exactly one worker with a fixed pin-iteration order, so the report is
-// bitwise identical for any worker count.
+// passes sit clock-period determination (Eq. 1 of the paper) and
+// enumeration of the K longest register-to-register paths (the analysis
+// behind the paper's Figure 4). Analysis runs on the compiled flat IR
+// (netlist.Compiled), the same substrate the simulation engines use, and
+// walks the IR's precomputed topological levels serially in schedule
+// order: ascending for arrivals, descending for required times.
 //
 // Path delay follows the paper's convention: D(P) includes the launching
 // register's clock-to-output delay and the capturing register's setup time.
@@ -27,13 +24,10 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"teva/internal/cell"
-	"teva/internal/guard"
 	"teva/internal/netlist"
 )
 
@@ -82,61 +76,10 @@ func pinDelayMax(c *netlist.Compiled, pi int) float64 {
 	}
 }
 
-// parallelGrain is the minimum level width worth fanning out: below it,
-// goroutine handoff costs more than the per-gate arithmetic saves.
-const parallelGrain = 512
-
-// forEachLevelGate applies fn to every gate of the half-open schedule
-// range [lo, hi), splitting wide ranges across up to workers goroutines.
-// Every gate is visited by exactly one worker, so fn may write per-gate
-// (or per-output-net) state freely; results are independent of the split
-// because each gate's own computation is sequential. Worker panics are
-// funneled through the guard barrier and re-raised after the join, so a
-// poisoned analysis surfaces exactly like a serial panic would.
-func forEachLevelGate(c *netlist.Compiled, lo, hi int32, workers int, fn func(gi int32)) {
-	n := hi - lo
-	if workers <= 1 || n < parallelGrain {
-		for i := lo; i < hi; i++ {
-			fn(c.Levels[i])
-		}
-		return
-	}
-	chunks := int32(workers)
-	if chunks > n {
-		chunks = n
-	}
-	var wg sync.WaitGroup
-	var sink guard.Sink
-	for w := int32(0); w < chunks; w++ {
-		first := lo + n*w/chunks
-		last := lo + n*(w+1)/chunks
-		guard.Go(&wg, &sink, fmt.Sprintf("sta level worker %d", w), func() error {
-			for i := first; i < last; i++ {
-				fn(c.Levels[i])
-			}
-			return nil
-		})
-	}
-	wg.Wait()
-	if err := sink.Join(); err != nil {
-		panic(err)
-	}
-}
-
 // Analyze runs STA on the compiled netlist with the given register timing
-// parameters (typically Library.ClockToQ and Library.Setup), using all
-// available cores for wide levels. The report is bitwise identical for
-// any worker count.
+// parameters (typically Library.ClockToQ and Library.Setup).
 func Analyze(c *netlist.Compiled, clkToQ, setup float64) *Report {
-	return analyze(c, clkToQ, setup, 1, "nominal", runtime.GOMAXPROCS(0))
-}
-
-// AnalyzeWorkers is Analyze with an explicit worker bound (<= 1: serial).
-func AnalyzeWorkers(c *netlist.Compiled, clkToQ, setup float64, workers int) *Report {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return analyze(c, clkToQ, setup, 1, "nominal", workers)
+	return analyze(c, clkToQ, setup, 1, "nominal")
 }
 
 // AnalyzeCorner runs STA with the compiled library re-derated at the
@@ -145,7 +88,7 @@ func AnalyzeWorkers(c *netlist.Compiled, clkToQ, setup float64, workers int) *Re
 // cell.Corner.Derate). The netlist is not rebuilt — derating happens
 // during the passes.
 func AnalyzeCorner(c *netlist.Compiled, clkToQ, setup float64, corner cell.Corner) *Report {
-	return analyze(c, clkToQ, setup, corner.Derate(), corner.Label(), runtime.GOMAXPROCS(0))
+	return analyze(c, clkToQ, setup, corner.Derate(), corner.Label())
 }
 
 // passState carries the two-pass engine's per-analysis state. The
@@ -226,13 +169,13 @@ func (ps *passState) backward(gi int32) {
 // analyze is the two-pass engine core. derate multiplies every cell delay
 // (1 for the nominal corner; note x*1 is exact in IEEE arithmetic, so the
 // nominal path is bit-identical to an underate-free walk).
-func analyze(c *netlist.Compiled, clkToQ, setup, derate float64, cornerName string, workers int) *Report {
+func analyze(c *netlist.Compiled, clkToQ, setup, derate float64, cornerName string) *Report {
 	clkToQ *= derate
 	setup *= derate
 
 	// Forward pass: worst arrival per net, levels ascending. A gate reads
 	// only nets driven at lower levels (or inputs/constants) and writes
-	// only its own output net, so gates within a level are race-free.
+	// only its own output net.
 	arrival := make([]float64, c.NumNets)
 	for i := range arrival {
 		arrival[i] = math.Inf(-1)
@@ -244,7 +187,9 @@ func analyze(c *netlist.Compiled, clkToQ, setup, derate float64, cornerName stri
 	}
 	ps := &passState{c: c, stride: c.Stride, derate: derate, arrival: arrival}
 	for l := 0; l < c.NumLevels; l++ {
-		forEachLevelGate(c, c.LevelOff[l], c.LevelOff[l+1], workers, ps.forward)
+		for _, gi := range c.Levels[c.LevelOff[l]:c.LevelOff[l+1]] {
+			ps.forward(gi)
+		}
 	}
 
 	// Backward pass: longest remaining delay from each net to any
@@ -263,7 +208,9 @@ func analyze(c *netlist.Compiled, clkToQ, setup, derate float64, cornerName stri
 	ps.isOutput = isOutput
 	ps.toEnd = toEnd
 	for l := c.NumLevels - 1; l >= 0; l-- {
-		forEachLevelGate(c, c.LevelOff[l], c.LevelOff[l+1], workers, ps.backward)
+		for _, gi := range c.Levels[c.LevelOff[l]:c.LevelOff[l+1]] {
+			ps.backward(gi)
+		}
 	}
 	// Primary inputs are driven by no gate; their continuations are all
 	// gate outputs, final after the level sweep. Constants stay -Inf:
@@ -333,15 +280,6 @@ func (r *Report) NetSlack(net netlist.NetID, clk float64) float64 {
 	return clk - r.PathDelay(net)
 }
 
-// NetSlacks returns the per-net slack vector at a clock period.
-func (r *Report) NetSlacks(clk float64) []float64 {
-	slacks := make([]float64, len(r.arrival))
-	for net := range slacks {
-		slacks[net] = r.NetSlack(netlist.NetID(net), clk)
-	}
-	return slacks
-}
-
 // WNS returns the worst negative slack at a clock period: clk −
 // WorstDelay, negative when the circuit fails timing. (The name follows
 // signoff convention; the value is positive when every path meets clk.)
@@ -356,15 +294,6 @@ func (r *Report) FailingEndpoints(clk float64) int {
 		}
 	}
 	return n
-}
-
-// SlackHistogram returns per-endpoint slacks for a clock period.
-func (r *Report) SlackHistogram(clk float64) []float64 {
-	slacks := make([]float64, len(r.EndpointDelay))
-	for i, d := range r.EndpointDelay {
-		slacks[i] = clk - d
-	}
-	return slacks
 }
 
 // ClockPeriod implements Eq. 1 over a set of stage reports: the max worst

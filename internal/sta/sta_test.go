@@ -185,28 +185,6 @@ func TestSTACriticalPathIsAchievable(t *testing.T) {
 	}
 }
 
-func TestSlackHistogram(t *testing.T) {
-	n := adder(t, 8)
-	r := sta.Analyze(n.Compiled(), clkToQ, setup)
-	clk := r.WorstDelay * 1.1
-	slacks := r.SlackHistogram(clk)
-	if len(slacks) != len(n.Outputs()) {
-		t.Fatalf("slack count %d", len(slacks))
-	}
-	minSlack := math.Inf(1)
-	for _, s := range slacks {
-		if s < 0 {
-			t.Fatalf("negative slack %v at 10%% margin clock", s)
-		}
-		if s < minSlack {
-			minSlack = s
-		}
-	}
-	if math.Abs(minSlack-(clk-r.WorstDelay)) > 1e-9 {
-		t.Fatalf("min slack %v want %v", minSlack, clk-r.WorstDelay)
-	}
-}
-
 func TestClockPeriod(t *testing.T) {
 	n1 := adder(t, 8)
 	n2 := adder(t, 16)

@@ -27,19 +27,6 @@ func SampleSize(z, margin float64) int {
 	return int(math.Ceil((z / (2 * margin)) * (z / (2 * margin))))
 }
 
-// FiniteSampleSize applies the finite-population correction for a campaign
-// over a population of size n (e.g. total dynamic instructions):
-//
-//	n' = n / (1 + (n-1)/N)
-func FiniteSampleSize(z, margin float64, population int64) int {
-	n := float64(SampleSize(z, margin))
-	if population <= 0 {
-		return int(n)
-	}
-	corrected := n / (1 + (n-1)/float64(population))
-	return int(math.Ceil(corrected))
-}
-
 // Proportion is an observed ratio k/n with helpers for confidence bounds.
 type Proportion struct {
 	Successes int
@@ -52,16 +39,6 @@ func (p Proportion) Value() float64 {
 		return 0
 	}
 	return float64(p.Successes) / float64(p.Trials)
-}
-
-// Margin returns the half-width of the normal-approximation confidence
-// interval at the given z.
-func (p Proportion) Margin(z float64) float64 {
-	if p.Trials == 0 {
-		return 0
-	}
-	v := p.Value()
-	return z * math.Sqrt(v*(1-v)/float64(p.Trials))
 }
 
 // Wilson returns the Wilson score interval at the given z, which behaves
@@ -135,20 +112,6 @@ func Median(xs []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
 // FoldRatio expresses how far apart two ratios are as a symmetric ">= 1"
 // factor: max(a/b, b/a). The paper reports DA-vs-WA divergence this way
 // ("differs (higher or lower) by ~250x"). Zero values are clamped to floor
@@ -194,50 +157,4 @@ func MeanAbsError(ref, est []float64) float64 {
 		sum += AbsError(ref[i], est[i])
 	}
 	return sum / float64(len(ref))
-}
-
-// Histogram counts values into fixed-width bins spanning [lo, hi). Values
-// outside the range are clamped into the edge bins so totals are preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram returns a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns bin i's share of all observations.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }

@@ -17,14 +17,6 @@ import (
 	"strings"
 )
 
-// Corner describes one operating point of the cell library.
-type Corner struct {
-	// Name labels the corner ("nominal", "VR15", ...).
-	Name string
-	// Supply is the supply voltage in volts.
-	Supply float64
-}
-
 // Model captures the technology constants of the target library. The
 // defaults mirror a 45nm-class process at the typical corner the paper
 // uses (NanGate 45nm, 1.1V, 25C).
@@ -122,31 +114,7 @@ func ParseLevel(name string) (VRLevel, error) {
 	return VRLevel{}, fmt.Errorf("vscale: unknown level %q (VR15, VR20)", name)
 }
 
-// Corner materializes a VR level against a model.
-func (m Model) Corner(level VRLevel) Corner {
-	return Corner{Name: level.Name, Supply: m.SupplyAtReduction(level.Reduction)}
-}
-
 // ScaleFor is shorthand for the delay inflation of a VR level.
 func (m Model) ScaleFor(level VRLevel) float64 {
 	return m.DelayScale(m.SupplyAtReduction(level.Reduction))
-}
-
-// SafeVmin scans supply voltages downward from nominal in the given step
-// and returns the lowest supply for which ok(v) reports true for all
-// voltages visited down to and including it. It returns the nominal supply
-// if even the first step fails. This implements the Section V-C use case:
-// lowering voltage while the application's AVM stays at the target.
-func (m Model) SafeVmin(step float64, floor float64, ok func(v float64) bool) float64 {
-	if step <= 0 {
-		panic("vscale: non-positive step")
-	}
-	best := m.VddNominal
-	for v := m.VddNominal - step; v > floor && v > m.Vth; v -= step {
-		if !ok(v) {
-			break
-		}
-		best = v
-	}
-	return best
 }

@@ -96,33 +96,9 @@ func TestPowerModel(t *testing.T) {
 }
 
 func TestCorners(t *testing.T) {
-	m := Default45nm()
-	c := m.Corner(VR20)
-	if c.Name != "VR20" || math.Abs(c.Supply-0.88) > 1e-12 {
-		t.Fatalf("corner %+v", c)
-	}
 	levels := PaperLevels()
 	if len(levels) != 2 || levels[0] != VR15 || levels[1] != VR20 {
 		t.Fatalf("paper levels %v", levels)
-	}
-}
-
-func TestSafeVmin(t *testing.T) {
-	m := Default45nm()
-	// Application tolerates anything down to 0.95V.
-	vmin := m.SafeVmin(0.01, 0.5, func(v float64) bool { return v >= 0.95 })
-	if math.Abs(vmin-0.95) > 0.011 {
-		t.Fatalf("SafeVmin = %v, want ~0.95", vmin)
-	}
-	// First step already failing keeps nominal.
-	vmin = m.SafeVmin(0.01, 0.5, func(v float64) bool { return false })
-	if vmin != m.VddNominal {
-		t.Fatalf("SafeVmin with no tolerance = %v", vmin)
-	}
-	// Unlimited tolerance stops at the floor/Vth guard.
-	vmin = m.SafeVmin(0.05, 0.6, func(v float64) bool { return true })
-	if vmin <= 0.6 || vmin >= m.VddNominal {
-		t.Fatalf("SafeVmin unlimited = %v", vmin)
 	}
 }
 
