@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -45,9 +44,6 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	if kind == errmodel.WA && !slices.Contains(workloads.Names(), *workloadName) {
-		usage(fmt.Errorf("-model wa needs -workload, one of %v (got %q)", workloads.Names(), *workloadName))
-	}
 	// The flags fill the same Spec teva-experiments and teva-serve
 	// validate and resolve; -operands then sizes both DTA samples.
 	sp := experiments.Spec{
@@ -64,7 +60,7 @@ func main() {
 	var w *workloads.Workload
 	if kind == errmodel.WA {
 		if w, err = workloads.ByName(*workloadName, opts.Scale); err != nil {
-			fatal(err)
+			usage(fmt.Errorf("-model wa needs -workload: %w", err))
 		}
 	}
 	f, err := core.New(cfg)

@@ -35,7 +35,8 @@ func TestNegativeGuardbandExits2(t *testing.T) {
 		{[]string{"-timing", "fast"}, `unknown timing engine "fast"`},
 		{[]string{"-model", "xx"}, `unknown model "xx"`},
 		{[]string{"-level", "VR99"}, `unknown level "VR99"`},
-		{[]string{"-model", "wa", "-workload", "nope"}, `(got "nope")`},
+		{[]string{"-model", "wa", "-workload", "nope"}, `unknown benchmark "nope"`},
+		{[]string{"-model", "wa"}, `unknown benchmark ""`},
 	} {
 		args := append([]string{"-model", "ia", "-level", "VR20", "-operands", "64"}, tc.args...)
 		cmd := exec.Command(os.Args[0], args...)
@@ -54,5 +55,23 @@ func TestNegativeGuardbandExits2(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.wantErr) {
 			t.Errorf("%v: stderr %q does not name %q", tc.args, stderr.String(), tc.wantErr)
 		}
+	}
+}
+
+// TestWAOnBT pins that -model wa accepts bt, the benchmark outside
+// Table II, and writes its model.
+func TestWAOnBT(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-model", "wa", "-workload", "bt", "-scale", "tiny", "-operands", "64")
+	cmd.Env = append(os.Environ(), "TEVA_DTA_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%v\nstderr: %s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "WA-model @VR20/bt") {
+		t.Errorf("stderr %q does not describe the bt WA model", stderr.String())
+	}
+	if stdout.Len() == 0 {
+		t.Error("no model written to stdout")
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -70,9 +69,6 @@ func main() {
 	if err := sp.Validate(); err != nil {
 		usage(err)
 	}
-	if !slices.Contains(workloads.Names(), *workloadName) {
-		usage(fmt.Errorf("-workload %q: want one of %v", *workloadName, workloads.Names()))
-	}
 	var (
 		kind  errmodel.Kind
 		level vscale.VRLevel
@@ -85,6 +81,14 @@ func main() {
 		if level, err = vscale.ParseLevel(*levelName); err != nil {
 			usage(err)
 		}
+	}
+	opts, cfg, err := sp.Effective()
+	if err != nil {
+		fatal(err)
+	}
+	w, err := workloads.ByName(*workloadName, opts.Scale)
+	if err != nil {
+		usage(fmt.Errorf("-workload: %w", err))
 	}
 
 	reg := newMetrics()
@@ -103,15 +107,7 @@ func main() {
 	// hard-exits without waiting.
 	cli.OnInterrupt("teva-inject", "canceling the campaign", cancel)
 
-	opts, cfg, err := sp.Effective()
-	if err != nil {
-		fatal(err)
-	}
 	cfg.Metrics = reg
-	w, err := workloads.ByName(*workloadName, opts.Scale)
-	if err != nil {
-		fatal(err)
-	}
 	f, err := core.New(cfg)
 	if err != nil {
 		fatal(err)

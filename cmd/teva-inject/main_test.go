@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"teva/internal/workloads"
 )
 
 // TestMain lets a test run this command as a child process: with
@@ -31,8 +33,8 @@ func TestBadFlagsExit2(t *testing.T) {
 		{[]string{"-workload", "is", "-runs", "0"}, "-runs 0"},
 		{[]string{"-workload", "is", "-model", "xx"}, `unknown model "xx"`},
 		{[]string{"-workload", "is", "-level", "VR99"}, `unknown level "VR99"`},
-		{[]string{"-workload", "nope"}, `-workload "nope"`},
-		{nil, `-workload ""`},
+		{[]string{"-workload", "nope"}, `unknown benchmark "nope"`},
+		{nil, `unknown benchmark ""`},
 		{[]string{"-workload", "is", "-scale", "huge"}, "huge"},
 	} {
 		args := append([]string{"-scale", "tiny"}, tc.args...)
@@ -51,6 +53,24 @@ func TestBadFlagsExit2(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.wantErr) {
 			t.Errorf("%v: stderr %q does not name %q", tc.args, stderr.String(), tc.wantErr)
+		}
+	}
+}
+
+// TestEveryWorkloadAccepted pins that the flag checks accept every
+// registered benchmark, bt included, and that each runs a campaign.
+func TestEveryWorkloadAccepted(t *testing.T) {
+	for _, name := range workloads.AllNames() {
+		cmd := exec.Command(os.Args[0], "-workload", name, "-scale", "tiny", "-model", "ia", "-runs", "1")
+		cmd.Env = append(os.Environ(), "TEVA_INJECT_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Errorf("-workload %s: %v\nstderr: %s", name, err, stderr.String())
+			continue
+		}
+		if !strings.Contains(stdout.String(), "AVM (Eq. 4):") {
+			t.Errorf("-workload %s: no AVM line in stdout:\n%s", name, stdout.String())
 		}
 	}
 }
