@@ -21,27 +21,17 @@
 // Flags:
 //
 //	-list             list analyzers with their one-line docs and exit
-//	-json             emit findings as a JSON array (machine-readable)
 //	-sarif file       additionally write findings as SARIF 2.1.0 to file
 //	                  (uploaded as a CI artifact for code-scanning UIs)
-//	-baseline file    suppress findings recorded in the baseline file;
-//	                  stale (already-fixed) entries are reported and fail
-//	                  the run, so the baseline only ever shrinks
-//	-write-baseline file
-//	                  write all current findings to file and exit 0 —
-//	                  the burn-down starting point for a new analyzer
-//	-parallel n       package-loading workers (default GOMAXPROCS)
 //
-// The exit status is 0 when clean (after baseline filtering), 1 when
-// findings are reported, and 2 on load/usage errors. Findings print as
-// file:line:col: [analyzer] message, deduplicated and sorted so output is
-// byte-identical run to run. Individual findings are suppressed in source
-// with `//teva:allow <analyzer>` on the offending line or the line before
-// it; whole accepted backlogs live in the baseline file instead.
+// The exit status is 0 when clean, 1 when findings are reported, and 2 on
+// load/usage errors. Findings print as file:line:col: [analyzer] message,
+// deduplicated and sorted so output is byte-identical run to run. The one
+// way to suppress a finding is `//teva:allow <analyzer>` in source, on the
+// offending line or the line before it.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -51,12 +41,8 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to `file`")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in baseline `file`")
-	writeBaseline := flag.String("write-baseline", "", "record current findings to baseline `file` and exit")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "package-loading workers")
 	flag.Parse()
 
 	analyzers := lint.All()
@@ -65,15 +51,6 @@ func main() {
 			fmt.Printf("%-18s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	var baseline *lint.Baseline
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		baseline = b
 	}
 
 	patterns := flag.Args()
@@ -94,7 +71,7 @@ func main() {
 		fatal(err)
 	}
 
-	pkgs, err := loader.LoadAll(dirs, *parallel)
+	pkgs, err := loader.LoadAll(dirs, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fatal(err)
 	}
@@ -111,21 +88,6 @@ func main() {
 	}
 	findings = lint.SortFindings(findings)
 
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "teva-vet: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-
-	var stale []lint.BaselineEntry
-	suppressed := 0
-	if baseline != nil {
-		stale = baseline.Stale(findings)
-		findings, suppressed = baseline.Filter(findings)
-	}
-
 	if *sarifOut != "" {
 		data, err := lint.SARIF(analyzers, findings)
 		if err != nil {
@@ -136,34 +98,11 @@ func main() {
 		}
 	}
 
-	if *jsonOut {
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "teva-vet: %d finding(s)", len(findings))
-			if suppressed > 0 {
-				fmt.Fprintf(os.Stderr, " (+%d baselined)", suppressed)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "teva-vet: stale baseline entry (fixed — delete it): [%s] %s: %s\n",
-			e.Analyzer, e.File, e.Message)
-	}
-	// Stale entries fail the run too: the baseline may only shrink, and a
-	// leftover entry would mask the finding if the bug ever came back.
-	if len(findings) > 0 || len(stale) > 0 {
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "teva-vet: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

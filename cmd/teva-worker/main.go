@@ -8,14 +8,13 @@
 // the shared artifact cache directory; the worker's stdout/stderr are
 // diagnostics only, piped line-prefixed onto the supervisor's stderr.
 //
-// Chaos hooks (used by the sharded CI smoke job and tests):
+// Chaos hook (used by tests; the transient-crash drill is the
+// supervisor's -shard-kill-after):
 //
 //	TEVA_WORKER_KILL_UNIT=SUBSTR   self-SIGKILL when leasing a unit whose
 //	                               ID contains SUBSTR (poison-cell drill:
 //	                               restarts inherit the variable, so the
 //	                               unit strikes out and is quarantined)
-//	TEVA_WORKER_KILL_AFTER_UNITS=N self-SIGKILL after completing N units
-//	                               (transient-crash drill)
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"teva/internal/experiments"
 )
@@ -41,14 +39,6 @@ func main() {
 		ID:          *id,
 		Diag:        os.Stderr,
 		KillUnitSub: os.Getenv("TEVA_WORKER_KILL_UNIT"),
-	}
-	if v := os.Getenv("TEVA_WORKER_KILL_AFTER_UNITS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teva-worker: bad TEVA_WORKER_KILL_AFTER_UNITS %q: %v\n", v, err)
-			os.Exit(2)
-		}
-		o.KillAfterUnits = n
 	}
 	if err := experiments.WorkerMain(context.Background(), o); err != nil {
 		fmt.Fprintf(os.Stderr, "teva-worker: %v\n", err)

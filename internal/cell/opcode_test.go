@@ -2,7 +2,7 @@ package cell
 
 import "testing"
 
-func TestOpcodeWordMatchesScalar(t *testing.T) {
+func TestOpcodeSliceMatchesScalar(t *testing.T) {
 	// The slice reference must agree with the scalar function over the
 	// full truth table.
 	for op := OpCode(1); op < NumOpCodes; op++ {

@@ -242,9 +242,6 @@ func TestWarmAndDeterminism(t *testing.T) {
 
 func TestFastAndExactAgreeOnERMagnitude(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exact-engine comparison")
-	}
-	if testing.Short() {
 		t.Skip("exact engine is slow")
 	}
 	// The fast (levelized, old-value) engine is the campaign default; its

@@ -247,9 +247,6 @@ type WorkerOptions struct {
 	// chaos hook (restarted workers inherit it, so the unit strikes out
 	// and is quarantined).
 	KillUnitSub string
-	// KillAfterUnits, when > 0, SIGKILLs this process after completing
-	// that many units — the transient-crash chaos hook.
-	KillAfterUnits int
 }
 
 // WorkerMain is the worker process body: fetch the plan, rebuild the
@@ -286,10 +283,6 @@ func WorkerMain(ctx context.Context, o WorkerOptions) error {
 		}
 		completed++
 		fmt.Fprintf(diag, "worker %s: unit %s done (%d total)\n", o.ID, u.ID(), completed)
-		if o.KillAfterUnits > 0 && completed >= o.KillAfterUnits {
-			fmt.Fprintf(diag, "worker %s: chaos self-SIGKILL after %d units\n", o.ID, completed)
-			killSelf()
-		}
 		return sum, nil
 	})
 }

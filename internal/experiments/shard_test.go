@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -43,9 +42,6 @@ func shardTestWorkerMain() int {
 		ID:          id,
 		Diag:        os.Stderr,
 		KillUnitSub: os.Getenv("TEVA_WORKER_KILL_UNIT"),
-	}
-	if v := os.Getenv("TEVA_WORKER_KILL_AFTER_UNITS"); v != "" {
-		o.KillAfterUnits, _ = strconv.Atoi(v)
 	}
 	if err := WorkerMain(context.Background(), o); err != nil {
 		fmt.Fprintf(os.Stderr, "test worker %s: %v\n", id, err)

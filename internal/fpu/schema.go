@@ -17,12 +17,11 @@ type fieldSpec struct {
 // that consecutive stages agree on bit positions by construction.
 type schema struct {
 	fields []fieldSpec
-	offset map[string]int
 	total  int
 }
 
 func newSchema(fields ...fieldSpec) *schema {
-	s := &schema{offset: make(map[string]int, len(fields))}
+	s := &schema{}
 	for _, f := range fields {
 		s.add(f.name, f.width)
 	}
@@ -33,10 +32,11 @@ func (s *schema) add(name string, width int) {
 	if width <= 0 {
 		panic(fmt.Sprintf("fpu: field %q has width %d", name, width))
 	}
-	if _, dup := s.offset[name]; dup {
-		panic(fmt.Sprintf("fpu: duplicate field %q", name))
+	for _, f := range s.fields {
+		if f.name == name {
+			panic(fmt.Sprintf("fpu: duplicate field %q", name))
+		}
 	}
-	s.offset[name] = s.total
 	s.fields = append(s.fields, fieldSpec{name: name, width: width})
 	s.total += width
 }

@@ -30,14 +30,14 @@ import (
 // Finding is one analyzer hit.
 type Finding struct {
 	// Analyzer is the reporting analyzer's name.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// File is the file path (relative to the module root when possible).
-	File string `json:"file"`
+	File string
 	// Line and Col locate the finding (1-based).
-	Line int `json:"line"`
-	Col  int `json:"col"`
+	Line int
+	Col  int
 	// Message describes the violated invariant.
-	Message string `json:"message"`
+	Message string
 }
 
 func (f Finding) String() string {

@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -286,39 +285,28 @@ func (l *Loader) load(path, dir string, chain []string) (*Package, error) {
 }
 
 func (l *Loader) loadUncached(path, dir string, chain []string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
+	// go/build applies the go command's file selection (build constraints,
+	// _GOOS/_GOARCH file-name suffixes, _test.go) without running it.
+	bp, err := build.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) && len(bp.IgnoredGoFiles) > 0 {
+		return nil, fmt.Errorf("lint: package %s in %s: all %d Go files excluded by build constraints",
+			path, dir, len(bp.IgnoredGoFiles))
+	}
 	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
+		return nil, fmt.Errorf("lint: package %s: %w", path, err)
 	}
-	var names []string
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		names = append(names, name)
-	}
-	if len(names) == 0 {
+	if len(bp.GoFiles) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	sort.Strings(names)
 	var files []*ast.File
-	excluded := 0
-	for _, name := range names {
+	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil,
 			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parsing package %s: %w", path, err)
 		}
-		if !fileIncluded(f) {
-			excluded++
-			continue
-		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: package %s in %s: all %d Go files excluded by build constraints",
-			path, dir, excluded)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -339,49 +327,6 @@ func (l *Loader) loadUncached(path, dir string, chain []string) (*Package, error
 		Types: tpkg,
 		Info:  info,
 	}, nil
-}
-
-// fileIncluded evaluates the file's build constraints (//go:build and
-// legacy // +build lines above the package clause) against the host
-// platform. Files constrained away are skipped like `go build` would —
-// they may reference symbols that do not exist here and must not poison
-// the type-check.
-func fileIncluded(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.End() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) && !constraint.IsPlusBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue // malformed constraint: include, let the checker complain
-			}
-			if !expr.Eval(buildTagSet) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// buildTagSet answers constraint tags for the host platform. Release tags
-// (go1.x) are all considered satisfied: the toolchain building this
-// binary is at least as new as any constraint in the repo.
-func buildTagSet(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "unix":
-		switch runtime.GOOS {
-		case "linux", "darwin", "freebsd", "netbsd", "openbsd", "dragonfly", "solaris", "illumos", "aix":
-			return true
-		}
-		return false
-	}
-	return strings.HasPrefix(tag, "go1.")
 }
 
 // RelFile rewrites a finding's file path relative to the module root for

@@ -54,6 +54,27 @@ func TestLoadBuildTagExclusion(t *testing.T) {
 	}
 }
 
+// TestLoadHonorsFileNameConstraints: a _GOOS file-name suffix is a build
+// constraint too. a_windows.go redeclares F, so the package type-checks
+// off windows only if the loader skips it like `go build` does.
+func TestLoadHonorsFileNameConstraints(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("a_windows.go is selected on windows")
+	}
+	dir := writeFiles(t, map[string]string{
+		"a.go":         "package suffixed\n\nfunc F() int { return 1 }\n",
+		"a_windows.go": "package suffixed\n\nfunc F() int { return 2 }\n",
+	})
+	l := newTestLoader(t)
+	p, err := l.CheckDir(dir, "teva/internal/lintfixture/suffixed")
+	if err != nil {
+		t.Fatalf("CheckDir with a _windows.go file: %v", err)
+	}
+	if len(p.Files) != 1 {
+		t.Errorf("loaded %d files, want 1 (a_windows.go excluded by its name)", len(p.Files))
+	}
+}
+
 // TestLoadAllFilesExcluded: when build constraints exclude every file the
 // loader must say so by name instead of failing on a confusing
 // no-such-symbol type error later.

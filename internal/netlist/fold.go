@@ -76,11 +76,7 @@ func (b *Builder) FXor(x, y NetID) NetID {
 }
 
 // FXnor is Xnor with constant folding.
-func (b *Builder) FXnor(x, y NetID) NetID { return b.FNot2(b.FXor(x, y)) }
-
-// FNot2 folds double inversion by peeking at the driver; it only folds
-// constants (cheap and sufficient).
-func (b *Builder) FNot2(a NetID) NetID { return b.FNot(a) }
+func (b *Builder) FXnor(x, y NetID) NetID { return b.FNot(b.FXor(x, y)) }
 
 // FMux is Mux with constant folding.
 func (b *Builder) FMux(sel, d0, d1 NetID) NetID {
